@@ -8,14 +8,14 @@ is asserted (sum of squared degrees, class count), so a gap in the method
 surfaces as an error rather than a wrong answer.
 
 All values are exact cyclotomic integers at one global conductor, the
-exponent of the ambient group.  A per-group CharContext memoizes the
-subgroup lattice, conjugacy classes, character sets and restriction
-decompositions; everything it stores is immutable.
+exponent of the ambient group.  A per-group CharContext is the one home of
+each structural fact of the group: Z(G), the subgroup lattice with its
+index-p cover relation, conjugacy classes, character sets with their value
+index, and restriction decompositions; everything it stores is immutable.
 """
 
 from __future__ import annotations
 
-import weakref
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -30,6 +30,7 @@ from .groups import (
     Subgroup,
     abelian_decomposition,
     all_subgroups,
+    center,
     conjugacy_classes,
     conjugate_subgroup,
     derived_subgroup,
@@ -78,23 +79,20 @@ class ClassFunction:
         return f"ClassFunction(deg={self.degree}, |H|={len(self.owner.elems)})"
 
 
-_CONTEXTS: "weakref.WeakKeyDictionary[GroupTable, CharContext]" = weakref.WeakKeyDictionary()
-
-
 def get_context(
     G: GroupTable,
     order_cap: int = DEFAULT_ORDER_CAP,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> "CharContext":
-    ctx = _CONTEXTS.get(G)
-    if ctx is None:
-        ctx = CharContext(G, order_cap, lattice_cap)
-        _CONTEXTS[G] = ctx
-    return ctx
+    """The group's CharContext, built on first use and kept on G itself."""
+    if G.context is None:
+        G.context = CharContext(G, order_cap, lattice_cap)
+    return G.context
 
 
 class CharContext:
-    """Per-group memo of lattice, classes, characters and restriction data."""
+    """Per-group memo of Z(G), lattice and covers, classes, characters and
+    restriction data."""
 
     def __init__(self, G: GroupTable, order_cap: int, lattice_cap: int):
         self.group = G
@@ -102,21 +100,27 @@ class CharContext:
         self.order_cap = order_cap
         self.lattice_cap = lattice_cap
         self.whole = whole_group(G)
+        self.center = center(self.whole)
         self._scalar_values = cyc.euler_phi(G.exponent) == 1
         self._lattice: Optional[list] = None
+        self._covers: list = []
         self._by_elems: dict = {}
         self._classes: dict = {}
         self._irr: dict = {}
         self._linear: dict = {}
-        self._linear_lookup: dict = {}
+        self._char_index: dict = {}
         self._edges: dict = {}
 
     # -- lattice ---------------------------------------------------------
 
     def lattice(self) -> list:
         if self._lattice is None:
-            self._lattice = all_subgroups(self.group, self.order_cap, self.lattice_cap)
+            covers: list = []
+            self._lattice = all_subgroups(self.group, self.order_cap, self.lattice_cap, covers)
             self._by_elems = {S.elems: S for S in self._lattice}
+            # Order by upper subgroup, then lower, as lattice positions.
+            covers.sort(key=lambda kh: (len(kh[1].elems), kh[1].elems, kh[0].elems))
+            self._covers = covers
         return self._lattice
 
     def canonical(self, S: Subgroup) -> Subgroup:
@@ -128,22 +132,10 @@ class CharContext:
         return hit
 
     def maximal_pairs(self) -> list:
-        """All pairs (K, H) with K maximal in H, i.e. of index p."""
-        from .groups import prime_of
-
-        p = prime_of(self.group.order)
-        assert p is not None
-        lattice = self.lattice()
-        by_order: dict = {}
-        for S in lattice:
-            by_order.setdefault(len(S.elems), []).append(S)
-        pairs = []
-        for H in lattice:
-            below = by_order.get(len(H.elems) // p, ()) if len(H.elems) % p == 0 else ()
-            for K in below:
-                if K.mask | H.mask == H.mask:
-                    pairs.append((K, H))
-        return pairs
+        """All pairs (K, H) with K maximal in H, i.e. of index p, ordered by
+        the lattice positions of H and then K."""
+        self.lattice()
+        return self._covers
 
     # -- classes and characters -------------------------------------------
 
@@ -168,14 +160,12 @@ class CharContext:
             self._irr[S.elems] = hit
         return hit
 
-    def linear_lookup(self, S: Subgroup) -> dict:
-        """Map value-vector -> index in irr(S), for the degree-1 characters."""
-        hit = self._linear_lookup.get(S.elems)
+    def char_index(self, S: Subgroup) -> dict:
+        """Map value-vector -> index in irr(S)."""
+        hit = self._char_index.get(S.elems)
         if hit is None:
-            hit = {
-                ch.values: i for i, ch in enumerate(self.irr(S)) if ch.degree == 1
-            }
-            self._linear_lookup[S.elems] = hit
+            hit = {ch.values: i for i, ch in enumerate(self.irr(S))}
+            self._char_index[S.elems] = hit
         return hit
 
     # -- restriction decomposition -----------------------------------------
@@ -224,7 +214,7 @@ class CharContext:
         ccK = self.classes(K)
         ccH = self.classes(H)
         index = len(H.elems) // len(K.elems)
-        lookup = self.linear_lookup(K)
+        lookup = self.char_index(K)
         class_map = tuple(ccH.class_of[r] for r in ccK.reps)
         edges = []
         for j, chi in enumerate(irrH):
@@ -289,18 +279,16 @@ def linear_characters(H: Subgroup) -> tuple:
     return get_context(H.ambient).linear(H)
 
 
-def _compute_irr(ctx: CharContext, H: Subgroup, lattice: Optional[Sequence[Subgroup]] = None) -> tuple:
+def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
     cc = ctx.classes(H)
     order = len(H.elems)
     if cc.count == order:  # abelian
         chars = list(ctx.linear(H))
     else:
-        if lattice is None:
-            lattice = ctx.lattice()
         bound = isqrt(order)
         cands = [
             K
-            for K in lattice
+            for K in ctx.lattice()
             if K.mask | H.mask == H.mask and order // len(K.elems) <= bound
         ]
         cands.sort(key=lambda K: -len(K.elems))
@@ -328,13 +316,10 @@ def _compute_irr(ctx: CharContext, H: Subgroup, lattice: Optional[Sequence[Subgr
     return tuple(chars)
 
 
-def irr(H: Subgroup, lattice: Optional[Sequence[Subgroup]] = None) -> tuple:
+def irr(H: Subgroup) -> tuple:
     """The complete irreducible character set of H, canonically ordered
     (degree-major, then value-vector lexicographic)."""
-    ctx = get_context(H.ambient)
-    if lattice is not None:
-        return _compute_irr(ctx, H, lattice)
-    return ctx.irr(H)
+    return get_context(H.ambient).irr(H)
 
 
 def restrict(chi: ClassFunction, K: Subgroup) -> ClassFunction:

@@ -240,7 +240,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cap = _default_cap()
-        if getattr(args, "cap", None):
+        if getattr(args, "cap", None) is not None:
             cap = args.cap
         if args.command == "groups":
             return cmd_groups()

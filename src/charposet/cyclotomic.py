@@ -91,11 +91,11 @@ class CycInt:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Sequence[int], *, _raw: bool = False):
-        deg = euler_phi(n)
         if _raw:
             self.n = n
             self.coeffs = tuple(coeffs)
         else:
+            deg = euler_phi(n)
             if len(coeffs) > deg:
                 coeffs = _reduce(n, coeffs)
             else:

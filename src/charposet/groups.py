@@ -1,8 +1,9 @@
 """Finite groups as validated multiplication tables, plus subgroup machinery.
 
 Elements are indices 0..n-1 into a dense Cayley table.  Everything is
-immutable after construction; all operations are pure functions, so results
-can be shared and memoized freely.
+immutable after construction, apart from the memo slot GroupTable.context;
+all operations are pure functions, so results can be shared and memoized
+freely.
 """
 
 from __future__ import annotations
@@ -31,9 +32,15 @@ FULL_ASSOC_LIMIT = 64  # full O(n^3) associativity check up to here, Light's tes
 
 
 class GroupTable:
-    """A finite group: dense table, identity, inverses, element orders."""
+    """A finite group: dense table, identity, inverses, element orders.
 
-    __slots__ = ("order", "table", "identity", "inverse", "elem_order", "exponent", "name", "__weakref__")
+    context holds the group's CharContext once characters.get_context has
+    built it, so the memo lives exactly as long as the group."""
+
+    __slots__ = (
+        "order", "table", "identity", "inverse", "elem_order", "exponent", "name", "context",
+        "__weakref__",
+    )
 
     def __init__(self, order, table, identity, inverse, elem_order, exponent, name):
         self.order = order
@@ -43,6 +50,7 @@ class GroupTable:
         self.elem_order = elem_order
         self.exponent = exponent
         self.name = name
+        self.context = None
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -443,6 +451,7 @@ def all_subgroups(
     G: GroupTable,
     order_cap: int = DEFAULT_ORDER_CAP,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
+    covers: Optional[list] = None,
 ) -> list:
     """Every subgroup of G exactly once, sorted by (order, elements).
 
@@ -452,6 +461,11 @@ def all_subgroups(
     maximal subgroup), and when an extension step lands exactly one level up
     (index p) all other elements of the result are dropped from the candidate
     list for that H, since they generate the same extension.
+
+    For a p-group every index-p overgroup H' of H is met this way (any x in
+    H' but not in H has x^p in H, and is skipped only inside an overgroup
+    already met, which then is H'), so when covers is a list each pair
+    (H, H') is appended to it exactly once, in discovery order.
     """
     if G.order > order_cap:
         raise OrderCapExceeded(f"|G| = {G.order} exceeds cap {order_cap}")
@@ -496,6 +510,8 @@ def all_subgroups(
             kelems = closure_from_gens(G, base_gens + (x,))
             add(kelems, base_gens + (x,))
             if p is not None and len(kelems) == p * len(elems):
+                if covers is not None:
+                    covers.append((H, found[kelems]))
                 for y in kelems:
                     skip |= 1 << y
     return sorted(found.values(), key=lambda S: (len(S.elems), S.elems))

@@ -34,13 +34,7 @@ from .errors import (
     NotMultipleOfLinear,
     PreconditionFailed,
 )
-from .groups import (
-    GroupTable,
-    Subgroup,
-    center,
-    intersect_all,
-    require_p_group,
-)
+from .groups import GroupTable, Subgroup, intersect_all, require_p_group
 
 
 class Ordering(Enum):
@@ -124,8 +118,6 @@ class CharacterPoset:
             for cid in range(len(ctx.irr(S))):
                 self.nodes.append(PosetNode(sid, cid))
         self._edges: Optional[list] = None
-        self._edge_sets: dict = {}
-        self._char_index: dict = {}
 
     # -- node helpers -------------------------------------------------------
 
@@ -146,11 +138,7 @@ class CharacterPoset:
                 f"subgroup of order {len(S.elems)} is not in S_(p,e): "
                 f"needs order >= {self.min_order}"
             )
-        lookup = self._char_index.get(S.elems)
-        if lookup is None:
-            lookup = {ch.values: i for i, ch in enumerate(self.ctx.irr(self.subgroups[sid]))}
-            self._char_index[S.elems] = lookup
-        cid = lookup.get(chi.values)
+        cid = self.ctx.char_index(self.subgroups[sid]).get(chi.values)
         if cid is None:
             raise InputError("character is not an irreducible of the subgroup")
         return PosetNode(sid, cid)
@@ -165,22 +153,14 @@ class CharacterPoset:
         if Sa.elems == Sb.elems:
             return Ordering.INCOMPARABLE  # distinct irreducibles are orthogonal
         if Sa.is_subset_of(Sb):
-            if (a.char_id, b.char_id) in self._edge_set(Sa, Sb):
+            if (a.char_id, b.char_id) in self.ctx.restriction_edges(Sa, Sb):
                 return Ordering.LE
             return Ordering.INCOMPARABLE
         if Sb.is_subset_of(Sa):
-            if (b.char_id, a.char_id) in self._edge_set(Sb, Sa):
+            if (b.char_id, a.char_id) in self.ctx.restriction_edges(Sb, Sa):
                 return Ordering.GE
             return Ordering.INCOMPARABLE
         return Ordering.INCOMPARABLE
-
-    def _edge_set(self, K: Subgroup, H: Subgroup) -> frozenset:
-        key = (K.elems, H.elems)
-        hit = self._edge_sets.get(key)
-        if hit is None:
-            hit = frozenset(self.ctx.restriction_edges(K, H))
-            self._edge_sets[key] = hit
-        return hit
 
     def edge_list(self) -> list:
         """Materialized comparable node pairs (ids), per the strategy."""
@@ -406,8 +386,7 @@ def central_poset_map(alpha: ClassFunction, A: Subgroup) -> ClassFunction:
     G = A.ambient
     ctx = get_context(G)
     assert len(A.elems) > 1
-    ZG = center(ctx.whole)
-    assert A.is_subset_of(ZG)
+    assert A.is_subset_of(ctx.center)
     assert A.is_subset_of(alpha.owner)
     r = restrict(alpha, A)
     d = alpha.degree
@@ -417,7 +396,7 @@ def central_poset_map(alpha: ClassFunction, A: Subgroup) -> ClassFunction:
         raise NotMultipleOfLinear(
             "restriction to the central subgroup is not deg * (a single value vector)"
         ) from None
-    idx = ctx.linear_lookup(A).get(scaled)
+    idx = ctx.char_index(A).get(scaled)
     if idx is None:
         raise NotMultipleOfLinear(
             "restriction to the central subgroup is not a multiple of one linear character"

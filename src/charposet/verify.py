@@ -30,7 +30,6 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     GroupTable,
     Subgroup,
-    center,
     intersect_all,
     is_normal_in,
     quotient,
@@ -114,8 +113,7 @@ def theorem_report(
     t0 = time.perf_counter()
     ctx = get_context(G)
     I = compute_I(G, p, e)
-    Z = center(ctx.whole)
-    IZ = intersect_all([I, Z])
+    IZ = intersect_all([I, ctx.center])
     irr_I = len(ctx.irr(I))
     timings["structure"] = time.perf_counter() - t0
 
@@ -158,7 +156,7 @@ def theorem_report(
 def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
     """Central map is constant on components and surjective onto Irr(IZ);
     the central subgroup's own poset has one component per character."""
-    lookup = ctx.linear_lookup(IZ)
+    lookup = ctx.char_index(IZ)
     comp_image: dict = {}
     seen = set()
     for node in poset.nodes:
@@ -210,6 +208,7 @@ def sweep(
     for spec in specs:
         try:
             G = builtin(spec, cap)
+            get_context(G, order_cap=cap)
             p = require_p_group(G)
         except CharposetError as err:
             errors.append(

@@ -213,7 +213,7 @@ def test_criterion_7_central_map_suite(swept):
         partition = poset.components()
         I_members = gr.intersect_all(gr.subgroups_of_order(G, p ** (e + 1), ctx.lattice()))
         IZ = gr.intersect_all([I_members, gr.center(ctx.whole)])
-        lookup = ctx.linear_lookup(IZ)
+        lookup = ctx.char_index(IZ)
         comp_to_img = {}
         images = set()
         for node in poset.nodes:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -19,6 +21,7 @@ from charposet.characters import (
     restrict,
 )
 from charposet.errors import NotASubgroup
+from charposet.verify import theorem_report
 
 from conftest import naive_induced_value
 
@@ -202,12 +205,6 @@ def test_irr_completeness_various():
             assert len(chars) == ctx.classes(S).count
 
 
-def test_irr_with_explicit_lattice(q8):
-    ctx = get_context(q8)
-    chars = irr(ctx.whole, lattice=ctx.lattice())
-    assert [ch.degree for ch in chars] == [1, 1, 1, 1, 2]
-
-
 def test_decompose_irreducible_indicator(q8):
     chars = irr(gr.whole_group(q8))
     for i, chi in enumerate(chars):
@@ -310,3 +307,51 @@ def test_class_function_value_at_outside_raises(q8):
     chi = irr(H)[0]
     with pytest.raises(Exception):
         chi.value_at(4)
+
+
+def _rescan_covers(ctx):
+    """Every (K, H) with K of index p in H, found by testing all pairs of
+    the lattice: the oracle for the covers recorded during enumeration."""
+    p = gr.prime_of(ctx.group.order)
+    lattice = ctx.lattice()
+    return [
+        (K, H)
+        for H in lattice
+        for K in lattice
+        if p * len(K.elems) == len(H.elems) and K.is_subset_of(H)
+    ]
+
+
+def _relabelled(G, seed):
+    """The same group with its element indices shuffled."""
+    perm = list(range(G.order))
+    random.Random(seed).shuffle(perm)
+    back = [0] * G.order
+    for x, y in enumerate(perm):
+        back[y] = x
+    table = [[perm[G.table[back[a]][back[b]]] for b in range(G.order)] for a in range(G.order)]
+    return gr.from_cayley(table, name=f"{G.name}-shuffled{seed}")
+
+
+def test_maximal_pairs_match_rescan():
+    specs = (
+        fam.builtin_catalog(2, 32)
+        + fam.builtin_catalog(3, 81)
+        + fam.builtin_catalog(5, 25)
+    )
+    groups = [fam.builtin(spec) for spec in specs]
+    groups += [_relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+        ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
+    )]
+    for G in groups:
+        ctx = get_context(G)
+        assert ctx.maximal_pairs() == _rescan_covers(ctx), G.name
+
+
+def test_context_is_freed_with_its_group():
+    G = fam.builtin("Dihedral(8)")
+    theorem_report(G, None, 1)
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None

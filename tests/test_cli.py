@@ -239,3 +239,5 @@ def test_cap_env_override(tmp_path, capsys, monkeypatch):
     assert code == 0
     code, _, err = run(capsys, "irr", "--group", "Cyclic(2,5)")
     assert code == 2  # order 32 above the env cap
+    code, _, err = run(capsys, "verify", "--group", "Cyclic(2,1)", "--cap", "0")
+    assert code == 2  # an explicit cap of 0 is applied, not dropped

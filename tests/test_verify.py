@@ -96,3 +96,9 @@ def test_sweep_explicit_levels():
     res = sweep(["Quaternion(8)"], es=[1])
     assert len(res.reports) == 1
     assert res.reports[0].e == 1
+
+
+def test_sweep_cap_reaches_the_context():
+    res = sweep(["Modular(3,5)"], es=[4], cap=256)
+    assert not res.errors
+    assert len(res.reports) == 1 and res.reports[0].ok
