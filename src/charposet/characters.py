@@ -1,9 +1,9 @@
 """Irreducible characters of all subgroups of a fixed finite group.
 
-Complete character sets are produced by the monomial method: every
-irreducible of a p-group is induced from a linear character of some
-subgroup, so inducing all linear characters of all subgroups of index at
-most sqrt(|H|) and keeping the norm-1 results is exhaustive.  Completeness
+Irr(H) is H's own linear characters, grown as exponent maps over the cosets
+of H' inside the ambient table, plus the norm-1 characters induced from the
+linear characters of proper subgroups of index at most sqrt(|H|).  Every
+irreducible of a p-group is monomial, so this is exhaustive; completeness
 is asserted (sum of squared degrees, class count), so a gap in the method
 surfaces as an error rather than a wrong answer.
 
@@ -16,6 +16,7 @@ index, and restriction decompositions; everything it stores is immutable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -28,7 +29,6 @@ from .groups import (
     ConjClasses,
     GroupTable,
     Subgroup,
-    abelian_decomposition,
     all_subgroups,
     center,
     conjugacy_classes,
@@ -36,7 +36,6 @@ from .groups import (
     derived_subgroup,
     double_cosets,
     intersect_all,
-    quotient,
     whole_group,
 )
 
@@ -80,13 +79,16 @@ class ClassFunction:
 
 
 def get_context(
-    G: GroupTable,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
+    G: GroupTable, order_cap: Optional[int] = None, lattice_cap: Optional[int] = None
 ) -> "CharContext":
-    """The group's CharContext, built on first use and kept on G itself."""
+    """The group's CharContext, built on first use and kept on G itself.  A
+    cap given here is stored on it for lattice(); None keeps the stored one."""
     if G.context is None:
-        G.context = CharContext(G, order_cap, lattice_cap)
+        G.context = CharContext(G, DEFAULT_ORDER_CAP, DEFAULT_LATTICE_CAP)
+    if order_cap is not None:
+        G.context.order_cap = order_cap
+    if lattice_cap is not None:
+        G.context.lattice_cap = lattice_cap
     return G.context
 
 
@@ -107,7 +109,6 @@ class CharContext:
         self._by_elems: dict = {}
         self._classes: dict = {}
         self._irr: dict = {}
-        self._linear: dict = {}
         self._char_index: dict = {}
         self._edges: dict = {}
 
@@ -147,11 +148,9 @@ class CharContext:
         return hit
 
     def linear(self, S: Subgroup) -> tuple:
-        hit = self._linear.get(S.elems)
-        if hit is None:
-            hit = _linear_characters(self, S)
-            self._linear[S.elems] = hit
-        return hit
+        """The degree-1 front of irr(S)."""
+        chars = self.irr(S)
+        return chars[: bisect_right(chars, 1, key=lambda ch: ch.degree)]
 
     def irr(self, S: Subgroup) -> tuple:
         hit = self._irr.get(S.elems)
@@ -245,33 +244,37 @@ class CharContext:
 
 
 def _linear_characters(ctx: CharContext, H: Subgroup) -> tuple:
-    """All |H/H'| degree-1 characters of H, via the abelianization."""
-    n = ctx.conductor
-    Hp = derived_subgroup(H)
-    Q, proj = quotient(H, Hp)
-    dec = abelian_decomposition(Q)
+    """All |H/H'| degree-1 characters of H as exponent maps lam: H -> Z/n,
+    grown from lam = 0 on H' inside the ambient table: for x outside S, with
+    x^k the first power of x in S, each lam on S extends to S<x> in exactly
+    k ways, x -> a with k*a = lam(x^k) mod n and s*x^i -> lam(s) + i*a."""
+    G, n = H.ambient, ctx.conductor
+    elems = derived_subgroup(H).elems
+    pos = {s: j for j, s in enumerate(elems)}
+    maps = [[0] * len(elems)]
+    for x in H.elems:
+        if x in pos:
+            continue
+        powers, y = [G.identity], x
+        while y not in pos:
+            powers.append(y)
+            y = G.table[y][x]
+        k, xk = len(powers), pos[y]
+        if any(lam[xk] % k for lam in maps):
+            raise IncompleteIrr(f"an exponent of x^{k} is not divisible by {k}")
+        maps = [
+            [(v + i * a) % n for i in range(k) for v in lam]
+            for lam in maps
+            for a in range(lam[xk] // k, n, n // k)
+        ]
+        elems = [G.table[s][xi] for xi in powers for s in elems]
+        pos = {s: j for j, s in enumerate(elems)}
     cc = ctx.classes(H)
     zpows = cyc.zeta_table(n)
-    steps = []
-    for d in dec.factors:
-        assert n % d == 0  # element orders divide the global conductor
-        steps.append(n // d)
-    rep_logs = [dec.dlog[proj[r]] for r in cc.reps]
-
-    tuples = [()]
-    for d in dec.factors:
-        tuples = [t + (k,) for t in tuples for k in range(d)]
-
-    out = []
-    for t in tuples:
-        values = []
-        for logs in rep_logs:
-            ang = 0
-            for ti, ei, si in zip(t, logs, steps):
-                ang += ti * ei * si
-            values.append(zpows[ang % n])
-        out.append(ClassFunction(H, cc, values))
-    assert len({ch.values for ch in out}) == len(out)  # pairwise distinct
+    at_reps = [pos[r] for r in cc.reps]
+    out = [ClassFunction(H, cc, [zpows[lam[j]] for j in at_reps]) for lam in maps]
+    if len({ch.values for ch in out}) != len(out):
+        raise IncompleteIrr("two linear characters share their values")
     return tuple(out)
 
 
@@ -282,19 +285,17 @@ def linear_characters(H: Subgroup) -> tuple:
 def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
     cc = ctx.classes(H)
     order = len(H.elems)
-    if cc.count == order:  # abelian
-        chars = list(ctx.linear(H))
-    else:
+    found = {ch.values: ch for ch in _linear_characters(ctx, H)}
+    total = len(found)
+    if len(found) < cc.count:
         bound = isqrt(order)
         cands = [
             K
             for K in ctx.lattice()
-            if K.mask | H.mask == H.mask and order // len(K.elems) <= bound
+            if K.mask | H.mask == H.mask and 2 <= order // len(K.elems) <= bound
         ]
         cands.sort(key=lambda K: -len(K.elems))
         seen = set()
-        found: dict = {}
-        total = 0
         for K in cands:
             for lam in ctx.linear(K):
                 theta = induce(lam, H)
@@ -306,12 +307,11 @@ def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
                     total += theta.degree**2
             if total == order and len(found) == cc.count:
                 break
-        chars = list(found.values())
-    chars.sort(key=ClassFunction.sort_key)
-    if sum(ch.degree**2 for ch in chars) != order or len(chars) != cc.count:
+    chars = sorted(found.values(), key=ClassFunction.sort_key)
+    if total != order or len(chars) != cc.count:
         raise IncompleteIrr(
             f"monomial search found {len(chars)} characters with "
-            f"sum(deg^2) = {sum(ch.degree ** 2 for ch in chars)} for |H| = {order}"
+            f"sum(deg^2) = {total} for |H| = {order}"
         )
     return tuple(chars)
 

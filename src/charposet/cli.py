@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import export
@@ -36,22 +35,6 @@ EXIT_WITNESS = 4
 EXIT_INTERNAL = 5
 
 
-@dataclass
-class RunConfig:
-    command: str
-    group: Optional[str] = None
-    p: Optional[int] = None
-    e: Optional[int] = None
-    strategy: str = "maximal"
-    fmt: str = "json"
-    out: Optional[str] = None
-    cap: int = DEFAULT_ORDER_CAP
-    subgroups: bool = False
-    endpoints: Optional[str] = None
-    max_order: Optional[int] = None
-    primes: tuple = (2, 3, 5)
-
-
 def _default_cap() -> int:
     env = os.environ.get("CHARPOSET_CAP")
     if env:
@@ -62,10 +45,14 @@ def _default_cap() -> int:
     return DEFAULT_ORDER_CAP
 
 
-def _resolve_group(source: str, cap: int) -> GroupTable:
-    if source.startswith("@"):
-        return export.load_group_file(source[1:], cap)
-    return builtin(source, cap)
+def _load_group(args: argparse.Namespace) -> GroupTable:
+    """The --group spec or @file as a table, its context capped at --cap."""
+    if args.group.startswith("@"):
+        G = export.load_group_file(args.group[1:], args.cap)
+    else:
+        G = builtin(args.group, args.cap)
+    get_context(G, order_cap=args.cap)
+    return G
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -80,26 +67,27 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="charposet", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("groups", help="list the built-in family catalog")
+    sub.add_parser("groups", help="list the built-in family catalog").set_defaults(run=cmd_groups)
 
-    def common(p, fmt_choices):
+    def common(p, fmt_choices, run):
+        p.set_defaults(run=run)
         p.add_argument("--group", required=True, help="family spec or @file.json")
         p.add_argument("--cap", type=int, default=None, help="group order cap")
         p.add_argument("--format", dest="fmt", choices=fmt_choices, default=fmt_choices[0])
         p.add_argument("--out", default=None, help="write the artifact to this path")
 
     p_irr = sub.add_parser("irr", help="irreducible character table(s)")
-    common(p_irr, ["json"])
+    common(p_irr, ["json"], cmd_irr)
     p_irr.add_argument("--subgroups", action="store_true", help="tables for every subgroup")
 
     p_poset = sub.add_parser("poset", help="build the poset and count components")
-    common(p_poset, ["json", "dot"])
+    common(p_poset, ["json", "dot"], cmd_poset)
     p_poset.add_argument("--p", type=int, default=None)
     p_poset.add_argument("--e", type=int, required=True)
     p_poset.add_argument("--strategy", choices=["maximal", "full"], default="maximal")
 
     p_wit = sub.add_parser("witness", help="connectivity witness chain between two nodes")
-    common(p_wit, ["json"])
+    common(p_wit, ["json"], cmd_witness)
     p_wit.add_argument("--p", type=int, default=None)
     p_wit.add_argument("--e", type=int, required=True)
     p_wit.add_argument(
@@ -109,12 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_ver = sub.add_parser("verify", help="bound/criterion report for one group")
-    common(p_ver, ["json", "csv"])
+    common(p_ver, ["json", "csv"], cmd_verify)
     p_ver.add_argument("--p", type=int, default=None)
     p_ver.add_argument("--e", type=int, default=None, help="default: every valid e")
     p_ver.add_argument("--strategy", choices=["maximal", "full"], default="maximal")
 
     p_sw = sub.add_parser("sweep", help="verify the whole built-in catalog")
+    p_sw.set_defaults(run=cmd_sweep)
     p_sw.add_argument("--p", type=int, action="append", default=None, help="repeatable; default 2 3 5")
     p_sw.add_argument("--max-order", type=int, default=64)
     p_sw.add_argument("--cap", type=int, default=None)
@@ -124,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def cmd_groups() -> int:
+def cmd_groups(args: argparse.Namespace) -> int:
     print("built-in families:")
     for spec, desc in FAMILY_HELP:
         print(f"  {spec:<28} {desc}")
@@ -135,24 +124,22 @@ def cmd_groups() -> int:
     return EXIT_OK
 
 
-def cmd_irr(cfg: RunConfig) -> int:
-    G = _resolve_group(cfg.group, cfg.cap)
-    get_context(G, order_cap=cfg.cap)
-    _emit(export.canonical_json(export.irr_json(G, cfg.subgroups)), cfg.out)
+def cmd_irr(args: argparse.Namespace) -> int:
+    G = _load_group(args)
+    _emit(export.canonical_json(export.irr_json(G, args.subgroups)), args.out)
     return EXIT_OK
 
 
-def cmd_poset(cfg: RunConfig) -> int:
-    G = _resolve_group(cfg.group, cfg.cap)
-    get_context(G, order_cap=cfg.cap)
-    poset = build_poset(G, cfg.p, cfg.e, cfg.strategy)
+def cmd_poset(args: argparse.Namespace) -> int:
+    G = _load_group(args)
+    poset = build_poset(G, args.p, args.e, args.strategy)
     partition = poset.components()
     print(f"components: {partition.count}")
-    if cfg.out:
-        if cfg.fmt == "dot":
-            _emit(export.poset_dot(poset, partition), cfg.out)
+    if args.out:
+        if args.fmt == "dot":
+            _emit(export.poset_dot(poset, partition), args.out)
         else:
-            _emit(export.canonical_json(export.poset_json(poset, partition)), cfg.out)
+            _emit(export.canonical_json(export.poset_json(poset, partition)), args.out)
     return EXIT_OK
 
 
@@ -179,11 +166,10 @@ def _parse_endpoints(poset: CharacterPoset, text: str):
     return out
 
 
-def cmd_witness(cfg: RunConfig) -> int:
-    G = _resolve_group(cfg.group, cfg.cap)
-    get_context(G, order_cap=cfg.cap)
-    poset = build_poset(G, cfg.p, cfg.e)
-    (H, alpha), (K, beta) = _parse_endpoints(poset, cfg.endpoints)
+def cmd_witness(args: argparse.Namespace) -> int:
+    G = _load_group(args)
+    poset = build_poset(G, args.p, args.e)
+    (H, alpha), (K, beta) = _parse_endpoints(poset, args.endpoints)
     try:
         chain = poset.witness_direct(alpha, beta)
     except WitnessError:
@@ -201,33 +187,32 @@ def cmd_witness(cfg: RunConfig) -> int:
             pieces.append(f"--{chain.directions[i]}-->")
     print(" ".join(pieces))
     print(f"links: {len(chain.directions)}, verified: {str(verified).lower()}")
-    if cfg.out:
-        _emit(export.canonical_json(export.chain_json(poset, chain, verified)), cfg.out)
+    if args.out:
+        _emit(export.canonical_json(export.chain_json(poset, chain, verified)), args.out)
     return EXIT_OK if verified else EXIT_INTERNAL
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    G = _resolve_group(cfg.group, cfg.cap)
-    get_context(G, order_cap=cfg.cap)
-    p = require_p_group(G, cfg.p)
-    levels = [cfg.e] if cfg.e is not None else valid_exponents(G, p)
-    reports = [theorem_report(G, p, e, cfg.strategy) for e in levels]
-    if cfg.fmt == "csv":
-        _emit(export.reports_csv(reports), cfg.out)
+def cmd_verify(args: argparse.Namespace) -> int:
+    G = _load_group(args)
+    p = require_p_group(G, args.p)
+    levels = [args.e] if args.e is not None else valid_exponents(G, p)
+    reports = [theorem_report(G, p, e, args.strategy) for e in levels]
+    if args.fmt == "csv":
+        _emit(export.reports_csv(reports), args.out)
     else:
-        _emit(export.canonical_json(export.reports_json(reports)), cfg.out)
+        _emit(export.canonical_json(export.reports_json(reports)), args.out)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     specs = []
-    for p in cfg.primes:
-        specs.extend(builtin_catalog(p, cfg.max_order))
-    result = run_sweep(specs, strategy=cfg.strategy, cap=cfg.cap)
-    if cfg.fmt == "csv":
-        _emit(export.reports_csv(result.reports), cfg.out)
+    for p in args.p or (2, 3, 5):
+        specs.extend(builtin_catalog(p, args.max_order))
+    result = run_sweep(specs, strategy=args.strategy, cap=args.cap)
+    if args.fmt == "csv":
+        _emit(export.reports_csv(result.reports), args.out)
     else:
-        _emit(export.canonical_json(export.reports_json(result.reports, result.errors)), cfg.out)
+        _emit(export.canonical_json(export.reports_json(result.reports, result.errors)), args.out)
     if result.violations:
         return EXIT_INTERNAL
     if result.errors:
@@ -236,40 +221,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cap = _default_cap()
-        if getattr(args, "cap", None) is not None:
-            cap = args.cap
-        if args.command == "groups":
-            return cmd_groups()
-        cfg = RunConfig(
-            command=args.command,
-            group=getattr(args, "group", None),
-            p=getattr(args, "p", None) if args.command != "sweep" else None,
-            e=getattr(args, "e", None),
-            strategy=getattr(args, "strategy", "maximal"),
-            fmt=getattr(args, "fmt", "json"),
-            out=getattr(args, "out", None),
-            cap=cap,
-            subgroups=getattr(args, "subgroups", False),
-            endpoints=getattr(args, "endpoints", None),
-            max_order=getattr(args, "max_order", None),
-        )
-        if args.command == "sweep":
-            cfg.primes = tuple(args.p) if args.p else (2, 3, 5)
-            cfg.max_order = args.max_order
-            return cmd_sweep(cfg)
-        if args.command == "irr":
-            return cmd_irr(cfg)
-        if args.command == "poset":
-            return cmd_poset(cfg)
-        if args.command == "witness":
-            return cmd_witness(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        parser.error(f"unknown command {args.command!r}")
+        if getattr(args, "cap", None) is None:
+            args.cap = cap
+        return args.run(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
@@ -285,7 +242,6 @@ def main(argv: Optional[list] = None) -> int:
     except CharposetError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -16,16 +16,6 @@ from .errors import ConductorMismatch, NotDivisible, NotRationalInteger
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
     """Exact long division by a monic integer polynomial."""
     num = list(num)

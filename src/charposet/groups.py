@@ -330,13 +330,6 @@ def prime_of(order: int) -> Optional[int]:
     return p if order == 1 else None
 
 
-def is_p_group(G: GroupTable, p: Optional[int] = None) -> bool:
-    if G.order == 1:
-        return True
-    q = prime_of(G.order)
-    return q is not None and (p is None or p == q)
-
-
 def require_p_group(G: GroupTable, p: Optional[int] = None) -> int:
     """Return the prime, raising NotPGroup otherwise."""
     if G.order == 1:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -20,7 +21,7 @@ from charposet.characters import (
     mackey_check,
     restrict,
 )
-from charposet.errors import NotASubgroup
+from charposet.errors import NotASubgroup, OrderCapExceeded
 from charposet.verify import theorem_report
 
 from conftest import naive_induced_value
@@ -355,3 +356,52 @@ def test_context_is_freed_with_its_group():
     del G
     gc.collect()
     assert ref() is None
+
+
+def _linear_via_quotient(ctx, H):
+    """Value vectors of H's linear characters, through the quotient table
+    H/H' and its cyclic decomposition: the oracle for the walk over the
+    cosets of H' inside the ambient table."""
+    n = ctx.conductor
+    Q, proj = gr.quotient(H, gr.derived_subgroup(H))
+    dec = gr.abelian_decomposition(Q)
+    zpows = cyc.zeta_table(n)
+    rep_logs = [dec.dlog[proj[r]] for r in ctx.classes(H).reps]
+    return [
+        tuple(
+            zpows[sum(ti * ei * (n // d) for ti, ei, d in zip(t, logs, dec.factors)) % n]
+            for logs in rep_logs
+        )
+        for t in itertools.product(*(range(d) for d in dec.factors))
+    ]
+
+
+def test_linear_characters_match_quotient_route():
+    specs = (
+        fam.builtin_catalog(2, 32)
+        + fam.builtin_catalog(3, 81)
+        + fam.builtin_catalog(5, 25)
+    )
+    groups = [fam.builtin(spec) for spec in specs]
+    groups += [_relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+        ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
+    )]
+    for G in groups:
+        ctx = get_context(G)
+        for S in ctx.lattice():
+            expected = _linear_via_quotient(ctx, S)
+            chars = ctx.linear(S)
+            got = [ch.values for ch in chars]
+            assert all(ch.degree == 1 for ch in chars), G.name
+            assert len(got) == len(expected) == len(set(got)), G.name
+            assert set(got) == set(expected), G.name
+
+
+def test_get_context_applies_an_explicit_cap_late():
+    G = fam.builtin("Modular(3,5)", 256)
+    get_context(G)
+    assert len(get_context(G, order_cap=256).lattice()) == 18
+    get_context(G)  # no cap given: the stored one stays
+    assert get_context(G).order_cap == 256
+    with pytest.raises(OrderCapExceeded):
+        get_context(fam.builtin("Cyclic(2,1)"), order_cap=0).lattice()

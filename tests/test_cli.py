@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +245,16 @@ def test_cap_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2  # order 32 above the env cap
     code, _, err = run(capsys, "verify", "--group", "Cyclic(2,1)", "--cap", "0")
     assert code == 2  # an explicit cap of 0 is applied, not dropped
+
+
+def test_sweep_under_python_O_matches_in_process(capsys):
+    """Stripping asserts (python -O) must not change the sweep output."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["sweep", "--p", "2", "--max-order", "16"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "charposet.cli", *argv],
+        capture_output=True, text=True, env=env, check=False, timeout=300,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout == out
