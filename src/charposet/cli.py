@@ -223,9 +223,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cap = _default_cap()
-        if getattr(args, "cap", None) is None:
-            args.cap = cap
+        if hasattr(args, "cap") and args.cap is None:
+            args.cap = _default_cap()
         return args.run(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)

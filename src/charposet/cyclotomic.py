@@ -125,12 +125,6 @@ class CycInt:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def is_rational_integer(self) -> bool:
-        return not any(self.coeffs[1:])
-
     def approx(self) -> complex:
         """Debug printer only: floating approximation of the value."""
         import cmath

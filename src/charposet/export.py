@@ -46,7 +46,7 @@ def load_group_json(data: dict, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
             raise InputError("'perm_gens' must be a nonempty list of permutations")
         if degree is not None:
             for i, g in enumerate(gens):
-                if len(g) != degree:
+                if isinstance(g, list) and len(g) != degree:
                     raise InputError(f"perm_gens[{i}] has length {len(g)}, expected degree {degree}")
         return from_permutations(gens, name=str(name), cap=cap)
     raise InputError("group file needs either 'cayley' or 'perm_gens'")

@@ -28,7 +28,6 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 128
 DEFAULT_LATTICE_CAP = 20_000
-FULL_ASSOC_LIMIT = 64  # full O(n^3) associativity check up to here, Light's test beyond
 
 
 class GroupTable:
@@ -51,12 +50,6 @@ class GroupTable:
         self.exponent = exponent
         self.name = name
         self.context = None
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
 
     def conj(self, g: int, x: int) -> int:
         """x * g * x^-1."""
@@ -187,10 +180,14 @@ def from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> GroupTable:
         raise InputError("empty table")
     rows = []
     for i, row in enumerate(table):
-        row = tuple(int(x) for x in row)
+        if not isinstance(row, (list, tuple)):
+            raise InputError(f"row {i} is not a list")
+        row = tuple(row)
         if len(row) != n:
             raise InputError(f"row {i} has length {len(row)}, expected {n}")
         for x in row:
+            if type(x) is not int:
+                raise InputError(f"row {i} contains non-integer entry {x!r}")
             if not 0 <= x < n:
                 raise InputError(f"row {i} contains out-of-range index {x}")
         rows.append(row)
@@ -217,17 +214,7 @@ def from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> GroupTable:
         inverse.append(inv)
     inverse = tuple(inverse)
 
-    if n <= FULL_ASSOC_LIMIT:
-        for a in range(n):
-            ta = t[a]
-            for b in range(n):
-                tab = t[ta[b]]
-                tb = t[b]
-                for c in range(n):
-                    if tab[c] != ta[tb[c]]:
-                        raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    else:
-        _light_associativity(t, identity)
+    _light_associativity(t, identity)
 
     elem_order = []
     for g in range(n):
@@ -243,22 +230,18 @@ def from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> GroupTable:
 
 
 def _light_associativity(t, identity) -> None:
-    """Light's test: verifying a*(x*y) = (a*x)*y for generators a suffices."""
+    """Light's test: (x*a)*y = x*(a*y) for every a in a generating set.
+
+    Exact at every order: the a satisfying it for all x, y contain the
+    identity and are closed under the product, so they fill the table once
+    they contain a set whose right-multiplication closure is the table."""
     n = len(t)
     gens: list[int] = []
     reached = {identity}
     for x in range(n):
         if x not in reached:
             gens.append(x)
-            frontier = [identity]
-            reached = {identity}
-            while frontier:
-                y = frontier.pop()
-                for g in gens:
-                    z = t[y][g]
-                    if z not in reached:
-                        reached.add(z)
-                        frontier.append(z)
+            reached = set(_closure(t, identity, gens))
     for a in gens:
         ta = t[a]
         for x in range(n):
@@ -267,6 +250,26 @@ def _light_associativity(t, identity) -> None:
             for y in range(n):
                 if txa[y] != tx[ta[y]]:
                     raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+
+
+def _closure(t, identity, gens) -> list:
+    """Elements reached from identity by right multiplication by gens, in
+    discovery order."""
+    seen = bytearray(len(t))
+    seen[identity] = 1
+    out = [identity]
+    stack = [identity]
+    gens = tuple(dict.fromkeys(gens))
+    while stack:
+        x = stack.pop()
+        row = t[x]
+        for g in gens:
+            y = row[g]
+            if not seen[y]:
+                seen[y] = 1
+                out.append(y)
+                stack.append(y)
+    return out
 
 
 def from_permutations(
@@ -281,10 +284,13 @@ def from_permutations(
     """
     if not generators:
         raise InputError("at least one generator required")
+    for g in generators:
+        if not isinstance(g, (list, tuple)) or any(type(x) is not int for x in g):
+            raise InputError(f"not a list of integers: {g!r}")
     m = len(generators[0])
     gens = []
     for g in generators:
-        g = tuple(int(x) for x in g)
+        g = tuple(g)
         if len(g) != m or sorted(g) != list(range(m)):
             raise InputError(f"not a permutation of 0..{m - 1}: {g}")
         gens.append(g)
@@ -357,22 +363,7 @@ def trivial_subgroup(G: GroupTable) -> Subgroup:
 
 def closure_from_gens(G: GroupTable, gens: Iterable[int]) -> tuple:
     """Sorted element tuple of the subgroup generated by gens."""
-    t = G.table
-    seen = bytearray(G.order)
-    seen[G.identity] = 1
-    out = [G.identity]
-    stack = [G.identity]
-    gens = tuple(dict.fromkeys(gens))
-    while stack:
-        x = stack.pop()
-        row = t[x]
-        for g in gens:
-            y = row[g]
-            if not seen[y]:
-                seen[y] = 1
-                out.append(y)
-                stack.append(y)
-    return tuple(sorted(out))
+    return tuple(sorted(_closure(G.table, G.identity, gens)))
 
 
 def generated_subgroup(G: GroupTable, gens: Iterable[int]) -> Subgroup:

@@ -175,11 +175,7 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
             f"central map hits {len(seen)} of {len(IZ.elems)} linear characters"
         )
     table, _ = quotient(IZ, trivial_subgroup(ctx.group))
-    p = poset.p
-    f = 0
-    while p ** (f + 1) < len(IZ.elems):
-        f += 1
-    if abelian_component_count(table, f) != len(IZ.elems):
+    if abelian_component_count(table, valid_exponents(table, poset.p)[-1]) != len(IZ.elems):
         raise CriterionViolation(
             "standalone central poset does not have one component per character"
         )

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from charposet import families
 from charposet.characters import get_context
+from charposet.errors import NoIdentity, NoInverse, NotAssociative
+from charposet.groups import from_cayley
 
 
 @pytest.fixture(scope="session")
@@ -72,6 +76,35 @@ def brute_classes(G, elems):
         classes.append(tuple(sorted(orbit)))
         left -= orbit
     return classes
+
+
+def brute_group_check(table):
+    """The error class of the first failing group axiom (identity, inverses,
+    associativity), checked over every pair and triple; None for a group."""
+    n = len(table)
+    units = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if not units:
+        return NoIdentity
+    e = units[0]
+    if not all(any(table[g][h] == e == table[h][g] for h in range(n)) for g in range(n)):
+        return NoInverse
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return NotAssociative
+    return None
+
+
+def relabelled(G, seed):
+    """The same group with its element indices shuffled."""
+    perm = list(range(G.order))
+    random.Random(seed).shuffle(perm)
+    back = [0] * G.order
+    for x, y in enumerate(perm):
+        back[y] = x
+    table = [[perm[G.table[back[a]][back[b]]] for b in range(G.order)] for a in range(G.order)]
+    return from_cayley(table, name=f"{G.name}-shuffled{seed}")
 
 
 def naive_induced_value(target, source, phi, g):

@@ -24,7 +24,7 @@ from charposet.characters import (
 from charposet.errors import NotASubgroup, OrderCapExceeded
 from charposet.verify import theorem_report
 
-from conftest import naive_induced_value
+from conftest import naive_induced_value, relabelled
 
 
 def _sub(G, gens):
@@ -323,17 +323,6 @@ def _rescan_covers(ctx):
     ]
 
 
-def _relabelled(G, seed):
-    """The same group with its element indices shuffled."""
-    perm = list(range(G.order))
-    random.Random(seed).shuffle(perm)
-    back = [0] * G.order
-    for x, y in enumerate(perm):
-        back[y] = x
-    table = [[perm[G.table[back[a]][back[b]]] for b in range(G.order)] for a in range(G.order)]
-    return gr.from_cayley(table, name=f"{G.name}-shuffled{seed}")
-
-
 def test_maximal_pairs_match_rescan():
     specs = (
         fam.builtin_catalog(2, 32)
@@ -341,7 +330,7 @@ def test_maximal_pairs_match_rescan():
         + fam.builtin_catalog(5, 25)
     )
     groups = [fam.builtin(spec) for spec in specs]
-    groups += [_relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+    groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
         ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
     )]
     for G in groups:
@@ -383,7 +372,7 @@ def test_linear_characters_match_quotient_route():
         + fam.builtin_catalog(5, 25)
     )
     groups = [fam.builtin(spec) for spec in specs]
-    groups += [_relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+    groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
         ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
     )]
     for G in groups:

@@ -60,6 +60,19 @@ def test_irr_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "irr", "--group", f"@{path}")
     assert code == 2
     assert "error" in err
+    for doc in (
+        {"cayley": [["a"]]},
+        {"cayley": [1, 2]},
+        {"perm_gens": [["a", 0]]},
+        {"perm_gens": [1]},
+        {"perm_gens": [1], "degree": 2},
+        {"cayley": [[0.9]]},
+        {"cayley": [[False, True], [True, False]]},
+    ):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "irr", "--group", f"@{path}")
+        assert code == 2, doc
+        assert "error" in err
 
 
 def test_irr_unknown_family(capsys):
@@ -245,6 +258,9 @@ def test_cap_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2  # order 32 above the env cap
     code, _, err = run(capsys, "verify", "--group", "Cyclic(2,1)", "--cap", "0")
     assert code == 2  # an explicit cap of 0 is applied, not dropped
+    monkeypatch.setenv("CHARPOSET_CAP", "x")
+    code, _, _ = run(capsys, "verify", "--group", "Cyclic(2,1)", "--cap", "4")
+    assert code == 0  # the variable is not read when --cap is given
 
 
 def test_sweep_under_python_O_matches_in_process(capsys):

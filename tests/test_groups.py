@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from charposet.errors import (
     OrderCapExceeded,
 )
 
-from conftest import brute_classes, brute_commuting
+from conftest import brute_classes, brute_commuting, brute_group_check
 
 
 def _z4_table():
@@ -66,6 +67,9 @@ def test_from_cayley_malformed():
         gr.from_cayley([[0, 1], [1]])
     with pytest.raises(InputError):
         gr.from_cayley([[0, 5], [5, 0]])
+    for table in ([["a"]], [1, 2], [[0.9]], [[False, True], [True, False]]):
+        with pytest.raises(InputError):
+            gr.from_cayley(table)
 
 
 def test_from_permutations_transposition():
@@ -103,6 +107,9 @@ def test_from_permutations_bad_input():
         gr.from_permutations([(0, 0, 1)])
     with pytest.raises(InputError):
         gr.from_permutations([])
+    for gens in ([["a", 0]], [1], [[1.0, 0]], [[True, False]]):
+        with pytest.raises(InputError):
+            gr.from_permutations(gens)
 
 
 def test_from_permutations_cap():
@@ -111,12 +118,70 @@ def test_from_permutations_cap():
 
 
 def test_light_associativity_used_for_large_tables():
-    G = fam.cyclic(2, 7)  # order 128 > full-check limit
+    G = fam.cyclic(2, 7)  # order 128, cyclic: Light's test checks one generator
     assert G.order == 128 and G.exponent == 128
     table = [list(r) for r in G.table]
     table[3][5] = G.table[3][6]  # corrupt one entry
     with pytest.raises((NotAssociative, NoInverse, NoIdentity)):
         gr.from_cayley(table)
+
+
+def _latin_square_with_identity(n, rng):
+    """A random Latin square on 0..n-1 whose row and column 0 are the
+    identity, filled cell by cell with backtracking."""
+    t = [[None] * n for _ in range(n)]
+    t[0] = list(range(n))
+    for i in range(n):
+        t[i][0] = i
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        options = [v for v in range(n) if v not in t[i] and all(row[j] != v for row in t)]
+        rng.shuffle(options)
+        for v in options:
+            t[i][j] = v
+            if fill(k + 1):
+                return True
+        t[i][j] = None
+        return False
+
+    assert fill(0)
+    return t
+
+
+def test_from_cayley_matches_brute_force_oracle():
+    """Light's test on a generating set rejects exactly the tables the full
+    triple loop rejects, with the same error class."""
+    rng = random.Random(0)
+    tables = [_latin_square_with_identity(4 + k % 5, rng) for k in range(1000)]
+    # A non-associative loop times C2, the C2 coordinate in the low bit: the
+    # first generator, 1, is central and passes, so a later one must fail.
+    loops = [t for t in tables if brute_group_check(t) is NotAssociative][:20]
+    for L in loops:
+        n = 2 * len(L)
+        tables.append([[2 * L[a >> 1][b >> 1] + ((a ^ b) & 1) for b in range(n)] for a in range(n)])
+    for spec in ("Dihedral(8)", "Quaternion(8)", "AbelianProduct(4,2)", "Extraspecial(3,+)"):
+        G = fam.builtin(spec)
+        for a, b, v in itertools.product(range(G.order), repeat=3):
+            if v != G.table[a][b]:
+                table = [list(row) for row in G.table]
+                table[a][b] = v
+                tables.append(table)
+    assert len(tables) == 1000 + 20 + 3 * 8 * 8 * 7 + 27 * 27 * 26
+    outcomes = set()
+    for table in tables:
+        expected = brute_group_check(table)
+        try:
+            gr.from_cayley(table)
+            got = None
+        except InputError as err:
+            got = type(err)
+        assert got is expected, table
+        outcomes.add(expected)
+    assert outcomes == {None, NoIdentity, NoInverse, NotAssociative}
 
 
 def test_prime_of():

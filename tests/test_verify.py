@@ -10,6 +10,8 @@ from charposet.verify import (
     valid_exponents,
 )
 
+from conftest import relabelled
+
 
 def test_compute_I_cyclic(c16):
     for e in range(4):
@@ -102,3 +104,32 @@ def test_sweep_cap_reaches_the_context():
     res = sweep(["Modular(3,5)"], es=[4], cap=256)
     assert not res.errors
     assert len(res.reports) == 1 and res.reports[0].ok
+
+
+def _reports(G):
+    """theorem_report at every e, without the group name."""
+    out = []
+    for e in valid_exponents(G):
+        row = theorem_report(G, None, e).to_dict()
+        del row["group"]
+        out.append(row)
+    return out
+
+
+def test_reports_survive_relabelling_and_isomorphism():
+    specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27) + fam.builtin_catalog(5, 25)
+    for spec in specs:
+        G = fam.builtin(spec)
+        expected = _reports(G)
+        for seed in (1, 2):
+            assert _reports(relabelled(G, seed)) == expected, (spec, seed)
+    d8_perm = gr.from_permutations([(1, 2, 3, 0), (0, 3, 2, 1)], name="D8p")
+    pairs = [
+        (fam.builtin("DirectProduct(Dihedral(8),Cyclic(2,1))"),
+         fam.builtin("DirectProduct(Cyclic(2,1),Dihedral(8))")),
+        (fam.builtin("AbelianProduct(4,2)"), fam.builtin("DirectProduct(Cyclic(2,2),Cyclic(2,1))")),
+        (fam.builtin("AbelianProduct(4,2)"), fam.builtin("DirectProduct(Cyclic(2,1),Cyclic(2,2))")),
+        (d8_perm, fam.builtin("Dihedral(8)")),
+    ]
+    for A, B in pairs:
+        assert _reports(A) == _reports(B), (A.name, B.name)
