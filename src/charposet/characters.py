@@ -8,10 +8,16 @@ is asserted (sum of squared degrees, class count), so a gap in the method
 surfaces as an error rather than a wrong answer.
 
 All values are exact cyclotomic integers at one global conductor, the
-exponent of the ambient group.  A per-group CharContext is the one home of
-each structural fact of the group: Z(G), the subgroup lattice with its
-index-p cover relation, conjugacy classes, character sets with their value
-index, and restriction decompositions; everything it stores is immutable.
+exponent of the ambient group.  A ClassFunction stores them as integer
+coefficient rows, one power-basis coordinate tuple per class, and every hot
+path (lookup, restriction, induction, inner products) works on those rows;
+CycInt appears only at the boundary: the public ClassFunction constructor,
+the views values and value_at, and export.
+
+A per-group CharContext is the one home of each structural fact of the
+group: Z(G), the subgroup lattice with its index-p cover relation, conjugacy
+classes, character sets with their row index, and restriction
+decompositions; everything it stores is immutable.
 """
 
 from __future__ import annotations
@@ -21,8 +27,15 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from . import cyclotomic as cyc
-from .cyclotomic import CycInt, as_integer, exact_div_int
-from .errors import IncompleteIrr, InputError, NotASubgroup, NotDivisible
+from .cyclotomic import CycInt
+from .errors import (
+    ConductorMismatch,
+    IncompleteIrr,
+    InputError,
+    InternalCheckError,
+    NotASubgroup,
+    NotDivisible,
+)
 from .groups import (
     DEFAULT_LATTICE_CAP,
     DEFAULT_ORDER_CAP,
@@ -41,38 +54,64 @@ from .groups import (
 
 
 class ClassFunction:
-    """A class function on a subgroup: one CycInt per conjugacy class."""
+    """A class function on a subgroup, stored as integer coefficient rows:
+    rows[c] is the power-basis coordinate tuple of its value on class c at
+    the ambient group's exponent.  values and value_at build CycInt views of
+    the rows on access."""
 
-    __slots__ = ("owner", "classes", "values", "degree")
+    __slots__ = ("owner", "classes", "rows", "degree")
 
     def __init__(self, owner: Subgroup, classes: ConjClasses, values: Sequence[CycInt]):
         values = tuple(values)
-        assert len(values) == classes.count
+        if len(values) != classes.count:
+            raise InputError(f"{len(values)} values given for {classes.count} classes")
+        n = owner.ambient.exponent
+        for v in values:
+            if v.n != n:
+                raise ConductorMismatch(
+                    f"a value has conductor {v.n}, not the group exponent {n}"
+                )
+        self._fill(owner, classes, tuple(v.coeffs for v in values))
+
+    @classmethod
+    def _from_rows(cls, owner: Subgroup, classes: ConjClasses, rows: tuple) -> "ClassFunction":
+        """The hot-path constructor: rows already at the group exponent."""
+        self = cls.__new__(cls)
+        self._fill(owner, classes, rows)
+        return self
+
+    def _fill(self, owner: Subgroup, classes: ConjClasses, rows: tuple) -> None:
         self.owner = owner
         self.classes = classes
-        self.values = values
-        self.degree = as_integer(values[classes.identity_class])
+        self.rows = rows
+        self.degree = cyc.coeffs_as_integer(rows[classes.identity_class])
+
+    @property
+    def values(self) -> tuple:
+        """One CycInt per class, built from the rows on each access."""
+        n = self.owner.ambient.exponent
+        return tuple(CycInt(n, row, _raw=True) for row in self.rows)
 
     def value_at(self, g: int) -> CycInt:
         """Value at an ambient element index (must lie in the owner)."""
         c = self.classes.class_of[g]
         if c < 0:
             raise InputError(f"element {g} is not in the owner subgroup")
-        return self.values[c]
+        return CycInt(self.owner.ambient.exponent, self.rows[c], _raw=True)
 
     def sort_key(self):
-        return (self.degree, tuple(v.coeffs for v in self.values))
+        return (self.degree, self.rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, ClassFunction)
             and self.owner.ambient is other.owner.ambient
             and self.owner.elems == other.owner.elems
-            and self.values == other.values
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.owner.elems, self.values))
+        return hash((self.owner.elems, self.rows))
 
     def __repr__(self):
         return f"ClassFunction(deg={self.degree}, |H|={len(self.owner.elems)})"
@@ -104,6 +143,7 @@ class CharContext:
         self.whole = whole_group(G)
         self.center = center(self.whole)
         self._scalar_values = cyc.euler_phi(G.exponent) == 1
+        self.zeta_rows = tuple(z.coeffs for z in cyc.zeta_table(G.exponent))
         self._lattice: Optional[list] = None
         self._covers: list = []
         self._by_elems: dict = {}
@@ -160,17 +200,17 @@ class CharContext:
         return hit
 
     def char_index(self, S: Subgroup) -> dict:
-        """Map value-vector -> index in irr(S)."""
+        """Map rows -> index in irr(S)."""
         hit = self._char_index.get(S.elems)
         if hit is None:
-            hit = {ch.values: i for i, ch in enumerate(self.irr(S))}
+            hit = {ch.rows: i for i, ch in enumerate(self.irr(S))}
             self._char_index[S.elems] = hit
         return hit
 
     # -- restriction decomposition -----------------------------------------
 
-    def inner_raw(self, cc: ConjClasses, va: Sequence[CycInt], vb: Sequence[CycInt]) -> int:
-        """[a, b] on the subgroup with classes cc, given raw value tuples.
+    def inner_raw(self, cc: ConjClasses, rows_a: Sequence[tuple], rows_b: Sequence[tuple]) -> int:
+        """[a, b] on the subgroup with classes cc, given their rows.
 
         Products are accumulated with exponents folded mod n and the whole
         sum is reduced mod Phi_n once at the end."""
@@ -180,26 +220,27 @@ class CharContext:
         if self._scalar_values:
             tot = 0
             for c in range(len(sizes)):
-                tot += sizes[c] * va[c].coeffs[0] * vb[inv[c]].coeffs[0]
-            q, r = divmod(tot, order)
-            if r:
-                raise NotDivisible(f"inner product sum {tot} not divisible by {order}")
-            return q
-        n = self.conductor
-        acc = [0] * n
-        for c in range(len(sizes)):
-            bcoeffs = vb[inv[c]].coeffs
-            s = sizes[c]
-            for i, ai in enumerate(va[c].coeffs):
-                if ai:
-                    sai = s * ai
-                    for j, bj in enumerate(bcoeffs):
-                        if bj:
-                            k = i + j
-                            if k >= n:
-                                k -= n
-                            acc[k] += sai * bj
-        return as_integer(exact_div_int(CycInt(n, acc), order))
+                tot += sizes[c] * rows_a[c][0] * rows_b[inv[c]][0]
+        else:
+            n = self.conductor
+            acc = [0] * n
+            for c in range(len(sizes)):
+                brow = rows_b[inv[c]]
+                s = sizes[c]
+                for i, ai in enumerate(rows_a[c]):
+                    if ai:
+                        sai = s * ai
+                        for j, bj in enumerate(brow):
+                            if bj:
+                                k = i + j
+                                if k >= n:
+                                    k -= n
+                                acc[k] += sai * bj
+            tot = cyc.coeffs_as_integer(cyc.reduce_coeffs(n, acc))
+        q, r = divmod(tot, order)
+        if r:
+            raise NotDivisible(f"inner product sum {tot} not divisible by {order}")
+        return q
 
     def restriction_edges(self, K: Subgroup, H: Subgroup) -> tuple:
         """Pairs (i, j) with psi_i a constituent of chi_j restricted to K,
@@ -217,15 +258,15 @@ class CharContext:
         class_map = tuple(ccH.class_of[r] for r in ccK.reps)
         edges = []
         for j, chi in enumerate(irrH):
-            rvals = tuple(chi.values[c] for c in class_map)
+            rrows = tuple(map(chi.rows.__getitem__, class_map))
             if chi.degree == 1:
-                edges.append((lookup[rvals], j))
+                edges.append((lookup[rrows], j))
                 continue
             remaining = chi.degree
             for i, psi in enumerate(irrK):
                 if psi.degree > chi.degree or psi.degree * index < chi.degree:
                     continue
-                m = self.inner_raw(ccK, rvals, psi.values)
+                m = self.inner_raw(ccK, rrows, psi.rows)
                 if m:
                     edges.append((i, j))
                     remaining -= m * psi.degree
@@ -270,10 +311,10 @@ def _linear_characters(ctx: CharContext, H: Subgroup) -> tuple:
         elems = [G.table[s][xi] for xi in powers for s in elems]
         pos = {s: j for j, s in enumerate(elems)}
     cc = ctx.classes(H)
-    zpows = cyc.zeta_table(n)
+    zrows = ctx.zeta_rows
     at_reps = [pos[r] for r in cc.reps]
-    out = [ClassFunction(H, cc, [zpows[lam[j]] for j in at_reps]) for lam in maps]
-    if len({ch.values for ch in out}) != len(out):
+    out = [ClassFunction._from_rows(H, cc, tuple(zrows[lam[j]] for j in at_reps)) for lam in maps]
+    if len({ch.rows for ch in out}) != len(out):
         raise IncompleteIrr("two linear characters share their values")
     return tuple(out)
 
@@ -285,7 +326,7 @@ def linear_characters(H: Subgroup) -> tuple:
 def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
     cc = ctx.classes(H)
     order = len(H.elems)
-    found = {ch.values: ch for ch in _linear_characters(ctx, H)}
+    found = {ch.rows: ch for ch in _linear_characters(ctx, H)}
     total = len(found)
     if len(found) < cc.count:
         bound = isqrt(order)
@@ -299,11 +340,11 @@ def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
         for K in cands:
             for lam in ctx.linear(K):
                 theta = induce(lam, H)
-                if theta.values in seen:
+                if theta.rows in seen:
                     continue
-                seen.add(theta.values)
+                seen.add(theta.rows)
                 if inner_product(theta, theta) == 1:
-                    found[theta.values] = theta
+                    found[theta.rows] = theta
                     total += theta.degree**2
             if total == order and len(found) == cc.count:
                 break
@@ -318,7 +359,7 @@ def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
 
 def irr(H: Subgroup) -> tuple:
     """The complete irreducible character set of H, canonically ordered
-    (degree-major, then value-vector lexicographic)."""
+    (degree-major, then lexicographic in the rows)."""
     return get_context(H.ambient).irr(H)
 
 
@@ -328,9 +369,8 @@ def restrict(chi: ClassFunction, K: Subgroup) -> ClassFunction:
         raise NotASubgroup("restriction target is not a subgroup of the owner")
     ctx = get_context(H.ambient)
     ccK = ctx.classes(K)
-    ccH = chi.classes
-    values = tuple(chi.values[ccH.class_of[r]] for r in ccK.reps)
-    return ClassFunction(K, ccK, values)
+    rows, class_of = chi.rows, chi.classes.class_of
+    return ClassFunction._from_rows(K, ccK, tuple(rows[class_of[r]] for r in ccK.reps))
 
 
 def induce(phi: ClassFunction, G_sub: Subgroup) -> ClassFunction:
@@ -342,26 +382,30 @@ def induce(phi: ClassFunction, G_sub: Subgroup) -> ClassFunction:
         raise NotASubgroup("induction source is not a subgroup of the target")
     ctx = get_context(H.ambient)
     ccG = ctx.classes(G_sub)
-    ccH = phi.classes
-    n = ctx.conductor
-    deg_len = cyc.euler_phi(n)
     hsize = len(H.elems)
     gsize = len(G_sub.elems)
-    hvals = phi.values
-    class_of_H = ccH.class_of
-    values = []
+    hrows = phi.rows
+    class_of_H = phi.classes.class_of
+    rows = []
     for ci in range(ccG.count):
-        acc = [0] * deg_len
+        acc = [0] * len(hrows[0])
         for y in ccG.members[ci]:
             c = class_of_H[y]
             if c >= 0:
-                for k, vk in enumerate(hvals[c].coeffs):
+                for k, vk in enumerate(hrows[c]):
                     if vk:
                         acc[k] += vk
         weight = gsize // ccG.sizes[ci]  # centralizer order
-        values.append(exact_div_int(CycInt(n, [a * weight for a in acc], _raw=True), hsize))
-    out = ClassFunction(G_sub, ccG, values)
-    assert out.degree == (gsize // hsize) * phi.degree
+        for k, a in enumerate(acc):
+            acc[k], r = divmod(a * weight, hsize)
+            if r:
+                raise NotDivisible(f"coefficient {a * weight} not divisible by {hsize}")
+        rows.append(tuple(acc))
+    out = ClassFunction._from_rows(G_sub, ccG, tuple(rows))
+    if out.degree != (gsize // hsize) * phi.degree:
+        raise InternalCheckError(
+            f"induced degree {out.degree} is not {gsize // hsize} * {phi.degree}"
+        )
     return out
 
 
@@ -372,10 +416,10 @@ def conjugate_character(phi: ClassFunction, x: int) -> ClassFunction:
     Hx = conjugate_subgroup(phi.owner, x)
     ccHx = ctx.classes(Hx)
     xinv = G.inverse[x]
-    values = tuple(
-        phi.values[phi.classes.class_of[G.conj(r, xinv)]] for r in ccHx.reps
+    rows, class_of = phi.rows, phi.classes.class_of
+    return ClassFunction._from_rows(
+        Hx, ccHx, tuple(rows[class_of[G.conj(r, xinv)]] for r in ccHx.reps)
     )
-    return ClassFunction(Hx, ccHx, values)
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
@@ -383,21 +427,20 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
     if chi.owner.ambient is not psi.owner.ambient or chi.owner.elems != psi.owner.elems:
         raise InputError("inner product requires characters of the same subgroup")
     ctx = get_context(chi.owner.ambient)
-    return ctx.inner_raw(chi.classes, chi.values, psi.values)
+    return ctx.inner_raw(chi.classes, chi.rows, psi.rows)
 
 
 def decompose(theta: ClassFunction, basis: Sequence[ClassFunction]) -> tuple:
     """Multiplicities of theta against a complete irreducible basis; the
     reconstruction is checked exactly."""
     mults = tuple(inner_product(theta, ch) for ch in basis)
-    n = theta.values[0].n
-    for c in range(theta.classes.count):
-        acc = [0] * cyc.euler_phi(n)
+    for c, row in enumerate(theta.rows):
+        acc = [0] * len(row)
         for m, ch in zip(mults, basis):
             if m:
-                for k, vk in enumerate(ch.values[c].coeffs):
+                for k, vk in enumerate(ch.rows[c]):
                     acc[k] += m * vk
-        if CycInt(n, acc, _raw=True) != theta.values[c]:
+        if tuple(acc) != row:
             raise IncompleteIrr("decomposition does not reproduce the class function")
     return mults
 
@@ -408,7 +451,8 @@ def mackey_check(H: Subgroup, K: Subgroup, alpha: ClassFunction, beta: ClassFunc
     restricted to x^-1Hx intersect K) induced to K, beta]."""
     G = H.ambient
     ctx = get_context(G)
-    assert alpha.owner.elems == H.elems and beta.owner.elems == K.elems
+    if alpha.owner.elems != H.elems or beta.owner.elems != K.elems:
+        raise InputError("alpha must live on H and beta on K")
     lhs = inner_product(restrict(induce(alpha, ctx.whole), K), beta)
     rhs = 0
     for x in double_cosets(G, H, K):
@@ -422,7 +466,8 @@ def frobenius_check(H: Subgroup, phi: ClassFunction, chi: ClassFunction) -> tupl
     """Both sides of [phi^G, chi]_G = [phi, chi_H]_H."""
     G = H.ambient
     ctx = get_context(G)
-    assert phi.owner.elems == H.elems
+    if phi.owner.elems != H.elems:
+        raise InputError("phi must live on H")
     lhs = inner_product(induce(phi, ctx.whole), chi)
     rhs = inner_product(phi, restrict(chi, H))
     return lhs, rhs

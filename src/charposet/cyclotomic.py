@@ -61,7 +61,7 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduce(n: int, poly: Sequence[int]) -> tuple[int, ...]:
+def reduce_coeffs(n: int, poly: Sequence[int]) -> tuple[int, ...]:
     """Reduce an integer polynomial in zeta_n to power-basis coordinates."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
@@ -87,7 +87,7 @@ class CycInt:
         else:
             deg = euler_phi(n)
             if len(coeffs) > deg:
-                coeffs = _reduce(n, coeffs)
+                coeffs = reduce_coeffs(n, coeffs)
             else:
                 coeffs = tuple(coeffs) + (0,) * (deg - len(coeffs))
             self.n = n
@@ -157,7 +157,7 @@ def mul_coeffs(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...
                     if k >= m:
                         k -= n
                     acc[k] += ai * bj
-    return _reduce(n, acc)
+    return reduce_coeffs(n, acc)
 
 
 def integer(n: int, c: int) -> CycInt:
@@ -187,7 +187,7 @@ def zeta_pow(n: int, k: int) -> CycInt:
         return CycInt(n, coeffs, _raw=True)
     poly = [0] * (k + 1)
     poly[k] = 1
-    return CycInt(n, _reduce(n, poly), _raw=True)
+    return CycInt(n, reduce_coeffs(n, poly), _raw=True)
 
 
 def arith(a: CycInt, b: CycInt, op: str) -> CycInt:
@@ -208,13 +208,18 @@ def conjugate(a: CycInt) -> CycInt:
     for i, c in enumerate(a.coeffs):
         if c:
             poly[(n - i) % n] += c
-    return CycInt(n, _reduce(n, poly), _raw=True)
+    return CycInt(n, reduce_coeffs(n, poly), _raw=True)
+
+
+def coeffs_as_integer(coeffs: Sequence[int]) -> int:
+    """The rational integer with these power-basis coordinates."""
+    if any(coeffs[1:]):
+        raise NotRationalInteger(f"coordinates {list(coeffs)} have a nonzero non-constant entry")
+    return coeffs[0]
 
 
 def as_integer(a: CycInt) -> int:
-    if any(a.coeffs[1:]):
-        raise NotRationalInteger(f"{a!r} has nonzero non-constant coordinates")
-    return a.coeffs[0]
+    return coeffs_as_integer(a.coeffs)
 
 
 def exact_div_int(a: CycInt, m: int) -> CycInt:

@@ -22,7 +22,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .characters import CharContext, ClassFunction, get_context, induce, inner_product, restrict
-from .cyclotomic import exact_div_int
 from .errors import (
     ChoiceExhausted,
     ComponentCoverageError,
@@ -30,7 +29,6 @@ from .errors import (
     InvalidExponent,
     NoConstituent,
     NotAbelian,
-    NotDivisible,
     NotMultipleOfLinear,
     PreconditionFailed,
 )
@@ -138,7 +136,7 @@ class CharacterPoset:
                 f"subgroup of order {len(S.elems)} is not in S_(p,e): "
                 f"needs order >= {self.min_order}"
             )
-        cid = self.ctx.char_index(self.subgroups[sid]).get(chi.values)
+        cid = self.ctx.char_index(self.subgroups[sid]).get(chi.rows)
         if cid is None:
             raise InputError("character is not an irreducible of the subgroup")
         return PosetNode(sid, cid)
@@ -385,25 +383,24 @@ def central_poset_map(alpha: ClassFunction, A: Subgroup) -> ClassFunction:
     alpha restricted to A equal to deg(alpha) * beta."""
     G = A.ambient
     ctx = get_context(G)
-    assert len(A.elems) > 1
-    assert A.is_subset_of(ctx.center)
-    assert A.is_subset_of(alpha.owner)
-    r = restrict(alpha, A)
+    if len(A.elems) == 1:
+        raise InputError("the central map needs a nontrivial subgroup")
+    if not A.is_subset_of(ctx.center):
+        raise InputError("the central map needs a subgroup of Z(G)")
+    if not A.is_subset_of(alpha.owner):
+        raise InputError("the central subgroup must lie in the owner of alpha")
+    rows = restrict(alpha, A).rows
     d = alpha.degree
-    try:
-        scaled = tuple(exact_div_int(v, d) for v in r.values)
-    except NotDivisible:
+    if any(v % d for row in rows for v in row):
         raise NotMultipleOfLinear(
             "restriction to the central subgroup is not deg * (a single value vector)"
-        ) from None
-    idx = ctx.char_index(A).get(scaled)
+        )
+    idx = ctx.char_index(A).get(tuple(tuple(v // d for v in row) for row in rows))
     if idx is None:
         raise NotMultipleOfLinear(
             "restriction to the central subgroup is not a multiple of one linear character"
         )
-    beta = ctx.irr(A)[idx]
-    assert all(v == d * b for v, b in zip(r.values, beta.values))
-    return beta
+    return ctx.irr(A)[idx]
 
 
 def abelian_component_count(A: GroupTable, f: int) -> int:

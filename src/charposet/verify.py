@@ -162,7 +162,7 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
     for node in poset.nodes:
         alpha = poset.char_of(node)
         beta = central_poset_map(alpha, IZ)
-        idx = lookup[beta.values]
+        idx = lookup[beta.rows]
         seen.add(idx)
         comp = partition.node_to_component[poset.node_id(node)]
         prev = comp_image.setdefault(comp, idx)

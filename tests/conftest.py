@@ -120,3 +120,25 @@ def naive_induced_value(target, source, phi, g):
         if source.contains(y):
             total = total + phi.value_at(y)
     return cyc.exact_div_int(total, len(source.elems))
+
+
+def naive_inner_products(A, B):
+    """The matrix of [a, b] for a in A and b in B, all on one subgroup, by the
+    unfolded formula (1/|H|) sum over classes of size * a * conjugate(b) in
+    CycInt arithmetic."""
+    from charposet import cyclotomic as cyc
+
+    owner, sizes = A[0].owner, A[0].classes.sizes
+    zero = cyc.zero(owner.ambient.exponent)
+    weighted = [[cyc.conjugate(y) * s for y, s in zip(b.values, sizes)] for b in B]
+    out = []
+    for a in A:
+        avals = a.values
+        row = []
+        for wb in weighted:
+            total = zero
+            for x, y in zip(avals, wb):
+                total = total + x * y
+            row.append(cyc.as_integer(cyc.exact_div_int(total, len(owner.elems))))
+        out.append(row)
+    return out

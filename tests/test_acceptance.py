@@ -121,7 +121,7 @@ def test_criterion_3_character_suite(population):
             assert len(chars) == cc.count, spec
             for i, a in enumerate(chars):
                 for j, b in enumerate(chars):
-                    assert ctx.inner_raw(cc, a.values, b.values) == (1 if i == j else 0), spec
+                    assert ctx.inner_raw(cc, a.rows, b.rows) == (1 if i == j else 0), spec
             checked += 1
     _ok(f"criterion 3: degree sums, class counts and orthogonality exact for {checked} subgroups")
 
@@ -218,7 +218,7 @@ def test_criterion_7_central_map_suite(swept):
         images = set()
         for node in poset.nodes:
             beta = central_poset_map(poset.char_of(node), IZ)
-            idx = lookup[beta.values]
+            idx = lookup[beta.rows]
             images.add(idx)
             comp = partition.node_to_component[poset.node_id(node)]
             assert comp_to_img.setdefault(comp, idx) == idx, (spec, e)

@@ -21,10 +21,17 @@ from charposet.characters import (
     mackey_check,
     restrict,
 )
-from charposet.errors import NotASubgroup, OrderCapExceeded
+from charposet.errors import (
+    ConductorMismatch,
+    InputError,
+    InternalCheckError,
+    NotASubgroup,
+    OrderCapExceeded,
+)
+from charposet.poset import central_poset_map
 from charposet.verify import theorem_report
 
-from conftest import naive_induced_value, relabelled
+from conftest import naive_induced_value, naive_inner_products, relabelled
 
 
 def _sub(G, gens):
@@ -394,3 +401,95 @@ def test_get_context_applies_an_explicit_cap_late():
     assert get_context(G).order_cap == 256
     with pytest.raises(OrderCapExceeded):
         get_context(fam.builtin("Cyclic(2,1)"), order_cap=0).lattice()
+
+
+def test_class_function_checks_conductor_and_length(c4):
+    ctx = get_context(c4)
+    W = ctx.whole
+    cc = ctx.classes(W)
+    good = [cyc.zeta_pow(4, k) for k in range(4)]
+    chi = ClassFunction(W, cc, good)
+    assert inner_product(chi, chi) == 1
+    with pytest.raises(ConductorMismatch):
+        ClassFunction(W, cc, [cyc.zeta_pow(8, 2 * k) for k in range(4)])
+    with pytest.raises(InputError):
+        ClassFunction(W, cc, good[:-1])
+    with pytest.raises(InputError):
+        ClassFunction(W, cc, good + good[:1])
+
+
+def _bad_induce():
+    W = get_context(fam.builtin("Quaternion(8)")).whole
+    phi = restrict(irr(W)[0], gr.center(W))
+    phi.degree += 1
+    induce(phi, W)
+
+
+def _bad_mackey():
+    G = fam.builtin("Dihedral(8)")
+    W = get_context(G).whole
+    Z = gr.center(W)
+    mackey_check(Z, W, irr(W)[0], irr(W)[0])
+
+
+def _bad_frobenius():
+    G = fam.builtin("Dihedral(8)")
+    W = get_context(G).whole
+    frobenius_check(gr.center(W), irr(W)[0], irr(W)[0])
+
+
+def _bad_central(case):
+    ctx = get_context(fam.builtin("Dihedral(8)"))
+    Z = ctx.center
+    other = next(S for S in ctx.lattice() if len(S.elems) == 2 and S.elems != Z.elems)
+    top = irr(ctx.whole)[-1]
+    alpha, A = {
+        "trivial": (top, gr.trivial_subgroup(ctx.group)),
+        "not central": (top, other),
+        "outside": (irr(other)[0], Z),
+    }[case]
+    central_poset_map(alpha, A)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(_bad_induce, InternalCheckError, id="induce-degree"),
+        pytest.param(_bad_mackey, InputError, id="mackey-owners"),
+        pytest.param(_bad_frobenius, InputError, id="frobenius-owner"),
+        pytest.param(lambda: _bad_central("trivial"), InputError, id="central-trivial"),
+        pytest.param(lambda: _bad_central("not central"), InputError, id="central-not-central"),
+        pytest.param(lambda: _bad_central("outside"), InputError, id="central-outside-owner"),
+    ],
+)
+def test_invariant_checks_raise_named_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_inner_product_matches_cycint_oracle():
+    specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27) + fam.builtin_catalog(5, 25)
+    groups = [fam.builtin(spec) for spec in specs] + [
+        relabelled(fam.builtin("Extraspecial(3,+)"), 3),
+        relabelled(fam.builtin("DirectProduct(Quaternion(8),Cyclic(2,2))"), 4),
+    ]
+    for G in groups:
+        ctx = get_context(G)
+        covers: dict = {}
+        for K, H in ctx.maximal_pairs():
+            covers.setdefault(K.elems, []).append(H)
+        for S in ctx.lattice():
+            cc = ctx.classes(S)
+            chars = ctx.irr(S)
+            for ch in chars:
+                same = ClassFunction(S, cc, ch.values)
+                assert same == ch and hash(same) == hash(ch), G.name
+                values = ch.values
+                for g in S.elems:
+                    assert ch.value_at(g) == values[cc.class_of[g]], G.name
+            gram = [[inner_product(a, b) for b in chars] for a in chars]
+            assert gram == naive_inner_products(chars, chars), G.name
+            for H in covers.get(S.elems, ()):
+                res = [restrict(chi, S) for chi in ctx.irr(H)]
+                mults = [[inner_product(r, psi) for psi in chars] for r in res]
+                assert mults == naive_inner_products(res, chars), G.name

@@ -2,6 +2,7 @@ import pytest
 
 from charposet import families as fam
 from charposet import groups as gr
+from charposet.characters import get_context
 from charposet.errors import InvalidExponent, NotPGroup
 from charposet.verify import (
     compute_I,
@@ -116,20 +117,42 @@ def _reports(G):
     return out
 
 
+def _degrees(G):
+    """The sorted Irr degree multisets of I and of G at every e."""
+    ctx = get_context(G)
+    whole = sorted(ch.degree for ch in ctx.irr(ctx.whole))
+    return [
+        (sorted(ch.degree for ch in ctx.irr(compute_I(G, None, e))), whole)
+        for e in valid_exponents(G)
+    ]
+
+
 def test_reports_survive_relabelling_and_isomorphism():
     specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27) + fam.builtin_catalog(5, 25)
+    specs += ["Modular(3,4)", "Extraspecial(5,+)", "Semidihedral(64)",
+              "DirectProduct(Dihedral(8),Dihedral(8))", "DirectProduct(Quaternion(8),Dihedral(8))"]
     for spec in specs:
         G = fam.builtin(spec)
         expected = _reports(G)
+        degrees = _degrees(G)
         for seed in (1, 2):
-            assert _reports(relabelled(G, seed)) == expected, (spec, seed)
+            H = relabelled(G, seed)
+            assert _reports(H) == expected, (spec, seed)
+            assert _degrees(H) == degrees, (spec, seed)
     d8_perm = gr.from_permutations([(1, 2, 3, 0), (0, 3, 2, 1)], name="D8p")
+    c4c2_perm = gr.from_permutations([(1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)], name="C4xC2p")
     pairs = [
         (fam.builtin("DirectProduct(Dihedral(8),Cyclic(2,1))"),
          fam.builtin("DirectProduct(Cyclic(2,1),Dihedral(8))")),
         (fam.builtin("AbelianProduct(4,2)"), fam.builtin("DirectProduct(Cyclic(2,2),Cyclic(2,1))")),
         (fam.builtin("AbelianProduct(4,2)"), fam.builtin("DirectProduct(Cyclic(2,1),Cyclic(2,2))")),
         (d8_perm, fam.builtin("Dihedral(8)")),
+        (c4c2_perm, fam.builtin("AbelianProduct(4,2)")),
+        (fam.builtin("DirectProduct(Quaternion(8),Cyclic(2,1))"),
+         fam.builtin("DirectProduct(Cyclic(2,1),Quaternion(8))")),
+        (fam.builtin("DirectProduct(Extraspecial(3,+),Cyclic(3,1))"),
+         fam.builtin("DirectProduct(Cyclic(3,1),Extraspecial(3,+))")),
     ]
     for A, B in pairs:
         assert _reports(A) == _reports(B), (A.name, B.name)
+        assert _degrees(A) == _degrees(B), (A.name, B.name)
