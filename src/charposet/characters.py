@@ -18,6 +18,14 @@ A per-group CharContext is the one home of each structural fact of the
 group: Z(G), the subgroup lattice with its index-p cover relation, conjugacy
 classes, character sets with their row index, and restriction
 decompositions; everything it stores is immutable.
+
+Restriction edges of a pair K < H of index p in a p-group (every cover pair
+of the lattice) take the Clifford route: K is normal, so each chi_K is one
+irreducible or the sum of one H-conjugation orbit, found by row lookups with
+no inner product.  Every other pair (the full strategy's non-cover pairs,
+chains checked by related(), groups that are not p-groups) is decomposed by
+inner products; that route is kept as the general case and as the oracle of
+the Clifford route.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .groups import (
     derived_subgroup,
     double_cosets,
     intersect_all,
+    prime_of,
     whole_group,
 )
 
@@ -67,6 +76,8 @@ class ClassFunction:
             raise InputError(f"{len(values)} values given for {classes.count} classes")
         n = owner.ambient.exponent
         for v in values:
+            if not isinstance(v, CycInt):
+                raise InputError(f"value {v!r} is not a CycInt")
             if v.n != n:
                 raise ConductorMismatch(
                     f"a value has conductor {v.n}, not the group exponent {n}"
@@ -94,6 +105,8 @@ class ClassFunction:
 
     def value_at(self, g: int) -> CycInt:
         """Value at an ambient element index (must lie in the owner)."""
+        if not 0 <= g < self.owner.ambient.order:
+            raise InputError(f"element {g} is not an element index of the group")
         c = self.classes.class_of[g]
         if c < 0:
             raise InputError(f"element {g} is not in the owner subgroup")
@@ -142,6 +155,8 @@ class CharContext:
         self.lattice_cap = lattice_cap
         self.whole = whole_group(G)
         self.center = center(self.whole)
+        # The prime of a p-group, else None: its index-p pairs are normal.
+        self._prime = prime_of(G.order)
         self._scalar_values = cyc.euler_phi(G.exponent) == 1
         self.zeta_rows = tuple(z.coeffs for z in cyc.zeta_table(G.exponent))
         self._lattice: Optional[list] = None
@@ -244,11 +259,92 @@ class CharContext:
 
     def restriction_edges(self, K: Subgroup, H: Subgroup) -> tuple:
         """Pairs (i, j) with psi_i a constituent of chi_j restricted to K,
-        for K a proper subgroup of H."""
+        for K a proper subgroup of H, sorted by (j, i).
+
+        In a p-group a subgroup of index p is normal, so those pairs take the
+        Clifford route (_clifford_edges).  Every other pair takes the
+        inner-product route (_inner_product_edges), which is kept as the
+        general case and as the oracle of the Clifford route."""
         key = (K.elems, H.elems)
         hit = self._edges.get(key)
-        if hit is not None:
-            return hit
+        if hit is None:
+            if self._prime is not None and len(H.elems) == self._prime * len(K.elems):
+                hit = self._clifford_edges(K, H)
+            else:
+                hit = self._inner_product_edges(K, H)
+            self._edges[key] = hit
+        return hit
+
+    def _clifford_edges(self, K: Subgroup, H: Subgroup) -> tuple:
+        """Restriction edges for K normal of prime index p in H, on rows only.
+
+        By Clifford's theorem at prime index (Isaacs, Cor. 6.19), chi_K is
+        either irreducible or the sum of the p distinct H-conjugates of one
+        psi in Irr(K).  The first case is a row lookup in char_index(K); in
+        the second, each remaining psi's orbit under conjugation by one
+        x in H \\ K sums to exactly one split chi_K.  Exact row equality plus
+        the asserted completeness of Irr(K) certifies the decomposition."""
+        irrK = self.irr(K)
+        irrH = self.irr(H)
+        ccK = self.classes(K)
+        lookup = self.char_index(K)
+        class_of_H = self.classes(H).class_of
+        class_map = tuple(class_of_H[r] for r in ccK.reps)
+        edges = []
+        split: dict = {}  # rows of a reducible chi_K -> j
+        placed = set()
+        for j, chi in enumerate(irrH):
+            rrows = tuple(map(chi.rows.__getitem__, class_map))
+            i = lookup.get(rrows)
+            if i is None:
+                split[rrows] = j
+            else:
+                edges.append((i, j))
+                placed.add(i)
+        reached = set()
+        if len(placed) < len(irrK):
+            G = self.group
+            x = next(h for h in H.elems if not K.contains(h))
+            perm = tuple(ccK.class_of[G.conj(r, x)] for r in ccK.reps)
+            if min(perm) < 0:
+                raise InternalCheckError("K is not normal in H")
+            p = self._prime
+            for i, psi in enumerate(irrK):
+                if i in placed:
+                    continue
+                orbit, rows = [i], psi.rows
+                for _ in range(p):
+                    rows = tuple(map(rows.__getitem__, perm))
+                    k = lookup.get(rows)
+                    if k is None:
+                        raise IncompleteIrr("a conjugate of an irreducible is not in Irr(K)")
+                    if k == i:
+                        break
+                    orbit.append(k)
+                else:
+                    raise InternalCheckError(f"a conjugation orbit is longer than {p}")
+                total = tuple(
+                    tuple(map(sum, zip(*col)))
+                    for col in zip(*(irrK[k].rows for k in orbit))
+                )
+                j = split.get(total)
+                if j is None or j in reached:
+                    raise IncompleteIrr("a conjugation orbit does not sum to one restriction")
+                if len(orbit) * psi.degree != irrH[j].degree:
+                    raise IncompleteIrr("an orbit's degree is not its restriction's degree")
+                reached.add(j)
+                placed.update(orbit)
+                edges.extend((k, j) for k in orbit)
+        if len(reached) != len(split):
+            raise IncompleteIrr(
+                f"{len(split) - len(reached)} restrictions are neither irreducible nor an orbit sum"
+            )
+        edges.sort(key=lambda ij: (ij[1], ij[0]))
+        return tuple(edges)
+
+    def _inner_product_edges(self, K: Subgroup, H: Subgroup) -> tuple:
+        """Restriction edges of any pair K < H, by the multiplicity of each
+        psi in chi_K; the general route and the oracle of the Clifford one."""
         irrK = self.irr(K)
         irrH = self.irr(H)
         ccK = self.classes(K)
@@ -276,9 +372,7 @@ class CharContext:
                 raise IncompleteIrr(
                     f"restriction of a degree-{chi.degree} character did not decompose"
                 )
-        hit = tuple(edges)
-        self._edges[key] = hit
-        return hit
+        return tuple(edges)
 
 
 # -- spec operations -----------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConductorMismatch, NotDivisible, NotRationalInteger
+from .errors import ConductorMismatch, InternalCheckError, NotDivisible, NotRationalInteger
 
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
 
@@ -20,7 +20,8 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], lis
     """Exact long division by a monic integer polynomial."""
     num = list(num)
     d = len(den) - 1
-    assert den[d] == 1
+    if den[d] != 1:
+        raise InternalCheckError("divisor polynomial is not monic")
     quot = [0] * max(len(num) - d, 1)
     for i in range(len(num) - 1, d - 1, -1):
         c = num[i]
@@ -51,7 +52,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         for d in range(1, n):
             if n % d == 0:
                 rem, r = _poly_divmod(rem, cyclotomic_polynomial(d))
-                assert r == [0]
+                if r != [0]:
+                    raise InternalCheckError(f"Phi_{d} does not divide the cofactor of x^{n} - 1")
         poly = tuple(rem)
     _PHI_CACHE[n] = poly
     return poly

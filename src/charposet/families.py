@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import OrderCapExceeded, UnknownFamily
+from .errors import InternalCheckError, OrderCapExceeded, UnknownFamily
 from .groups import DEFAULT_ORDER_CAP, GroupTable, from_cayley
 
 
@@ -90,7 +90,8 @@ def _two_generator_metacyclic(m: int, twist: int, s_order: int, s_power_in_r: in
     """
     order = m * s_order
     _check_cap(order, cap)
-    assert pow(twist, s_order, m) == 1 % m
+    if pow(twist, s_order, m) != 1 % m:
+        raise InternalCheckError(f"twist {twist} has no order dividing {s_order} mod {m}")
 
     twist_pow = [pow(twist, j, m) for j in range(s_order)]
 

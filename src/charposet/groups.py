@@ -16,6 +16,7 @@ from .errors import (
     ClosureTooLarge,
     EmptyInput,
     InputError,
+    InternalCheckError,
     LatticeTooLarge,
     NoIdentity,
     NoInverse,
@@ -135,7 +136,8 @@ def _validate_subgroup(H: Subgroup) -> None:
         for b in H.elems:
             if not H.contains(row[b]):
                 raise InputError(f"subset not closed: {a}*{b} escapes")
-    assert G.order % len(H.elems) == 0  # Lagrange
+    if G.order % len(H.elems):
+        raise InternalCheckError(f"subgroup order {len(H.elems)} does not divide {G.order}")
 
 
 @dataclass(frozen=True)
@@ -424,7 +426,8 @@ def conjugacy_classes(H: Subgroup) -> ConjClasses:
         members=tuple(members),
         identity_class=class_of[G.identity],
     )
-    assert sum(cc.sizes) == len(H.elems)
+    if sum(cc.sizes) != len(H.elems):
+        raise InternalCheckError("class sizes do not sum to the subgroup order")
     return cc
 
 
@@ -561,7 +564,8 @@ def abelian_decomposition(A: GroupTable) -> AbelianDecomp:
         raise NotAbelian(f"{A.name} is not abelian")
     generators = _abelian_basis(A)
     factors = tuple(A.elem_order[g] for g in generators)
-    assert math.prod(factors) == A.order
+    if math.prod(factors) != A.order:
+        raise InternalCheckError(f"cyclic factors {factors} do not multiply to {A.order}")
 
     dlog = [None] * A.order
     radix: list[tuple] = [()]
@@ -571,7 +575,8 @@ def abelian_decomposition(A: GroupTable) -> AbelianDecomp:
         x = A.identity
         for g, k in zip(generators, tup):
             x = A.table[x][A.power(g, k)]
-        assert dlog[x] is None  # generators independent
+        if dlog[x] is not None:
+            raise InternalCheckError("abelian basis generators are not independent")
         dlog[x] = tup
     return AbelianDecomp(factors=factors, generators=tuple(generators), dlog=tuple(dlog))
 
@@ -594,9 +599,11 @@ def _abelian_basis(A: GroupTable) -> list:
         while x != gd:
             x = A.table[x][a]
             t += 1
-        assert t % d == 0
+        if t % d:
+            raise InternalCheckError(f"lifted generator power a^{t} is not a multiple of {d}")
         lift = A.table[g][A.power(a, (m - t // d) % m)]
-        assert A.elem_order[lift] == d
+        if A.elem_order[lift] != d:
+            raise InternalCheckError(f"lifted generator has order {A.elem_order[lift]}, not {d}")
         out.append(lift)
     return out
 
@@ -618,5 +625,6 @@ def double_cosets(G: GroupTable, H: Subgroup, K: Subgroup) -> list:
             row = t[hx]
             for k in K.elems:
                 covered[row[k]] = 1
-    assert all(covered)  # the double cosets partition G
+    if not all(covered):
+        raise InternalCheckError("the double cosets do not cover G")
     return reps

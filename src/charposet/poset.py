@@ -26,6 +26,7 @@ from .errors import (
     ChoiceExhausted,
     ComponentCoverageError,
     InputError,
+    InternalCheckError,
     InvalidExponent,
     NoConstituent,
     NotAbelian,
@@ -349,7 +350,8 @@ class CharacterPoset:
 
         left = self.witness_sequence(L[:-1], alpha, mid)
         right = self.witness_direct(mid, beta)
-        assert left.nodes[-1] == right.nodes[0]
+        if left.nodes[-1] != right.nodes[0]:
+            raise InternalCheckError("the two halves of a witness chain do not meet")
         steps = [(None, left.nodes[0])]
         steps += list(zip(left.directions, left.nodes[1:]))
         steps += list(zip(right.directions, right.nodes[1:]))

@@ -17,7 +17,7 @@ from charposet.characters import get_context, inner_product, irr, restrict
 from charposet.cli import main as cli_main
 from charposet.errors import WitnessError
 from charposet.poset import abelian_component_count, build_poset, central_poset_map
-from charposet.verify import theorem_report, valid_exponents
+from charposet.verify import compute_I, theorem_report, valid_exponents
 
 POPULATIONS = [(2, 64), (3, 81), (5, 25)]
 
@@ -238,6 +238,22 @@ def test_criterion_7_central_map_suite(swept):
         f"criterion 7: central map well-defined, component-constant and surjective on "
         f"{checked} posets; abelian component counts equal group orders"
     )
+
+
+def test_central_count_matches_quotient_oracle(swept):
+    """The standalone central count read from the parent context equals the
+    component count of I n Z(G)'s own poset, built on its quotient table."""
+    checked = 0
+    for p, spec, G, e, report in swept:
+        if report.IZ_order <= 1:
+            continue
+        ctx = get_context(G)
+        IZ = gr.intersect_all([compute_I(G, p, e), ctx.center])
+        table, _ = gr.quotient(IZ, gr.trivial_subgroup(G))
+        count = abelian_component_count(table, valid_exponents(table, p)[-1])
+        assert count == len(ctx.irr(IZ)) == len(IZ.elems), (spec, e)
+        checked += 1
+    _ok(f"central count: parent context and quotient table agree on {checked} (group, e) pairs")
 
 
 def test_criterion_8_component_coverage(swept):

@@ -493,3 +493,50 @@ def test_inner_product_matches_cycint_oracle():
                 res = [restrict(chi, S) for chi in ctx.irr(H)]
                 mults = [[inner_product(r, psi) for psi in chars] for r in res]
                 assert mults == naive_inner_products(res, chars), G.name
+
+
+def test_class_function_value_at_rejects_out_of_range_indices(c4):
+    ctx = get_context(c4)
+    chi = ctx.irr(ctx.whole)[1]
+    assert chi.value_at(3) == chi.values[ctx.classes(ctx.whole).class_of[3]]
+    for g in (-1, 4, 99):
+        with pytest.raises(InputError):
+            chi.value_at(g)
+
+
+def test_class_function_rejects_values_that_are_not_cycint(c4):
+    ctx = get_context(c4)
+    W = ctx.whole
+    with pytest.raises(InputError):
+        ClassFunction(W, ctx.classes(W), [1, 1, 1, 1])
+
+
+def test_clifford_edges_match_inner_product_edges():
+    """On every index-p cover pair of the sweep catalog and of relabelled
+    tables, the Clifford route gives the inner-product route's edge tuple,
+    in the same order, and restriction_edges returns it."""
+    specs = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 64) + fam.builtin_catalog(5, 64)
+    groups = [fam.builtin(spec) for spec in specs]
+    groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+        ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
+    )]
+    pairs = 0
+    for G in groups:
+        ctx = get_context(G)
+        for K, H in ctx.maximal_pairs():
+            expected = ctx._inner_product_edges(K, H)
+            assert ctx._clifford_edges(K, H) == expected, (G.name, K, H)
+            assert ctx.restriction_edges(K, H) == expected, (G.name, K, H)
+            pairs += 1
+    assert pairs > 54_000
+
+
+def test_non_normal_prime_index_pairs_keep_inner_products():
+    """In S3 each C2 has prime index 3 but is not normal: its restriction
+    edges must come from inner products, not from the Clifford route."""
+    S3 = gr.from_permutations([(1, 0, 2), (1, 2, 0)], name="S3")
+    ctx = get_context(S3)
+    twos = [K for K in ctx.lattice() if len(K.elems) == 2]
+    assert len(twos) == 3 and ctx.maximal_pairs() == []
+    for K in twos:
+        assert ctx.restriction_edges(K, ctx.whole) == ((0, 0), (1, 1), (0, 2), (1, 2))

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -274,3 +275,45 @@ def test_sweep_under_python_O_matches_in_process(capsys):
     code, out, _ = run(capsys, *argv)
     assert proc.returncode == code == 0, proc.stderr
     assert proc.stdout == out
+
+
+def test_verify_cap_reaches_the_central_count(capsys):
+    code, out, err = run(capsys, "verify", "--group", "Cyclic(3,5)", "--cap", "256")
+    assert code == 0, err
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 5 and all(r["ok"] for r in reports)
+
+
+def test_no_assert_statements_in_src():
+    """Invariants must hold under python -O, so src/ raises instead of asserting."""
+    src = Path(__file__).resolve().parents[1] / "src" / "charposet"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_class_function_input_checks_under_python_O():
+    script = (
+        "from charposet import families\n"
+        "from charposet.characters import ClassFunction, get_context\n"
+        "from charposet.errors import InputError\n"
+        "ctx = get_context(families.builtin('Cyclic(2,2)'))\n"
+        "W = ctx.whole\n"
+        "for call in (lambda: ctx.irr(W)[1].value_at(-1),\n"
+        "             lambda: ClassFunction(W, ctx.classes(W), [1, 1, 1, 1])):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InputError:\n"
+        "        continue\n"
+        "    raise SystemExit('no InputError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -156,3 +156,11 @@ def test_reports_survive_relabelling_and_isomorphism():
     for A, B in pairs:
         assert _reports(A) == _reports(B), (A.name, B.name)
         assert _degrees(A) == _degrees(B), (A.name, B.name)
+
+
+def test_sweep_cap_reaches_the_central_count():
+    """Where I n Z(G) = G has order above the default cap, the standalone
+    central count still runs under the sweep's cap."""
+    res = sweep(["Cyclic(3,5)", "AbelianProduct(27,9)"], cap=256)
+    assert res.errors == []
+    assert len(res.reports) == 10 and all(r.ok for r in res.reports)
