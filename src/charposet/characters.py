@@ -157,7 +157,6 @@ class CharContext:
         self.center = center(self.whole)
         # The prime of a p-group, else None: its index-p pairs are normal.
         self._prime = prime_of(G.order)
-        self._scalar_values = cyc.euler_phi(G.exponent) == 1
         self.zeta_rows = tuple(z.coeffs for z in cyc.zeta_table(G.exponent))
         self._lattice: Optional[list] = None
         self._covers: list = []
@@ -166,6 +165,8 @@ class CharContext:
         self._irr: dict = {}
         self._char_index: dict = {}
         self._edges: dict = {}
+        # strategy -> {least subgroup order of a level: ComponentPartition}
+        self.partitions: dict = {}
 
     # -- lattice ---------------------------------------------------------
 
@@ -232,26 +233,21 @@ class CharContext:
         order = len(cc.owner.elems)
         inv = cc.inverse_class
         sizes = cc.sizes
-        if self._scalar_values:
-            tot = 0
-            for c in range(len(sizes)):
-                tot += sizes[c] * rows_a[c][0] * rows_b[inv[c]][0]
-        else:
-            n = self.conductor
-            acc = [0] * n
-            for c in range(len(sizes)):
-                brow = rows_b[inv[c]]
-                s = sizes[c]
-                for i, ai in enumerate(rows_a[c]):
-                    if ai:
-                        sai = s * ai
-                        for j, bj in enumerate(brow):
-                            if bj:
-                                k = i + j
-                                if k >= n:
-                                    k -= n
-                                acc[k] += sai * bj
-            tot = cyc.coeffs_as_integer(cyc.reduce_coeffs(n, acc))
+        n = self.conductor
+        acc = [0] * n
+        for c in range(len(sizes)):
+            brow = rows_b[inv[c]]
+            s = sizes[c]
+            for i, ai in enumerate(rows_a[c]):
+                if ai:
+                    sai = s * ai
+                    for j, bj in enumerate(brow):
+                        if bj:
+                            k = i + j
+                            if k >= n:
+                                k -= n
+                            acc[k] += sai * bj
+        tot = cyc.coeffs_as_integer(cyc.reduce_coeffs(n, acc))
         q, r = divmod(tot, order)
         if r:
             raise NotDivisible(f"inner product sum {tot} not divisible by {order}")

@@ -2,12 +2,13 @@
 
 Nodes are pairs (H, chi) where H runs over the subgroups of order at least
 p^(e+1) and chi over Irr(H); (K, psi) <= (H, chi) iff K <= H and psi is a
-constituent of chi restricted to K.  Connected components are computed by
-union-find over materialized comparable pairs; the default edge strategy
-only tests pairs where K is maximal in H, which yields the same partition
-because any comparability factors through a chain of index-p steps (each
-restriction step keeps a common constituent).  The full strategy is kept as
-an oracle.
+constituent of chi restricted to K.  Level e is level e+1 plus the layer
+of subgroups of order p^(e+1), so one union-find pass over the edges held
+by CharContext adds the layers from the top and keeps each level's
+partition.  The default edge strategy only tests pairs where K is maximal in
+H, which yields the same partition because any comparability factors
+through a chain of index-p steps (each restriction step keeps a common
+constituent).  The full strategy is kept as an oracle.
 
 Witness chains make connectivity explicit: witness_direct joins two nodes
 through a constituent of an induced character at the top group, and
@@ -67,31 +68,9 @@ class WitnessChain:
         return len(self.nodes)
 
 
-class _DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-
-
 class CharacterPoset:
-    """Materialized node set of the poset for one (G, p, e), with edge
-    construction, components, and witness machinery."""
+    """Node set of the poset for one (G, p, e), with its edges (held by
+    ctx.restriction_edges), components, and witness machinery."""
 
     def __init__(self, ctx: CharContext, p: int, e: int, strategy: str = "maximal"):
         if strategy not in ("maximal", "full"):
@@ -116,7 +95,6 @@ class CharacterPoset:
             self.offsets.append(len(self.nodes))
             for cid in range(len(ctx.irr(S))):
                 self.nodes.append(PosetNode(sid, cid))
-        self._edges: Optional[list] = None
 
     # -- node helpers -------------------------------------------------------
 
@@ -161,47 +139,64 @@ class CharacterPoset:
             return Ordering.INCOMPARABLE
         return Ordering.INCOMPARABLE
 
-    def edge_list(self) -> list:
-        """Materialized comparable node pairs (ids), per the strategy."""
-        if self._edges is not None:
-            return self._edges
-        edges = []
+    def _pairs(self) -> list:
+        """(K, H, first id of K, first id of H) for the subgroup pairs whose
+        restriction edges are the poset's, by lattice positions of H, then K."""
         if self.strategy == "maximal":
-            for K, H in self.ctx.maximal_pairs():
-                ks = self._sid.get(K.elems)
-                hs = self._sid.get(H.elems)
-                if ks is None or hs is None:
-                    continue
-                koff, hoff = self.offsets[ks], self.offsets[hs]
-                for i, j in self.ctx.restriction_edges(K, H):
-                    edges.append((koff + i, hoff + j))
+            pairs = [(K, H) for K, H in self.ctx.maximal_pairs() if K.elems in self._sid]
         else:
-            for hs, H in enumerate(self.subgroups):
-                hoff = self.offsets[hs]
-                for ks in range(hs):
-                    K = self.subgroups[ks]
-                    if len(K.elems) == len(H.elems) or not K.is_subset_of(H):
-                        continue
-                    koff = self.offsets[ks]
-                    for i, j in self.ctx.restriction_edges(K, H):
-                        edges.append((koff + i, hoff + j))
-        self._edges = edges
-        return edges
+            subs = self.subgroups
+            pairs = [
+                (K, H)
+                for h, H in enumerate(subs)
+                for K in subs[:h]
+                if len(K.elems) < len(H.elems) and K.is_subset_of(H)
+            ]
+        first = {S.elems: off for S, off in zip(self.subgroups, self.offsets)}
+        return [(K, H, first[K.elems], first[H.elems]) for K, H in pairs]
+
+    def edge_list(self) -> list:
+        """Comparable node pairs (ids), per the strategy, listed for export."""
+        return [
+            (koff + i, hoff + j)
+            for K, H, koff, hoff in self._pairs()
+            for i, j in self.ctx.restriction_edges(K, H)
+        ]
 
     # -- components ------------------------------------------------------------
 
     def components(self) -> ComponentPartition:
-        ds = _DisjointSet(len(self.nodes))
-        for a, b in self.edge_list():
-            ds.union(a, b)
-        labels = {}
-        out = []
-        for i in range(len(self.nodes)):
-            root = ds.find(i)
-            if root not in labels:
-                labels[root] = len(labels)
-            out.append(labels[root])
-        return ComponentPartition(node_to_component=tuple(out), count=len(labels))
+        """This level's partition, kept in ctx.partitions[strategy].
+
+        On a miss, one union-find pass adds the subgroup layers from the
+        largest order down to this level's.  Each higher level's nodes are a
+        suffix of this poset's ids, so its partition is the snapshot after
+        its layer, and every snapshot is kept."""
+        levels = self.ctx.partitions.setdefault(self.strategy, {})
+        if self.min_order in levels:
+            return levels[self.min_order]
+        parent = list(range(len(self.nodes)))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        # The first id of each subgroup order, largest order first.
+        starts = {len(S.elems): off for S, off in zip(self.subgroups[::-1], self.offsets[::-1])}
+        layers: dict = {}
+        for pair in self._pairs():
+            layers.setdefault(len(pair[0].elems), []).append(pair)
+        for order, start in starts.items():
+            for K, H, koff, hoff in layers.get(order, ()):
+                for i, j in self.ctx.restriction_edges(K, H):
+                    a, b = find(koff + i), find(hoff + j)
+                    if a != b:  # the higher root stays, so upper layers keep theirs
+                        parent[min(a, b)] = max(a, b)
+            labels: dict = {}
+            out = tuple(labels.setdefault(find(x), len(labels)) for x in range(start, len(parent)))
+            levels[order] = ComponentPartition(node_to_component=out, count=len(labels))
+        return levels[self.min_order]
 
     def component_representatives(self, partition: ComponentPartition, H: Subgroup) -> dict:
         """One node (H, chi) per component; every component must contain one."""

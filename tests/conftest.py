@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -142,3 +143,28 @@ def naive_inner_products(A, B):
             row.append(cyc.as_integer(cyc.exact_div_int(total, len(owner.elems))))
         out.append(row)
     return out
+
+
+def bfs_components(poset):
+    """(node_to_component, count) of the poset by breadth-first search over
+    the adjacency of its edge_list(), components numbered in the order of
+    their least node id."""
+    n = len(poset.nodes)
+    adjacent = [[] for _ in range(n)]
+    for a, b in poset.edge_list():
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    label = [None] * n
+    count = 0
+    for start in range(n):
+        if label[start] is not None:
+            continue
+        label[start] = count
+        queue = deque([start])
+        while queue:
+            for y in adjacent[queue.popleft()]:
+                if label[y] is None:
+                    label[y] = count
+                    queue.append(y)
+        count += 1
+    return tuple(label), count

@@ -472,6 +472,7 @@ def test_inner_product_matches_cycint_oracle():
     groups = [fam.builtin(spec) for spec in specs] + [
         relabelled(fam.builtin("Extraspecial(3,+)"), 3),
         relabelled(fam.builtin("DirectProduct(Quaternion(8),Cyclic(2,2))"), 4),
+        gr.from_cayley([[0]], "C1"),
     ]
     for G in groups:
         ctx = get_context(G)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -22,6 +24,9 @@ from charposet.poset import (
     central_poset_map,
     components,
 )
+from charposet.verify import valid_exponents
+
+from conftest import bfs_components, relabelled
 
 
 def _poset(G, e, strategy="maximal"):
@@ -346,6 +351,140 @@ def test_edge_lists_deterministic(q8):
     a = build_poset(q8, None, 1).edge_list()
     b = build_poset(q8, None, 1).edge_list()
     assert a == b
+
+
+def test_level_partitions_match_per_level_oracle():
+    """The one top-down pass keeps every level's partition on the context;
+    each must be the level's own components, whatever order the levels are
+    asked in, from a fresh context."""
+    specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 81) + fam.builtin_catalog(5, 25)
+    builds = [lambda spec=spec: fam.builtin(spec) for spec in specs]
+    builds += [
+        lambda spec=spec, seed=seed: relabelled(fam.builtin(spec), seed)
+        for seed, spec in enumerate(
+            ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
+        )
+    ]
+    for build in builds:
+        G = build()
+        levels = valid_exponents(G)
+        shuffled = levels[:]
+        random.Random(G.order).shuffle(shuffled)
+        for strategy in ("maximal", "full") if G.order <= 32 else ("maximal",):
+            for asked in (levels, levels[::-1], shuffled):
+                G = build()
+                for e in asked:
+                    poset = build_poset(G, None, e, strategy)
+                    part = poset.components()
+                    got = (part.node_to_component, part.count)
+                    assert got == bfs_components(poset), (G.name, strategy, asked, e)
+
+
+# sha256 of canonical_json(poset_json(...)) and of poset_dot(...) at each e,
+# in the order of valid_exponents.
+_POSET_DIGESTS = {
+    ("Quaternion(8)", "maximal"): [
+        ("4c4073fd6c4b991b06047f3dc2de615ffede68550a1b37c028795bfa799fe78f",
+         "91c846f3e5bcd878cc1d1d2aa9440e9febfdaa4fb9d20355edc0b1a91ea79056"),
+        ("02eef9a177860e55ef79a48b041c598581a8ef8ba1af7020c2056283ec4c4d18",
+         "d22206bf94471347df77b88b52d1ce922c5cddafd3493c84f18c75ce33cc4e6f"),
+        ("10ebf146a5da52fad93f0f3f586576cd31f3f7f7fe229ba660dfbe5b83993caf",
+         "d88f5a63107f3685644f54917afb826f5f6add036a7f94a385df86f75f95d2de"),
+    ],
+    ("Quaternion(8)", "full"): [
+        ("dc42034d9b19fe2dfe18cf95ffb8f81d760f368d4eadb94e1ce34b913a92fdf8",
+         "3fccf7dc8e2eac95d48c258e9198346b4551a15893988953cfb0899fc1fca332"),
+        ("45f64f239a0a20957a66818001da94e6fff156b006e20b3f00d9a0a9d46f9efe",
+         "d22206bf94471347df77b88b52d1ce922c5cddafd3493c84f18c75ce33cc4e6f"),
+        ("5ddd23b77e6a9292f1bfc95ca6233c2709671ad42d8da910a1a0e3c7510eab7c",
+         "d88f5a63107f3685644f54917afb826f5f6add036a7f94a385df86f75f95d2de"),
+    ],
+    ("DirectProduct(Dihedral(8),Cyclic(2,1))", "maximal"): [
+        ("45d9da40f6acf38fc553b7e594e4a3cf63b2927491b7f548c9fd70c2d20833be",
+         "cb4b8cd2f104e00eb0a1477a661a96765f7af53696598ab2a884c8260e917f6b"),
+        ("f08e7e481079fc0c7765253edb7c9326f6f676c0461ae5f6a2bb83328bc2a0f4",
+         "fd783c6745efc497bf0627b33dce98509412e412d18f0ba896104c268ad1f680"),
+        ("f924f6bb327ac4d64f1790bc965b0804958db9a83d2afaaa9c8eac18e713a859",
+         "5a736bb3d0784c858983ecd04ccd8b772003436c630083f37dabb1185f07ee56"),
+        ("a568b2a54a9af7e9ae15b581cf633e1e217e3e7aaaa90761633d289da0c57adf",
+         "c259a758aae59923914f0ba64ac760734cbdae32c72c78ec42fb5508a4fb3912"),
+    ],
+    ("DirectProduct(Dihedral(8),Cyclic(2,1))", "full"): [
+        ("48fcf0dc0099533292523eee6ad3aac443a705e977c6973a7cf8ad5895f15d61",
+         "68732c140894435451ab5af4f5a55bcdb9d86799d30d73e94b0f9fec16182bce"),
+        ("f8c32b93871fdd57820b4425a672165f0f25b6651b7c5d23f21a68ebf1e2d692",
+         "0dea2ae36c6e2570aff415db5f74a8339d459ec1b7e2142eb8f7236f84da17ed"),
+        ("093d052643cf54c3bb7a2635fb24b06d83057629c0a0af3a5be11893d8ee20ea",
+         "5a736bb3d0784c858983ecd04ccd8b772003436c630083f37dabb1185f07ee56"),
+        ("3f105587fb8f7d0e4bd2d7fe7f608b21e5e73cc51ed87774b90509e09783f77c",
+         "c259a758aae59923914f0ba64ac760734cbdae32c72c78ec42fb5508a4fb3912"),
+    ],
+    ("Modular(3,4)", "maximal"): [
+        ("93f42d566f1913ba69fcc9be471be30424ec4511a9ececec4557d497e794d756",
+         "46af45450d6994fa89aa20569f4f6477c406758e4ade4ab254a910b124b25b86"),
+        ("a148d1e5442fce4f36058d570adfce4f101e972a56e656a4c110dac44eecac13",
+         "6fb0b588bb18e01d775840598d4872ac114c6356c08271e7e134ca3dbf4e2592"),
+        ("1b703011bd3c503c2d392f2dc32a71b40939d6c1f053ad573d35451e46b83354",
+         "02b4c57e70933b3ba1c16fa4dc7bf1c4074bf4462c82bd693496edfeaa915062"),
+        ("769b6ed7f5d102aa621537760f10177a3e540e07414357e3c67bd395703dd1dd",
+         "5c2fae7bb41c21643f9bc0d519466bac4910018a8afb5109c6f04abd7f643fb9"),
+    ],
+    ("Modular(3,4)", "full"): [
+        ("a64fda37c8506073ee42345aefa5ce58b0668e34cdd33e51a8505267429dbbc6",
+         "0454cfe4bc4846cd51aac092ef6a9b55a006a43276475cda745fec772880c4aa"),
+        ("cac598848db3b21dab7791aa7cadba41fb851d4a067a75f0a9b4ba856bbd26f4",
+         "5486dc745c8978d62697a12d7ede9ceaee3086710dc52ce64aa96a732a091463"),
+        ("a4592c740706096c3f7b0887c38ce972a727d849d44e6977502815397b380069",
+         "02b4c57e70933b3ba1c16fa4dc7bf1c4074bf4462c82bd693496edfeaa915062"),
+        ("038d3a2a4dd114b5e049af4a9d79563ac970a1790e2c33117b506d2d6014ffc1",
+         "5c2fae7bb41c21643f9bc0d519466bac4910018a8afb5109c6f04abd7f643fb9"),
+    ],
+    ("Extraspecial(5,+)", "maximal"): [
+        ("1fc22dc7a67c2ddebdb714cbf3e11fe931706ac26e9c93c7a22942087c30c0fd",
+         "ecb5c5da69c1d2f6b31cffdbd90327f65717b8ce8d45ad95279af06f9fa4013a"),
+        ("c722f2bc16b1ba34f7eaa70308a3390ff051d7ab81eb7b69ecf38746b694e474",
+         "0fac963158d0630372ef0f49b26599f68dc4919c9d6c24b3b9f063d92a0742c5"),
+        ("5997141fe589557b438cfc49aa6b513b1d61f2f0f37870d416fd606b85d739e5",
+         "66ca0f576125600db26d6a9765363efbf12f30e9dbe8b67a2135eea22bf21626"),
+    ],
+    ("Extraspecial(5,+)", "full"): [
+        ("6be98acb4596ac51de2da300ee450c6d091e9b5ab2d639f3bf765681c980ef10",
+         "873d0883d36af6b96398bbcf0a909215f4eacb1d046afac5fa16751b63c4ba71"),
+        ("0615692cac9a7625bb2e664267d3ddd30057eea22da647a60930c947d58e7ec9",
+         "0fac963158d0630372ef0f49b26599f68dc4919c9d6c24b3b9f063d92a0742c5"),
+        ("dd2438f3dab4f306be2168f2c77d440b29c2c173ff5f7446c2b42e78877eca78",
+         "66ca0f576125600db26d6a9765363efbf12f30e9dbe8b67a2135eea22bf21626"),
+    ],
+    ("DirectProduct(Dihedral(8),Dihedral(8))", "maximal"): [
+        ("98fb5f7980000f69e43960c159b342bc3ede5f7e8a9318cd42245d886f8072da",
+         "3231d636f21710995fcc962499185114be84bcf2bf39cc9a1f5e54004340226a"),
+        ("8708020bd1610cb3337622e0b3e06bdb7e5688e511bcdc229a0343fef4575adf",
+         "aeda805cface53e69673be9c695773d33bceea40687a22ac586a714aa454c389"),
+        ("f4eb99ff951e2b608fc0768760005214d73440e8a00c9a5e7e4835f5cd1c5514",
+         "80b5699a6cf3e0d729f9aa2d40ca6a004c641bae36d97ff5c6672e7caf944121"),
+        ("a932f096893887d7c4fff123817bdbd2dc35c99a408d2a51f5d04a27585de467",
+         "ccb1c82910d661e64779492914943887581033c2f4c70a40f337a0ab5f9e4a55"),
+        ("164264fb32b71c41c8f983ccbc42e618d433f4b777c08e44b6eeefc07e7401cb",
+         "c859acded92558a6bf99d3c40cf6c53cfe077276cfaa9ef0657eb9c1e1f31f08"),
+        ("bcacab57fcc2d50b3758d285eb873e892dcf463459ffec342e542a35c373d153",
+         "9a916cf9bd3c941f9415cd65238f6ba3a5bb640f6d7282172c07efc6c37fbe5c"),
+    ],
+}
+
+
+def test_poset_artifacts_are_pinned():
+    """Edge order, node ids and component labels of the exported poset."""
+    for (spec, strategy), digests in _POSET_DIGESTS.items():
+        G = fam.builtin(spec)
+        got = []
+        for e in valid_exponents(G):
+            poset = build_poset(G, None, e, strategy)
+            part = poset.components()
+            text = export.canonical_json(export.poset_json(poset, part))
+            dot = export.poset_dot(poset, part)
+            got.append((hashlib.sha256(text.encode()).hexdigest(),
+                        hashlib.sha256(dot.encode()).hexdigest()))
+        assert got == digests, (spec, strategy)
 
 
 def test_poset_exports(q8, tmp_path):

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from charposet import families as fam
 from charposet import groups as gr
 from charposet.characters import get_context
 from charposet.errors import InvalidExponent, NotPGroup
+from charposet.poset import components
 from charposet.verify import (
     compute_I,
     sweep,
@@ -127,6 +130,14 @@ def _degrees(G):
     ]
 
 
+def _component_sizes(G):
+    """The sorted multiset of component sizes at every e."""
+    return [
+        sorted(Counter(components(G, None, e).node_to_component).values())
+        for e in valid_exponents(G)
+    ]
+
+
 def test_reports_survive_relabelling_and_isomorphism():
     specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27) + fam.builtin_catalog(5, 25)
     specs += ["Modular(3,4)", "Extraspecial(5,+)", "Semidihedral(64)",
@@ -135,10 +146,12 @@ def test_reports_survive_relabelling_and_isomorphism():
         G = fam.builtin(spec)
         expected = _reports(G)
         degrees = _degrees(G)
+        sizes = _component_sizes(G)
         for seed in (1, 2):
             H = relabelled(G, seed)
             assert _reports(H) == expected, (spec, seed)
             assert _degrees(H) == degrees, (spec, seed)
+            assert _component_sizes(H) == sizes, (spec, seed)
     d8_perm = gr.from_permutations([(1, 2, 3, 0), (0, 3, 2, 1)], name="D8p")
     c4c2_perm = gr.from_permutations([(1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)], name="C4xC2p")
     pairs = [
@@ -156,6 +169,7 @@ def test_reports_survive_relabelling_and_isomorphism():
     for A, B in pairs:
         assert _reports(A) == _reports(B), (A.name, B.name)
         assert _degrees(A) == _degrees(B), (A.name, B.name)
+        assert _component_sizes(A) == _component_sizes(B), (A.name, B.name)
 
 
 def test_sweep_cap_reaches_the_central_count():
