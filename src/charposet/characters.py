@@ -11,8 +11,8 @@ All values are exact cyclotomic integers at one global conductor, the
 exponent of the ambient group.  A ClassFunction stores them as integer
 coefficient rows, one power-basis coordinate tuple per class, and every hot
 path (lookup, restriction, induction, inner products) works on those rows;
-CycInt appears only at the boundary: the public ClassFunction constructor,
-the views values and value_at, and export.
+CycInt appears only at the boundary: the public ClassFunction constructor
+and the views values and value_at (export writes the rows directly).
 
 A per-group CharContext is the one home of each structural fact of the
 group: Z(G), the subgroup lattice with its index-p cover relation, conjugacy

@@ -2,15 +2,24 @@
 
 All JSON is emitted through canonical_json so identical inputs produce
 byte-identical output (sorted keys, fixed separators, no volatile fields).
+Its bytes are exactly those of json.dumps(obj, sort_keys=True, indent=2),
+written by string joins instead of json's pure-Python indenting encoder: a
+list of plain ints is one join, strings go through json's C escaper, and
+the text of each dict or list is kept per (object, indentation), so an
+object met again at the same depth is written once.
+
+irr_json builds one value dict {"n", "coeffs"} per distinct character row
+and shares it across the document, so the writer emits each distinct value
+once per depth.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .characters import CharContext, get_context
-from .cyclotomic import CycInt
 from .errors import InputError
 from .groups import DEFAULT_ORDER_CAP, GroupTable, Subgroup, from_cayley, from_permutations
 from .poset import CharacterPoset, ComponentPartition, WitnessChain
@@ -18,11 +27,60 @@ from .verify import TheoremReport
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte."""
+    return _write(obj, "\n", {})
 
 
-def cyc_to_json(z: CycInt) -> dict:
-    return {"n": z.n, "coeffs": list(z.coeffs)}
+def _write(obj, newline_indent: str, memo: dict) -> str:
+    """The text of obj at the depth whose lines start with newline_indent.
+    memo[newline_indent] maps the id of each dict and list already written at
+    that depth to its text; the ids stay valid because the caller's document
+    holds every object, and only containers are ever entered."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if not isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj)  # None, bool, float, int subclasses; TypeError otherwise
+    seen = memo.setdefault(newline_indent, {})
+    text = seen.get(id(obj))
+    if text is not None:
+        return text
+    inner = newline_indent + "  "
+    sep = "," + inner
+    # Each text is copied once per enclosing container: one join per level.
+    if not obj:
+        text = "{}" if isinstance(obj, dict) else "[]"
+    elif isinstance(obj, dict):
+        pieces = []
+        for k, v in sorted(obj.items()):
+            pieces += (sep, encode_basestring_ascii(_json_key(k)), ": ", _write(v, inner, memo))
+        pieces[0] = "{" + inner  # in place of the first separator
+        pieces.append(newline_indent + "}")
+        text = "".join(pieces)
+    else:
+        if set(map(type, obj)) == {int}:  # bools are excluded: [True] is [true]
+            items = list(map(int.__repr__, obj))
+        else:
+            # Containers written before at this depth are looked up in C.
+            items = list(map(memo.setdefault(inner, {}).get, map(id, obj)))
+            if None in items:
+                items = [_write(v, inner, memo) if t is None else t for v, t in zip(obj, items)]
+        items[0] = "[" + inner + items[0]
+        items[-1] += newline_indent + "]"
+        text = sep.join(items)
+    seen[id(obj)] = text
+    return text
+
+
+def _json_key(k) -> str:
+    """A dict key as json writes it: str as is, float, bool, None and int
+    converted, anything else a TypeError."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:  # json.dumps gives true, 1.5, NaN, null, 7
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 # -- group ingestion -----------------------------------------------------------
@@ -66,9 +124,18 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 # -- character tables -----------------------------------------------------------
 
 
-def char_table_dict(ctx: CharContext, S: Subgroup) -> dict:
+def char_table_dict(ctx: CharContext, S: Subgroup, values: dict) -> dict:
+    """The table of S; values maps each row met so far to its shared value dict."""
     cc = ctx.classes(S)
     G = ctx.group
+    n = ctx.conductor
+
+    def value_of(row: tuple) -> dict:
+        v = values.get(row)
+        if v is None:
+            v = values[row] = {"n": n, "coeffs": list(row)}
+        return v
+
     return {
         "order": len(S.elems),
         "elements": list(S.elems),
@@ -76,23 +143,27 @@ def char_table_dict(ctx: CharContext, S: Subgroup) -> dict:
         "class_rep_orders": [G.elem_order[r] for r in cc.reps],
         "class_reps": list(cc.reps),
         "characters": [
-            {"degree": ch.degree, "values": [cyc_to_json(v) for v in ch.values]}
+            {"degree": ch.degree, "values": [value_of(row) for row in ch.rows]}
             for ch in ctx.irr(S)
         ],
     }
 
 
 def irr_json(G: GroupTable, include_subgroups: bool = False) -> dict:
+    """The character tables of G, or of every subgroup.  Each class value is
+    {"n": conductor, "coeffs": power-basis coordinates}, and equal values
+    share one dict, so treat the document as read-only."""
     ctx = get_context(G)
     if include_subgroups:
         subs = ctx.lattice()
     else:
         subs = [ctx.whole]
+    values: dict = {}
     return {
         "group": G.name,
         "order": G.order,
         "exponent": G.exponent,
-        "tables": [char_table_dict(ctx, S) for S in subs],
+        "tables": [char_table_dict(ctx, S, values) for S in subs],
     }
 
 
@@ -135,8 +206,9 @@ _PALETTE = (
 
 
 def poset_dot(poset: CharacterPoset, partition: ComponentPartition) -> str:
+    name = poset.group.name.replace("\\", "\\\\").replace('"', '\\"')
     lines = [
-        f'graph "{poset.group.name}_p{poset.p}_e{poset.e}" {{',
+        f'graph "{name}_p{poset.p}_e{poset.e}" {{',
         "  node [style=filled];",
     ]
     for n in poset.nodes:
@@ -182,11 +254,19 @@ def reports_json(reports: Sequence[TheoremReport], errors: Optional[Sequence[dic
 CSV_HEADER = "group,p,e,I_order,IZ_order,irr_I,components,ok"
 
 
+def _csv_field(text: str) -> str:
+    """text as an RFC 4180 field: quoted, with quotes doubled, when it holds
+    a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def reports_csv(reports: Sequence[TheoremReport]) -> str:
     lines = [CSV_HEADER]
     for r in reports:
         lines.append(
-            f"{r.group},{r.p},{r.e},{r.I_order},{r.IZ_order},{r.irr_I},"
+            f"{_csv_field(r.group)},{r.p},{r.e},{r.I_order},{r.IZ_order},{r.irr_I},"
             f"{r.components},{str(r.ok).lower()}"
         )
     return "\n".join(lines)

@@ -108,6 +108,12 @@ def relabelled(G, seed):
     return from_cayley(table, name=f"{G.name}-shuffled{seed}")
 
 
+def cyc_to_json(z):
+    """A class value as irr_json writes it, built from the CycInt view: the
+    oracle for irr_json's route from the integer rows."""
+    return {"n": z.n, "coeffs": list(z.coeffs)}
+
+
 def naive_induced_value(target, source, phi, g):
     """(1/|source|) sum over all x in target of phi(x g x^-1), the unfolded
     induction formula."""

@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -225,6 +227,29 @@ def test_verify_non_p_group_file(tmp_path, capsys):
     )
     code, _, _ = run(capsys, "verify", "--group", f"@{path}")
     assert code == 3
+
+
+def test_group_names_are_escaped_in_dot_and_csv(tmp_path, capsys):
+    z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    dot_group, csv_group = tmp_path / "dot.json", tmp_path / "csv.json"
+    dot_group.write_text(json.dumps({"name": 'Z4 "odd" \\', "cayley": z4}), encoding="utf-8")
+    csv_group.write_text(json.dumps({"name": 'Z4,"odd"', "cayley": z4}), encoding="utf-8")
+
+    out_dot = tmp_path / "poset.dot"
+    code, _, _ = run(
+        capsys, "poset", "--group", f"@{dot_group}", "--e", "0",
+        "--format", "dot", "--out", str(out_dot),
+    )
+    assert code == 0
+    header = out_dot.read_text(encoding="utf-8").splitlines()[0]
+    assert header == 'graph "Z4 \\"odd\\" \\\\_p2_e0" {'
+
+    code, out, _ = run(capsys, "verify", "--group", f"@{csv_group}", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == "group,p,e,I_order,IZ_order,irr_I,components,ok".split(",")
+    assert len(rows) == 3  # e = 0, 1
+    assert all(len(row) == 8 and row[0] == 'Z4,"odd"' for row in rows[1:])
 
 
 def test_sweep_small_and_deterministic(tmp_path, capsys):

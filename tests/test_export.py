@@ -1,0 +1,134 @@
+import enum
+import hashlib
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from charposet import families
+from charposet.characters import get_context
+from charposet.export import canonical_json, irr_json
+
+from conftest import cyc_to_json, relabelled
+
+
+def stdlib(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def outcome(write, obj):
+    """What write gives for obj: its text, or the class of what it raised."""
+    try:
+        return write(obj)
+    except Exception as err:  # noqa: BLE001 - the class is the outcome
+        return type(err)
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+any_keys = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.lists(st.integers(), max_size=8)
+        | st.dictionaries(st.text(), children, max_size=5)
+        | st.dictionaries(st.integers(), children, max_size=5)
+        | st.dictionaries(any_keys, children, max_size=3)
+        # one object at two depths and twice at one depth
+        | children.map(lambda c: [c, [c], {"a": c, "b": c}])
+    )
+
+
+documents = st.recursive(scalars, containers, max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(documents)
+def test_canonical_json_matches_stdlib(doc):
+    assert outcome(canonical_json, doc) == outcome(stdlib, doc)
+
+
+class Small(enum.IntEnum):
+    TWO = 2
+
+
+_SHARED_LIST = [1, [2, 3]]
+_SHARED_DICT = {"n": 4, "coeffs": [1, 0]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"top": _SHARED_LIST, "deep": {"inner": _SHARED_LIST}},
+        [_SHARED_DICT, _SHARED_DICT, {"again": [_SHARED_DICT]}],
+        [True, 1],
+        [1, False, None],
+        [Small.TWO, 1],
+        {"a": (1, 2)},
+        (1, (2, 3), []),
+        {1: "x", 2: "y"},
+        [{None: 0}, {False: 0, 1.5: 2, 3: 3}],
+        {"nan": [math.nan, math.inf, -math.inf, -0.0, 1e300]},
+        ["é☃\x00\x1f\"\\", "\U0001f600"],
+        {},
+        [],
+        [[]],
+        [{}],
+        {"a": {}, "b": [], "c": [{}, []]},
+        "plain",
+        7,
+        None,
+    ],
+)
+def test_canonical_json_explicit_cases(doc):
+    assert canonical_json(doc) == stdlib(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: 0, "a": 1}, {(1,): 0}, [set()], object(), {"a": [b"x"]}])
+def test_canonical_json_raises_like_stdlib(doc):
+    with pytest.raises(TypeError):
+        stdlib(doc)
+    with pytest.raises(TypeError):
+        canonical_json(doc)
+
+
+# sha256 of canonical_json(irr_json(G, True)), as written by json.dumps(...,
+# sort_keys=True, indent=2) from CycInt values before the writer and the row
+# route replaced them.
+_IRR_DIGESTS = {
+    "Quaternion(8)": "4842380e5ed5c359898f0ec0631a3a74e0ee43eca6450ebccdc8f92c36b53ae8",
+    "DirectProduct(Dihedral(8),Cyclic(2,1))": "745cb66b474f2c075210a6db36ebe5d4a69dbaaa70f14ccfacd7ed88d3943edf",
+    "Modular(3,4)": "c47af97f87fa42a6221b6a826815372077687ff10a3549bbda17086ccae5ffaf",
+    "Extraspecial(5,+)": "e1ade4196873e6e8e534f10054063f47ef6c43b3947665c5b7c3687aa2f4a515",
+    "DirectProduct(Dihedral(8),Dihedral(8))": "b89e43c46162b6a35b1b2610777b0c4d5ddc4dfdcfe0c2d4eee5d493c2e58fb2",
+    "DirectProduct(Dihedral(8),Cyclic(2,1))-shuffled3": "cb6ff872ab601c7464e34ff4d552b119ada939765152b3ba5ccf866f32d5e800",
+}
+
+
+def test_irr_artifacts_are_pinned():
+    for key, want in _IRR_DIGESTS.items():
+        spec, _, seed = key.partition("-shuffled")
+        G = families.builtin(spec)
+        if seed:
+            G = relabelled(G, int(seed))
+        doc = irr_json(G, True)
+        text = canonical_json(doc)
+        assert text == stdlib(doc), key
+        assert hashlib.sha256(text.encode()).hexdigest() == want, key
+
+        ctx = get_context(G)
+        via_cycint = [
+            [{"degree": ch.degree, "values": [cyc_to_json(v) for v in ch.values]} for ch in ctx.irr(S)]
+            for S in ctx.lattice()
+        ]
+        assert [t["characters"] for t in doc["tables"]] == via_cycint, key
