@@ -442,21 +442,24 @@ def all_subgroups(
 ) -> list:
     """Every subgroup of G exactly once, sorted by (order, elements).
 
-    Bottom-up: cyclic subgroups first, then closures of (known subgroup, one
-    extra element) to a fixpoint.  For p-groups the extra element x is
-    restricted to x^p in H (x^p lies in the Frattini subgroup, hence in every
-    maximal subgroup), and when an extension step lands exactly one level up
-    (index p) all other elements of the result are dropped from the candidate
-    list for that H, since they generate the same extension.
+    A p-group's lattice is built layer by layer by cyclic extension
+    (Neubüser 1960): every subgroup K of order p^(k+1) has a normal subgroup
+    H of order p^k, so K = H<x> for some x outside H with x^p in H that
+    normalises H, and H<x> is the union of the p cosets H x^i.  Once H<x> is
+    met, its other elements are skipped for that H: two distinct index-p
+    overgroups of H meet in H.  So when covers is a list, each pair (H, K)
+    with H of index p in K is appended to it exactly once, in discovery
+    order.  The count of each layer is checked against Frobenius's theorem
+    (the number of subgroups of order p^k of a p-group is 1 mod p).
 
-    For a p-group every index-p overgroup H' of H is met this way (any x in
-    H' but not in H has x^p in H, and is skipped only inside an overgroup
-    already met, which then is H'), so when covers is a list each pair
-    (H, H') is appended to it exactly once, in discovery order.
+    Any other group takes closures of (known subgroup, one extra element) to
+    a fixpoint, starting from the cyclic subgroups, and records no covers.
     """
     if G.order > order_cap:
         raise OrderCapExceeded(f"|G| = {G.order} exceeds cap {order_cap}")
     p = prime_of(G.order)
+    if p is not None:
+        return _cyclic_extension_lattice(G, p, lattice_cap, covers)
 
     found: dict[tuple, Subgroup] = {}
     gens_of: dict[tuple, tuple] = {}
@@ -472,36 +475,82 @@ def all_subgroups(
 
     add((G.identity,), ())
     for g in range(G.order):
-        elems = closure_from_gens(G, (g,))
-        add(elems, (g,))
-
-    if p is not None:
-        pth_power = tuple(G.power(g, p) for g in range(G.order))
+        add(closure_from_gens(G, (g,)), (g,))
 
     i = 0
     while i < len(worklist):
         elems = worklist[i]
         i += 1
-        H = found[elems]
         if len(elems) == G.order:
             continue
+        H = found[elems]
         base_gens = gens_of[elems]
-        if p is not None:
-            candidates = [x for x in range(G.order) if not H.contains(x) and H.contains(pth_power[x])]
-        else:
-            candidates = [x for x in range(G.order) if not H.contains(x)]
-        skip = 0
-        for x in candidates:
-            if (skip >> x) & 1:
-                continue
-            kelems = closure_from_gens(G, base_gens + (x,))
-            add(kelems, base_gens + (x,))
-            if p is not None and len(kelems) == p * len(elems):
-                if covers is not None:
-                    covers.append((H, found[kelems]))
-                for y in kelems:
-                    skip |= 1 << y
+        for x in range(G.order):
+            if not H.contains(x):
+                add(closure_from_gens(G, base_gens + (x,)), base_gens + (x,))
     return sorted(found.values(), key=lambda S: (len(S.elems), S.elems))
+
+
+def _cyclic_extension_lattice(
+    G: GroupTable, p: int, lattice_cap: int, covers: Optional[list]
+) -> list:
+    """all_subgroups for a p-group: layer k+1 is every H<x> over layer k."""
+    t = G.table
+    inv = G.inverse
+    n = G.order
+    # roots[y]: the mask of the x with x^p = y.
+    roots = [0] * n
+    for x in range(n):
+        roots[G.power(x, p)] |= 1 << x
+    trivial = trivial_subgroup(G)
+    out = [trivial]
+    # One layer: (subgroup, the generators its normaliser test conjugates).
+    layer = [(trivial, ())]
+    while len(layer[0][0].elems) < n:
+        found: dict[int, tuple] = {}
+        for H, gens in layer:
+            hmask = H.mask
+            helems = H.elems
+            # The x outside H with x^p in H, less the overgroups already met.
+            candidates = 0
+            for h in helems:
+                candidates |= roots[h]
+            candidates &= ~hmask
+            while candidates:
+                x = (candidates & -candidates).bit_length() - 1
+                candidates &= candidates - 1
+                tx, ix = t[x], inv[x]
+                for g in gens:
+                    if not (hmask >> t[tx[g]][ix]) & 1:
+                        break
+                else:
+                    # x normalises H, so H<x> is the union of the cosets x^i H.
+                    kelems = list(helems)
+                    kmask = hmask
+                    xi = x
+                    for _ in range(1, p):
+                        row = t[xi]
+                        coset = [row[h] for h in helems]
+                        for y in coset:
+                            kmask |= 1 << y
+                        kelems += coset
+                        xi = tx[xi]
+                    hit = found.get(kmask)
+                    if hit is None:
+                        if len(out) + len(found) >= lattice_cap:
+                            raise LatticeTooLarge(f"more than {lattice_cap} subgroups")
+                        hit = found[kmask] = (Subgroup(G, kelems, validate=False), gens + (x,))
+                    if covers is not None:
+                        covers.append((H, hit[0]))
+                    candidates &= ~kmask
+        if len(found) % p != 1:
+            raise InternalCheckError(
+                f"{len(found)} subgroups of order {p * len(layer[0][0].elems)} in {G.name}, "
+                f"not 1 mod {p} (Frobenius)"
+            )
+        layer = sorted(found.values(), key=lambda Sg: Sg[0].elems)
+        out += [S for S, _ in layer]
+    return out
 
 
 def subgroups_of_order(G: GroupTable, m: int, lattice: Optional[Sequence[Subgroup]] = None) -> list:

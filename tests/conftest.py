@@ -6,7 +6,7 @@ import pytest
 from charposet import families
 from charposet.characters import get_context
 from charposet.errors import NoIdentity, NoInverse, NotAssociative
-from charposet.groups import from_cayley
+from charposet.groups import Subgroup, closure_from_gens, from_cayley, prime_of
 
 
 @pytest.fixture(scope="session")
@@ -106,6 +106,56 @@ def relabelled(G, seed):
         back[y] = x
     table = [[perm[G.table[back[a]][back[b]]] for b in range(G.order)] for a in range(G.order)]
     return from_cayley(table, name=f"{G.name}-shuffled{seed}")
+
+
+def closure_lattice(G, covers):
+    """Every subgroup of the p-group G, sorted by (order, elements), by
+    closures of (known subgroup, one extra element x with x^p in it) to a
+    fixpoint; each index-p pair (H, K) is appended to covers once, in
+    discovery order.  The oracle for all_subgroups' cyclic extension route.
+
+    Bottom-up: cyclic subgroups first.  When an extension step lands exactly
+    one level up (index p), all other elements of the result are dropped
+    from the candidate list for that H, since they generate the same
+    extension."""
+    p = prime_of(G.order)
+    found = {}
+    gens_of = {}
+    worklist = []
+
+    def add(elems, gens):
+        if elems not in found:
+            found[elems] = Subgroup(G, elems, validate=False)
+            gens_of[elems] = gens
+            worklist.append(elems)
+
+    add((G.identity,), ())
+    for g in range(G.order):
+        elems = closure_from_gens(G, (g,))
+        add(elems, (g,))
+
+    pth_power = tuple(G.power(g, p) for g in range(G.order))
+
+    i = 0
+    while i < len(worklist):
+        elems = worklist[i]
+        i += 1
+        H = found[elems]
+        if len(elems) == G.order:
+            continue
+        base_gens = gens_of[elems]
+        candidates = [x for x in range(G.order) if not H.contains(x) and H.contains(pth_power[x])]
+        skip = 0
+        for x in candidates:
+            if (skip >> x) & 1:
+                continue
+            kelems = closure_from_gens(G, base_gens + (x,))
+            add(kelems, base_gens + (x,))
+            if len(kelems) == p * len(elems):
+                covers.append((H, found[kelems]))
+                for y in kelems:
+                    skip |= 1 << y
+    return sorted(found.values(), key=lambda S: (len(S.elems), S.elems))
 
 
 def cyc_to_json(z):

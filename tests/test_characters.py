@@ -31,7 +31,7 @@ from charposet.errors import (
 from charposet.poset import central_poset_map
 from charposet.verify import theorem_report
 
-from conftest import naive_induced_value, naive_inner_products, relabelled
+from conftest import closure_lattice, naive_induced_value, naive_inner_products, relabelled
 
 
 def _sub(G, gens):
@@ -343,6 +343,37 @@ def test_maximal_pairs_match_rescan():
     for G in groups:
         ctx = get_context(G)
         assert ctx.maximal_pairs() == _rescan_covers(ctx), G.name
+
+
+def test_cyclic_extension_matches_closure_oracle():
+    """all_subgroups' cyclic extension route gives the closure loop's sorted
+    lattice, its cover pairs (each met once) and so its maximal_pairs()."""
+    specs = (
+        fam.builtin_catalog(2, 64)
+        + fam.builtin_catalog(3, 81)
+        + fam.builtin_catalog(5, 125)
+    )
+    groups = [fam.builtin(spec) for spec in specs]
+    groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+        ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
+    )]
+    groups += [
+        fam.builtin("DirectProduct(Dihedral(16),Dihedral(8))"),
+        relabelled(fam.builtin("DirectProduct(Extraspecial(3,+),ElemAbelian(3,2))", 256), 1),
+    ]
+    for G in groups:
+        oracle_covers: list = []
+        oracle = closure_lattice(G, oracle_covers)
+        covers: list = []
+        lattice = gr.all_subgroups(G, 256, covers=covers)
+        assert [S.elems for S in lattice] == [S.elems for S in oracle], G.name
+        pairs = [(H.elems, K.elems) for H, K in covers]
+        assert len(set(pairs)) == len(pairs), G.name
+        assert sorted(pairs) == sorted((H.elems, K.elems) for H, K in oracle_covers), G.name
+        oracle_covers.sort(key=lambda kh: (len(kh[1].elems), kh[1].elems, kh[0].elems))
+        assert [(K.elems, H.elems) for K, H in get_context(G, 256).maximal_pairs()] == [
+            (K.elems, H.elems) for K, H in oracle_covers
+        ], G.name
 
 
 def test_context_is_freed_with_its_group():

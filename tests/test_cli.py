@@ -309,6 +309,15 @@ def test_verify_cap_reaches_the_central_count(capsys):
     assert len(reports) == 5 and all(r["ok"] for r in reports)
 
 
+def test_verify_lattice_cap_exits_3(capsys):
+    """(C2)^7 is within the order cap but has 29,212 subgroups, above the
+    lattice cap: LatticeTooLarge is a domain error."""
+    code, out, err = run(capsys, "verify", "--group", "ElemAbelian(2,7)")
+    assert code == 3
+    assert out == ""
+    assert "more than 20000 subgroups" in err
+
+
 def test_no_assert_statements_in_src():
     """Invariants must hold under python -O, so src/ raises instead of asserting."""
     src = Path(__file__).resolve().parents[1] / "src" / "charposet"

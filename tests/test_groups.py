@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,19 +260,31 @@ def test_all_subgroups_cyclic(c8):
     assert [len(S) for S in gr.all_subgroups(c27)] == [1, 3, 9, 27]
 
 
+def _s3():
+    return gr.from_permutations([(1, 0, 2), (1, 2, 0)], name="S3")
+
+
+def _a4():
+    return gr.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
+
+
 def test_all_subgroups_q8_brute(q8):
-    subs = gr.all_subgroups(q8)
-    assert [len(S) for S in subs] == [1, 2, 4, 4, 4, 8]
-    # independent oracle: check every subset of each divisor size
-    t = q8.table
-    found = []
-    for size in (1, 2, 4, 8):
-        for cand in itertools.combinations(range(1, 8), size - 1):
-            elems = (0,) + cand
-            eset = set(elems)
-            if all(t[a][b] in eset for a in elems for b in elems):
-                found.append(tuple(sorted(elems)))
-    assert sorted(found) == sorted(S.elems for S in subs)
+    assert [len(S) for S in gr.all_subgroups(q8)] == [1, 2, 4, 4, 4, 8]
+    # S3 and A4 are not p-groups: they take the closure route.
+    for G, count in ((q8, 6), (_s3(), 6), (_a4(), 10)):
+        subs = gr.all_subgroups(G)
+        assert len(subs) == count, G.name
+        # independent oracle: check every subset of each divisor size
+        t = G.table
+        others = [x for x in range(G.order) if x != G.identity]
+        found = []
+        for size in (d for d in range(1, G.order + 1) if G.order % d == 0):
+            for cand in itertools.combinations(others, size - 1):
+                elems = (G.identity,) + cand
+                eset = set(elems)
+                if all(t[a][b] in eset for a in elems for b in elems):
+                    found.append(tuple(sorted(elems)))
+        assert sorted(found) == sorted(S.elems for S in subs), G.name
 
 
 def test_all_subgroups_e222(e222):
@@ -296,6 +312,39 @@ def test_all_subgroups_caps():
         gr.all_subgroups(big)
     with pytest.raises(LatticeTooLarge):
         gr.all_subgroups(fam.elem_abelian(2, 5), lattice_cap=100)
+    # The cap is the largest lattice allowed, on both routes.
+    for G, count in ((fam.dihedral(16), 19), (_s3(), 6)):
+        assert len(gr.all_subgroups(G, lattice_cap=count)) == count
+        with pytest.raises(LatticeTooLarge):
+            gr.all_subgroups(G, lattice_cap=count - 1)
+    # (C2)^7 has 29,212 subgroups.
+    with pytest.raises(LatticeTooLarge):
+        gr.all_subgroups(fam.elem_abelian(2, 7))
+
+
+def test_lattice_layer_counts_are_checked_under_python_O():
+    """C2 x C2 with every inverse set to the identity: no x outside a
+    subgroup of order 2 passes the normaliser test, so the layer of order 4
+    comes out empty, and the Frobenius count check raises even under -O."""
+    script = (
+        "from charposet import families, groups as gr\n"
+        "from charposet.errors import InternalCheckError\n"
+        "G = families.elem_abelian(2, 2)\n"
+        "bad = gr.GroupTable(4, G.table, G.identity, (G.identity,) * 4, G.elem_order, 2, 'bad')\n"
+        "try:\n"
+        "    gr.all_subgroups(bad)\n"
+        "except InternalCheckError as err:\n"
+        "    print(err)\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no InternalCheckError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 subgroups of order 4 in bad, not 1 mod 2 (Frobenius)"
 
 
 def test_subgroups_of_order(c8, q8, d8):
