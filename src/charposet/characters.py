@@ -17,7 +17,8 @@ and the views values and value_at (export writes the rows directly).
 A per-group CharContext is the one home of each structural fact of the
 group: Z(G), the subgroup lattice with its index-p cover relation, conjugacy
 classes, character sets with their row index, and restriction
-decompositions; everything it stores is immutable.
+decompositions with their constituent bitmasks; everything it stores is
+immutable.
 
 Restriction edges of a pair K < H of index p in a p-group (every cover pair
 of the lattice) take the Clifford route: K is normal, so each chi_K is one
@@ -165,6 +166,7 @@ class CharContext:
         self._irr: dict = {}
         self._char_index: dict = {}
         self._edges: dict = {}
+        self._masks: dict = {}  # constituent_masks, a view of _edges
         # strategy -> {least subgroup order of a level: ComponentPartition}
         self.partitions: dict = {}
 
@@ -269,6 +271,23 @@ class CharContext:
             else:
                 hit = self._inner_product_edges(K, H)
             self._edges[key] = hit
+        return hit
+
+    def constituent_masks(self, K: Subgroup, H: Subgroup) -> tuple:
+        """For K <= H: entry j is the int bitmask of the i such that psi_i in
+        Irr(K) is a constituent of chi_j restricted to K; a view of
+        restriction_edges(K, H), and 1 << j when K = H."""
+        key = (K.elems, H.elems)
+        hit = self._masks.get(key)
+        if hit is None:
+            if K.elems == H.elems:
+                hit = tuple(1 << j for j in range(len(self.irr(H))))
+            else:
+                masks = [0] * len(self.irr(H))
+                for i, j in self.restriction_edges(K, H):
+                    masks[j] |= 1 << i
+                hit = tuple(masks)
+            self._masks[key] = hit
         return hit
 
     def _clifford_edges(self, K: Subgroup, H: Subgroup) -> tuple:

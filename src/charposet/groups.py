@@ -449,8 +449,10 @@ def all_subgroups(
     met, its other elements are skipped for that H: two distinct index-p
     overgroups of H meet in H.  So when covers is a list, each pair (H, K)
     with H of index p in K is appended to it exactly once, in discovery
-    order.  The count of each layer is checked against Frobenius's theorem
-    (the number of subgroups of order p^k of a p-group is 1 mod p).
+    order.  Each new union of cosets K is certified to be the subgroup <H, x>
+    by K x <= K (|K| table reads), and the count of each layer is checked
+    against Frobenius's theorem (the number of subgroups of order p^k of a
+    p-group is 1 mod p).
 
     Any other group takes closures of (known subgroup, one extra element) to
     a fixpoint, starting from the cyclic subgroups, and records no covers.
@@ -539,6 +541,7 @@ def _cyclic_extension_lattice(
                     if hit is None:
                         if len(out) + len(found) >= lattice_cap:
                             raise LatticeTooLarge(f"more than {lattice_cap} subgroups")
+                        _check_extension(G, kelems, kmask, x)
                         hit = found[kmask] = (Subgroup(G, kelems, validate=False), gens + (x,))
                     if covers is not None:
                         covers.append((H, hit[0]))
@@ -551,6 +554,17 @@ def _cyclic_extension_lattice(
         layer = sorted(found.values(), key=lambda Sg: Sg[0].elems)
         out += [S for S, _ in layer]
     return out
+
+
+def _check_extension(G: GroupTable, kelems: Sequence[int], kmask: int, x: int) -> None:
+    """Certify that K, the union of the cosets x^i H of a subgroup H, is the
+    subgroup <H, x>.  K h = K for h in H, so K x <= K makes K closed under
+    right multiplication by <H, x>; K holds 1, so K = <H, x>."""
+    t = G.table
+    if not all((kmask >> t[k][x]) & 1 for k in kelems):
+        raise InternalCheckError(
+            f"the cosets of a subgroup by x = {x} in {G.name} do not form a subgroup"
+        )
 
 
 def subgroups_of_order(G: GroupTable, m: int, lattice: Optional[Sequence[Subgroup]] = None) -> list:
@@ -570,7 +584,7 @@ def intersect_all(subs: Sequence[Subgroup]) -> Subgroup:
         if S.ambient is not G:
             raise InputError("subgroups live in different ambient groups")
         mask &= S.mask
-    elems = [x for x in range(G.order) if (mask >> x) & 1]
+    elems = [x for x in subs[0].elems if (mask >> x) & 1]
     return Subgroup(G, elems, validate=False)
 
 

@@ -11,9 +11,13 @@ through a chain of index-p steps (each restriction step keeps a common
 constituent).  The full strategy is kept as an oracle.
 
 Witness chains make connectivity explicit: witness_direct joins two nodes
-through a constituent of an induced character at the top group, and
-witness_sequence recurses along a list of subgroups whose successive
-intersections carry a common constituent.
+through a peak in Irr(G) over both, and witness_sequence joins the nodes it
+chooses on a list of subgroups whose successive intersections carry a
+common constituent.  Both work on character indices and the constituent
+bitmasks of CharContext.constituent_masks, a view of the cached restriction
+edges: by Frobenius reciprocity [alpha^G, omega] = [alpha, omega_H], so an
+induced character's constituents are read off restrictions, and two
+restrictions have a nonzero inner product exactly when their masks meet.
 """
 
 from __future__ import annotations
@@ -22,12 +26,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .characters import CharContext, ClassFunction, get_context, induce, inner_product, restrict
+from .characters import CharContext, ClassFunction, get_context, restrict
 from .errors import (
     ChoiceExhausted,
     ComponentCoverageError,
     InputError,
-    InternalCheckError,
     InvalidExponent,
     NoConstituent,
     NotAbelian,
@@ -115,10 +118,7 @@ class CharacterPoset:
                 f"subgroup of order {len(S.elems)} is not in S_(p,e): "
                 f"needs order >= {self.min_order}"
             )
-        cid = self.ctx.char_index(self.subgroups[sid]).get(chi.rows)
-        if cid is None:
-            raise InputError("character is not an irreducible of the subgroup")
-        return PosetNode(sid, cid)
+        return PosetNode(sid, self._char_id(self.subgroups[sid], chi))
 
     # -- relation and edges --------------------------------------------------
 
@@ -129,12 +129,13 @@ class CharacterPoset:
         Sb = self.subgroups[b.subgroup_id]
         if Sa.elems == Sb.elems:
             return Ordering.INCOMPARABLE  # distinct irreducibles are orthogonal
+        masks = self.ctx.constituent_masks
         if Sa.is_subset_of(Sb):
-            if (a.char_id, b.char_id) in self.ctx.restriction_edges(Sa, Sb):
+            if masks(Sa, Sb)[b.char_id] >> a.char_id & 1:
                 return Ordering.LE
             return Ordering.INCOMPARABLE
         if Sb.is_subset_of(Sa):
-            if (b.char_id, a.char_id) in self.ctx.restriction_edges(Sb, Sa):
+            if masks(Sb, Sa)[a.char_id] >> b.char_id & 1:
                 return Ordering.GE
             return Ordering.INCOMPARABLE
         return Ordering.INCOMPARABLE
@@ -243,35 +244,25 @@ class CharacterPoset:
         return WitnessChain(nodes=tuple(nodes), directions=tuple(directions))
 
     def witness_direct(self, alpha: ClassFunction, beta: ClassFunction) -> WitnessChain:
-        """Join (H, alpha) and (K, beta) through a constituent of the
-        character induced from alpha to the whole group.
+        """Join (H, alpha) and (K, beta) through a peak omega in Irr(G) with
+        (H, alpha) <= (G, omega) >= (K, beta).
 
-        Requires a common constituent of the two restrictions to H n K; the
-        chosen peak omega satisfies (H, alpha) <= (G, omega) >= (K, beta).
-        """
+        Requires a common constituent of the two restrictions to H n K.  By
+        Frobenius reciprocity [alpha^G, omega] = [alpha, omega_H], so omega
+        is the first irreducible of G whose constituent masks hold alpha on H
+        and beta on K.  alpha and beta must be irreducibles of their
+        subgroups, or InputError is raised before the precondition test."""
         ctx = self.ctx
         H = ctx.canonical(alpha.owner)
         K = ctx.canonical(beta.owner)
         start = self.locate(H, alpha)
         end = self.locate(K, beta)
-        M = intersect_all([H, K])
-        if inner_product(restrict(alpha, M), restrict(beta, M)) == 0:
+        a, b = start.char_id, end.char_id
+        if not self._common(intersect_all([H, K]), H, a, K, b):
             raise PreconditionFailed(
                 "restrictions to the intersection share no constituent"
             )
-        whole = ctx.whole
-        ind = induce(alpha, whole)
-        peak = None
-        for w in ctx.irr(whole):
-            if inner_product(ind, w) != 0 and inner_product(restrict(w, K), beta) != 0:
-                peak = w
-                break
-        if peak is None:
-            raise NoConstituent(
-                "no constituent of the induced character lies over beta"
-            )
-        top = self.locate(whole, peak)
-        return self._chain([(None, start), ("up", top), ("down", end)])
+        return self._chain([(None, start)] + self._peak_steps(H, a, K, b))
 
     def witness_sequence(
         self, L: Sequence[Subgroup], alpha: ClassFunction, beta: ClassFunction
@@ -279,12 +270,17 @@ class CharacterPoset:
         """Join (L[0], alpha) and (L[-1], beta) given a common constituent of
         their restrictions to the intersection of all of L.
 
-        Recursion: pick a common constituent gamma there; pick eta on
-        L[-2] n L[-1] over gamma and under beta; pick a constituent alpha' of
-        eta induced to L[-2] still compatible with alpha on the shorter
-        intersection; recurse on L[:-1] and close with a direct witness
-        between the last two subgroups.
-        """
+        From the top down, each L[k] (k >= 2) with its chosen character c
+        picks: gamma, the first common constituent of alpha and c on
+        L[0] n ... n L[k]; eta on L[k-1] n L[k] over gamma and under c; and
+        mid, the first constituent of eta induced to L[k-1] whose restriction
+        to L[0] n ... n L[k-1] shares a constituent with alpha's.  mid is the
+        character on L[k-1].  Consecutive chosen nodes are then joined by
+        direct witnesses.  Every test is a constituent-mask operation (by
+        Frobenius reciprocity, [eta^(L[k-1]), chi] = [eta, chi_A]), and each
+        prefix intersection is computed once.  alpha and beta must be
+        irreducibles of the endpoint subgroups, or InputError is raised
+        before the precondition test."""
         ctx = self.ctx
         L = [ctx.canonical(S) for S in L]
         if not L:
@@ -296,61 +292,68 @@ class CharacterPoset:
                 )
         if alpha.owner.elems != L[0].elems or beta.owner.elems != L[-1].elems:
             raise InputError("endpoint characters must live on the endpoint subgroups")
-        bottom = intersect_all(L)
-        if inner_product(restrict(alpha, bottom), restrict(beta, bottom)) == 0:
+        a = self._char_id(L[0], alpha)
+        b = self._char_id(L[-1], beta)
+        prefix = [L[0]]  # prefix[k] = L[0] n ... n L[k]
+        for S in L[1:]:
+            prefix.append(intersect_all([prefix[-1], S]))
+        common = self._common(prefix[-1], L[0], a, L[-1], b)
+        if not common:
             raise PreconditionFailed(
                 "restrictions to the full intersection share no constituent"
             )
-        if len(L) == 1:
-            # both characters irreducible on the same subgroup: they coincide
-            return self._chain([(None, self.locate(L[0], alpha))])
-        if len(L) == 2:
-            return self.witness_direct(alpha, beta)
-
-        A = intersect_all(L[-2:])
-        K_short = intersect_all(L[:-1])
-        r_alpha_bottom = restrict(alpha, bottom)
-        r_beta_bottom = restrict(beta, bottom)
-        gamma = None
-        for g in ctx.irr(bottom):
-            if (
-                inner_product(r_alpha_bottom, g) != 0
-                and inner_product(r_beta_bottom, g) != 0
-            ):
-                gamma = g
-                break
-        if gamma is None:
-            raise ChoiceExhausted("no common constituent despite nonzero inner product")
-
-        r_beta_A = restrict(beta, A)
-        eta = None
-        for h in ctx.irr(A):
-            if inner_product(r_beta_A, h) != 0 and inner_product(restrict(h, bottom), gamma) != 0:
-                eta = h
-                break
-        if eta is None:
-            raise ChoiceExhausted("no character over gamma and under beta")
-
-        ind = induce(eta, L[-2])
-        r_alpha_short = restrict(alpha, K_short)
-        mid = None
-        for chi in ctx.irr(L[-2]):
-            if inner_product(ind, chi) != 0 and inner_product(
-                r_alpha_short, restrict(chi, K_short)
-            ) != 0:
-                mid = chi
-                break
-        if mid is None:
-            raise ChoiceExhausted("no constituent of the induced character fits")
-
-        left = self.witness_sequence(L[:-1], alpha, mid)
-        right = self.witness_direct(mid, beta)
-        if left.nodes[-1] != right.nodes[0]:
-            raise InternalCheckError("the two halves of a witness chain do not meet")
-        steps = [(None, left.nodes[0])]
-        steps += list(zip(left.directions, left.nodes[1:]))
-        steps += list(zip(right.directions, right.nodes[1:]))
+        masks = ctx.constituent_masks
+        chosen = [b]  # the character on L[k], for k from len(L) - 1 down
+        for k in range(len(L) - 1, 1, -1):
+            # common: the constituents on prefix[k] of alpha and of chosen[-1]
+            gamma = (common & -common).bit_length() - 1
+            A = intersect_all([L[k - 1], L[k]])
+            under = masks(A, L[k])[chosen[-1]]
+            eta = next(
+                (h for h, m in enumerate(masks(prefix[k], A)) if under >> h & 1 and m >> gamma & 1),
+                None,
+            )
+            if eta is None:
+                raise ChoiceExhausted("no character over gamma and under beta")
+            alpha_short = masks(prefix[k - 1], L[0])[a]
+            for mid, (m, s) in enumerate(zip(masks(A, L[k - 1]), masks(prefix[k - 1], L[k - 1]))):
+                if m >> eta & 1 and s & alpha_short:
+                    common = s & alpha_short
+                    break
+            else:
+                raise ChoiceExhausted("no constituent of the induced character fits")
+            chosen.append(mid)
+        chosen.append(a)
+        chosen.reverse()
+        steps = [(None, PosetNode(self._sid[L[0].elems], a))]
+        for k in range(1, len(L)):
+            steps += self._peak_steps(L[k - 1], chosen[k - 1], L[k], chosen[k])
         return self._chain(steps)
+
+    def _char_id(self, S: Subgroup, chi: ClassFunction) -> int:
+        cid = self.ctx.char_index(S).get(chi.rows)
+        if cid is None:
+            raise InputError("character is not an irreducible of the subgroup")
+        return cid
+
+    def _common(self, M: Subgroup, H: Subgroup, a: int, K: Subgroup, b: int) -> int:
+        """The mask of the common constituents on M <= H n K of chi_a in
+        Irr(H) and chi_b in Irr(K)."""
+        masks = self.ctx.constituent_masks
+        return masks(M, H)[a] & masks(M, K)[b]
+
+    def _peak_steps(self, H: Subgroup, a: int, K: Subgroup, b: int) -> list:
+        """The steps up from (H, a) to the first omega in Irr(G) over it and
+        over (K, b), and down to (K, b)."""
+        whole = self.ctx.whole
+        masks = self.ctx.constituent_masks
+        for w, (mh, mk) in enumerate(zip(masks(H, whole), masks(K, whole))):
+            if mh >> a & 1 and mk >> b & 1:
+                return [
+                    ("up", PosetNode(self._sid[whole.elems], w)),
+                    ("down", PosetNode(self._sid[K.elems], b)),
+                ]
+        raise NoConstituent("no constituent of the induced character lies over beta")
 
 
 # -- spec operations ---------------------------------------------------------------

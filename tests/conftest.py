@@ -4,9 +4,17 @@ from collections import deque
 import pytest
 
 from charposet import families
-from charposet.characters import get_context
-from charposet.errors import NoIdentity, NoInverse, NotAssociative
-from charposet.groups import Subgroup, closure_from_gens, from_cayley, prime_of
+from charposet.characters import get_context, induce, inner_product, restrict
+from charposet.errors import (
+    ChoiceExhausted,
+    InputError,
+    NoConstituent,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
+    PreconditionFailed,
+)
+from charposet.groups import Subgroup, closure_from_gens, from_cayley, intersect_all, prime_of
 
 
 @pytest.fixture(scope="session")
@@ -224,3 +232,91 @@ def bfs_components(poset):
                     queue.append(y)
         count += 1
     return tuple(label), count
+
+
+def witness_direct_oracle(poset, alpha, beta):
+    """witness_direct by induction and inner products: the first omega in
+    Irr(G) with [alpha^G, omega] != 0 and [omega_K, beta] != 0.  The oracle
+    for the constituent-mask route."""
+    ctx = poset.ctx
+    H = ctx.canonical(alpha.owner)
+    K = ctx.canonical(beta.owner)
+    start = poset.locate(H, alpha)
+    end = poset.locate(K, beta)
+    M = intersect_all([H, K])
+    if inner_product(restrict(alpha, M), restrict(beta, M)) == 0:
+        raise PreconditionFailed("restrictions to the intersection share no constituent")
+    whole = ctx.whole
+    ind = induce(alpha, whole)
+    peak = None
+    for w in ctx.irr(whole):
+        if inner_product(ind, w) != 0 and inner_product(restrict(w, K), beta) != 0:
+            peak = w
+            break
+    if peak is None:
+        raise NoConstituent("no constituent of the induced character lies over beta")
+    top = poset.locate(whole, peak)
+    return poset._chain([(None, start), ("up", top), ("down", end)])
+
+
+def witness_sequence_oracle(poset, L, alpha, beta):
+    """witness_sequence by restriction, induction and inner products, one
+    recursion level per subgroup of L, with the chain merged at each level.
+    The oracle for the constituent-mask route."""
+    ctx = poset.ctx
+    L = [ctx.canonical(S) for S in L]
+    if not L:
+        raise InputError("empty subgroup sequence")
+    for S in L:
+        if len(S.elems) < poset.min_order:
+            raise PreconditionFailed(f"sequence member of order {len(S.elems)} is not in S_(p,e)")
+    if alpha.owner.elems != L[0].elems or beta.owner.elems != L[-1].elems:
+        raise InputError("endpoint characters must live on the endpoint subgroups")
+    bottom = intersect_all(L)
+    if inner_product(restrict(alpha, bottom), restrict(beta, bottom)) == 0:
+        raise PreconditionFailed("restrictions to the full intersection share no constituent")
+    if len(L) == 1:
+        return poset._chain([(None, poset.locate(L[0], alpha))])
+    if len(L) == 2:
+        return witness_direct_oracle(poset, alpha, beta)
+
+    A = intersect_all(L[-2:])
+    K_short = intersect_all(L[:-1])
+    r_alpha_bottom = restrict(alpha, bottom)
+    r_beta_bottom = restrict(beta, bottom)
+    gamma = None
+    for g in ctx.irr(bottom):
+        if inner_product(r_alpha_bottom, g) != 0 and inner_product(r_beta_bottom, g) != 0:
+            gamma = g
+            break
+    if gamma is None:
+        raise ChoiceExhausted("no common constituent despite nonzero inner product")
+
+    r_beta_A = restrict(beta, A)
+    eta = None
+    for h in ctx.irr(A):
+        if inner_product(r_beta_A, h) != 0 and inner_product(restrict(h, bottom), gamma) != 0:
+            eta = h
+            break
+    if eta is None:
+        raise ChoiceExhausted("no character over gamma and under beta")
+
+    ind = induce(eta, L[-2])
+    r_alpha_short = restrict(alpha, K_short)
+    mid = None
+    for chi in ctx.irr(L[-2]):
+        if inner_product(ind, chi) != 0 and inner_product(
+            r_alpha_short, restrict(chi, K_short)
+        ) != 0:
+            mid = chi
+            break
+    if mid is None:
+        raise ChoiceExhausted("no constituent of the induced character fits")
+
+    left = witness_sequence_oracle(poset, L[:-1], alpha, mid)
+    right = witness_direct_oracle(poset, mid, beta)
+    assert left.nodes[-1] == right.nodes[0]
+    steps = [(None, left.nodes[0])]
+    steps += list(zip(left.directions, left.nodes[1:]))
+    steps += list(zip(right.directions, right.nodes[1:]))
+    return poset._chain(steps)

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import io
 import json
 import os
@@ -196,6 +197,54 @@ def test_witness_artifact(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["verified"] is True
+
+
+# sha256 of canonical_json(chain_json(poset, chain, verified)), the text that
+# `charposet witness --out` writes before its final newline, with the number
+# of links.  Eight of the twelve chains come from the sequence fallback,
+# seven of them with more than 6 links.
+_WITNESS_DIGESTS = [
+    ("Quaternion(8)", "1", "1:0,0:2", 2,
+     "76e308293c1ce335158de06daffe59c8210c3a974a0e5054cba446b86846ac72"),
+    ("Quaternion(8)", "1", "3:3,3:2", 6,
+     "2598cc6b39e6fd0e947594fcb4b38e2eb5f13703623d805eb81cdbb9939cde2d"),
+    ("Quaternion(8)", "1", "3:3,0:0", 7,
+     "f656fddffe4237fbd25ce3393083c84e0aba4529d184ca02da1d896088965b45"),
+    ("DirectProduct(Dihedral(8),Dihedral(8))", "3", "11:9,52:8", 2,
+     "62577d62c80419939cee835f0f27ec047f285e30c4a64386a7187995d65c49ab"),
+    ("DirectProduct(Dihedral(8),Dihedral(8))", "3", "75:1,72:3", 136,
+     "49068229ced2ce46d105f564ea3ea8d4f4727bf0599f18716ca04bff82179ff3"),
+    ("DirectProduct(Dihedral(8),Dihedral(8))", "3", "82:8,76:3", 135,
+     "e29891872dba7bfccf918156050adc5f8b1833dcb44794da2438a00909349a58"),
+    ("Dihedral(64)", "3", "3:2,0:15", 2,
+     "d1d97c3df5cbc1dee9ad93648884af0032b23f12f8b079910c150ee3424948e7"),
+    ("Dihedral(64)", "3", "8:10,8:4", 10,
+     "04253d73980ee37403e7ad2f301f02ecec199becfea4cd6d47a07079a5cb02f2"),
+    ("Dihedral(64)", "3", "5:2,5:21", 12,
+     "8233618f4eb038746d32ab03fc73e953c6794a2d6a49c7d450446fc46e126a8f"),
+    ("Modular(3,4)", "1", "3:7,8:1", 1,
+     "0f305cffcc890a029a9f030d36bd200ed27acc4d8aa119bd78195b0d1718a8b0"),
+    ("Modular(3,4)", "1", "1:7,5:2", 10,
+     "e80f9ea311c05afd232bc3ac93d2eb8ffbb16d6174d9f458bf68217ebebfe178"),
+    ("Modular(3,4)", "1", "7:13,6:5", 10,
+     "3e374c774836db6ccbbd4803a657c5b88ab32c91b326ed98d39a0057dca94338"),
+]
+
+
+def test_witness_artifacts_are_pinned(tmp_path, capsys):
+    """Node ids, peaks and directions of the chains `charposet witness`
+    writes, through both the direct witness and the sequence fallback."""
+    out = tmp_path / "chain.json"
+    for spec, e, endpoints, links, want in _WITNESS_DIGESTS:
+        code, stdout, _ = run(
+            capsys, "witness", "--group", spec, "--e", e,
+            "--endpoints", endpoints, "--out", str(out),
+        )
+        assert code == 0, (spec, endpoints)
+        assert f"links: {links}, verified: true" in stdout, (spec, endpoints)
+        text = out.read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        assert hashlib.sha256(text[:-1].encode()).hexdigest() == want, (spec, endpoints)
 
 
 def test_verify_single(capsys):

@@ -13,6 +13,7 @@ from charposet.errors import (
     ClosureTooLarge,
     EmptyInput,
     InputError,
+    InternalCheckError,
     LatticeTooLarge,
     NoIdentity,
     NoInverse,
@@ -345,6 +346,27 @@ def test_lattice_layer_counts_are_checked_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 subgroups of order 4 in bad, not 1 mod 2 (Frobenius)"
+
+
+def test_coset_union_certificate_rejects_a_non_normalising_x(d8):
+    """<s> u x<s> for reflections s, x of D8 with x s x^-1 != s is no
+    subgroup, and the certificate of the cyclic extension step says so; for
+    an x that normalises <s> it passes."""
+    t, inv = d8.table, d8.inverse
+    involutions = [g for g in range(d8.order) if d8.elem_order[g] == 2]
+    center = gr.center(gr.whole_group(d8))
+    s = next(g for g in involutions if not center.contains(g))
+
+    def union(x):
+        kelems = [d8.identity, s, x, t[x][s]]
+        kmask = sum(1 << k for k in set(kelems))
+        return kelems, kmask
+
+    x = next(g for g in involutions if t[t[g][s]][inv[g]] not in (s, d8.identity))
+    with pytest.raises(InternalCheckError):
+        gr._check_extension(d8, *union(x), x)
+    z = next(g for g in involutions if center.contains(g))
+    gr._check_extension(d8, *union(z), z)
 
 
 def test_subgroups_of_order(c8, q8, d8):

@@ -7,13 +7,15 @@ import pytest
 from charposet import export
 from charposet import families as fam
 from charposet import groups as gr
-from charposet.characters import get_context, inner_product, irr, restrict
+from charposet import cyclotomic as cyc
+from charposet.characters import ClassFunction, get_context, inner_product, irr, restrict
 from charposet.errors import (
     InputError,
     InvalidExponent,
     NotAbelian,
     NotPGroup,
     PreconditionFailed,
+    WitnessError,
 )
 from charposet.poset import (
     CharacterPoset,
@@ -26,7 +28,12 @@ from charposet.poset import (
 )
 from charposet.verify import valid_exponents
 
-from conftest import bfs_components, relabelled
+from conftest import (
+    bfs_components,
+    relabelled,
+    witness_direct_oracle,
+    witness_sequence_oracle,
+)
 
 
 def _poset(G, e, strategy="maximal"):
@@ -296,6 +303,97 @@ def test_witness_sequence_precondition(q8):
     be = [c for c in ctx.irr(B) if not inner_product(restrict(c, Z), sign)][0]
     with pytest.raises(PreconditionFailed):
         poset.witness_sequence([A, B], al, be)
+
+
+def _zero_function(S):
+    """The zero class function on S: not an irreducible, and orthogonal to
+    every character."""
+    cc = get_context(S.ambient).classes(S)
+    return ClassFunction(S, cc, [cyc.zero(S.ambient.exponent)] * cc.count)
+
+
+def test_witness_direct_rejects_a_reducible_endpoint(q8):
+    ctx = get_context(q8)
+    poset = _poset(q8, 1)
+    A, B = poset.subgroups[0], poset.subgroups[1]
+    with pytest.raises(InputError):
+        poset.witness_direct(_zero_function(A), ctx.irr(B)[0])
+    with pytest.raises(InputError):
+        poset.witness_direct(ctx.irr(A)[0], _zero_function(B))
+
+
+def test_witness_sequence_rejects_a_reducible_endpoint_before_the_precondition(q8):
+    """The zero function shares no constituent with anything, so the
+    precondition would fail; the endpoint check comes first."""
+    ctx = get_context(q8)
+    poset = _poset(q8, 1)
+    A, B = poset.subgroups[0], poset.subgroups[1]
+    for L in ([A], [A, B], [A, ctx.whole, B]):
+        first, last = L[0], L[-1]
+        with pytest.raises(InputError):
+            poset.witness_sequence(L, _zero_function(first), ctx.irr(last)[0])
+        with pytest.raises(InputError):
+            poset.witness_sequence(L, ctx.irr(first)[0], _zero_function(last))
+
+
+def _witness_outcome(poset, a, b, direct, sequence):
+    """What `charposet witness` does for nodes a and b: the direct witness,
+    else the sequence through the level subgroups.  The outcome with the
+    chain's nodes and directions, or the class of the WitnessError."""
+    A, B = poset.nodes[a], poset.nodes[b]
+    alpha, beta = poset.char_of(A), poset.char_of(B)
+    try:
+        try:
+            chain, outcome = direct(poset, alpha, beta), "direct"
+        except WitnessError:
+            level = gr.subgroups_of_order(poset.group, poset.min_order, poset.ctx.lattice())
+            L = [poset.subgroup_of(A)] + level + [poset.subgroup_of(B)]
+            chain, outcome = sequence(poset, L, alpha, beta), "sequence"
+    except WitnessError as err:
+        return type(err)
+    return outcome, chain.nodes, chain.directions
+
+
+def test_witness_chains_match_inner_product_oracle():
+    """The constituent-mask route makes every choice the induce and
+    inner-product route makes: the same outcome, nodes and directions.  Every
+    ordered endpoint pair of a poset with at most 3000 of them, and a seeded
+    sample of 600 pairs of each larger one (the oracle needs about 230 s for
+    every pair of these four groups); then 300 seeded pairs of D8xD8 at e=3
+    and of a relabelled table."""
+
+    def mask_direct(poset, alpha, beta):
+        return poset.witness_direct(alpha, beta)
+
+    def mask_sequence(poset, L, alpha, beta):
+        return poset.witness_sequence(L, alpha, beta)
+
+    rng = random.Random(0)
+    cases = []
+    for spec in (
+        "Quaternion(8)",
+        "DirectProduct(Dihedral(8),Cyclic(2,1))",
+        "Extraspecial(3,+)",
+        "Modular(3,4)",
+    ):
+        G = fam.builtin(spec)
+        for e in valid_exponents(G):
+            cases.append((build_poset(G, None, e), 600))
+    cases.append((build_poset(fam.builtin("DirectProduct(Dihedral(8),Dihedral(8))"), None, 3), 300))
+    shuffled = relabelled(fam.builtin("DirectProduct(Quaternion(8),Cyclic(2,2))"), 1)
+    cases.append((build_poset(shuffled, None, 2), 300))
+    seen = set()
+    for poset, sample in cases:
+        n = len(poset.nodes)
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        if len(pairs) > 3000:
+            pairs = rng.sample(pairs, sample)
+        for a, b in pairs:
+            got = _witness_outcome(poset, a, b, mask_direct, mask_sequence)
+            want = _witness_outcome(poset, a, b, witness_direct_oracle, witness_sequence_oracle)
+            assert got == want, (poset.group.name, poset.e, a, b)
+            seen.add(got if isinstance(got, type) else got[0])
+    assert seen == {"direct", "sequence", PreconditionFailed}
 
 
 def test_central_poset_map_linear(c4xc2):
