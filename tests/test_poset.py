@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from charposet import cyclotomic as cyc
 from charposet import export
 from charposet import families as fam
 from charposet import groups as gr
-from charposet import cyclotomic as cyc
 from charposet.characters import ClassFunction, get_context, inner_product, irr, restrict
 from charposet.errors import (
     InputError,
@@ -361,13 +361,6 @@ def test_witness_chains_match_inner_product_oracle():
     sample of 600 pairs of each larger one (the oracle needs about 230 s for
     every pair of these four groups); then 300 seeded pairs of D8xD8 at e=3
     and of a relabelled table."""
-
-    def mask_direct(poset, alpha, beta):
-        return poset.witness_direct(alpha, beta)
-
-    def mask_sequence(poset, L, alpha, beta):
-        return poset.witness_sequence(L, alpha, beta)
-
     rng = random.Random(0)
     cases = []
     for spec in (
@@ -389,7 +382,9 @@ def test_witness_chains_match_inner_product_oracle():
         if len(pairs) > 3000:
             pairs = rng.sample(pairs, sample)
         for a, b in pairs:
-            got = _witness_outcome(poset, a, b, mask_direct, mask_sequence)
+            got = _witness_outcome(
+                poset, a, b, CharacterPoset.witness_direct, CharacterPoset.witness_sequence
+            )
             want = _witness_outcome(poset, a, b, witness_direct_oracle, witness_sequence_oracle)
             assert got == want, (poset.group.name, poset.e, a, b)
             seen.add(got if isinstance(got, type) else got[0])
