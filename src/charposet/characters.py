@@ -1,11 +1,27 @@
 """Irreducible characters of all subgroups of a fixed finite group.
 
-Irr(H) is H's own linear characters, grown as exponent maps over the cosets
-of H' inside the ambient table, plus the norm-1 characters induced from the
-linear characters of proper subgroups of index at most sqrt(|H|).  Every
-irreducible of a p-group is monomial, so this is exhaustive; completeness
-is asserted (sum of squared degrees, class count), so a gap in the method
-surfaces as an error rather than a wrong answer.
+Irr(H) takes one of three routes (_compute_irr):
+
+* an abelian H (as many classes as elements) gets its |H| linear characters
+  as exponent maps, grown over the cosets of the trivial subgroup inside
+  the ambient table;
+* a nonabelian subgroup of a p-group is built from Irr(K), K a maximal
+  subgroup of H, by Clifford theory at prime index: one induced character
+  per conjugation orbit of length p, the p extensions of each invariant
+  linear character as exponent maps, and, for an invariant nonlinear one,
+  one extension induced from a linear character and certified by its
+  restriction to K, times the characters of H/K (Gallagher);
+* a nonabelian subgroup of any other group takes the monomial search: its
+  linear characters over the cosets of H', plus the norm-1 characters
+  induced from linear characters of proper subgroups of index at most
+  sqrt(|H|).  It is complete exactly for M-groups, and it is the oracle of
+  the Clifford route.
+
+Completeness is asserted: the abelian route's |H| linear characters must
+be distinct, the other two routes check the class count and the sum of
+squared degrees, and the Clifford route also distinct rows and the regular
+character.  So a gap in a method surfaces as an error rather than a wrong
+answer.
 
 All values are exact cyclotomic integers at one global conductor, the
 exponent of the ambient group.  A ClassFunction stores them as integer
@@ -44,6 +60,7 @@ from .errors import (
     InternalCheckError,
     NotASubgroup,
     NotDivisible,
+    NotMonomial,
 )
 from .groups import (
     DEFAULT_LATTICE_CAP,
@@ -159,8 +176,10 @@ class CharContext:
         # The prime of a p-group, else None: its index-p pairs are normal.
         self._prime = prime_of(G.order)
         self.zeta_rows = tuple(z.coeffs for z in cyc.zeta_table(G.exponent))
+        self.zeta_exponent = {row: k for k, row in enumerate(self.zeta_rows)}
         self._lattice: Optional[list] = None
         self._covers: list = []
+        self._first_below: dict = {}  # H.elems -> H's first K in maximal_pairs()
         self._by_elems: dict = {}
         self._classes: dict = {}
         self._irr: dict = {}
@@ -180,6 +199,7 @@ class CharContext:
             # Order by upper subgroup, then lower, as lattice positions.
             covers.sort(key=lambda kh: (len(kh[1].elems), kh[1].elems, kh[0].elems))
             self._covers = covers
+            self._first_below = {H.elems: K for K, H in reversed(covers)}
         return self._lattice
 
     def canonical(self, S: Subgroup) -> Subgroup:
@@ -318,26 +338,11 @@ class CharContext:
                 placed.add(i)
         reached = set()
         if len(placed) < len(irrK):
-            G = self.group
-            x = next(h for h in H.elems if not K.contains(h))
-            perm = tuple(ccK.class_of[G.conj(r, x)] for r in ccK.reps)
-            if min(perm) < 0:
-                raise InternalCheckError("K is not normal in H")
-            p = self._prime
+            perm = self._conjugation(K, H)[1]
             for i, psi in enumerate(irrK):
                 if i in placed:
                     continue
-                orbit, rows = [i], psi.rows
-                for _ in range(p):
-                    rows = tuple(map(rows.__getitem__, perm))
-                    k = lookup.get(rows)
-                    if k is None:
-                        raise IncompleteIrr("a conjugate of an irreducible is not in Irr(K)")
-                    if k == i:
-                        break
-                    orbit.append(k)
-                else:
-                    raise InternalCheckError(f"a conjugation orbit is longer than {p}")
+                orbit = self._orbit(perm, lookup, i, psi.rows)
                 total = tuple(
                     tuple(map(sum, zip(*col)))
                     for col in zip(*(irrK[k].rows for k in orbit))
@@ -356,6 +361,37 @@ class CharContext:
             )
         edges.sort(key=lambda ij: (ij[1], ij[0]))
         return tuple(edges)
+
+    def _conjugation(self, K: Subgroup, H: Subgroup) -> tuple:
+        """(x, perm) for K normal of prime index in H: one x in H \\ K, and
+        the permutation of K's classes by conjugation with x, so that the
+        rows of the conjugate psi^x are psi's rows re-indexed by perm."""
+        G = self.group
+        ccK = self.classes(K)
+        x = next(h for h in H.elems if not K.contains(h))
+        perm = tuple(ccK.class_of[G.conj(r, x)] for r in ccK.reps)
+        if min(perm) < 0:
+            raise InternalCheckError("K is not normal in H")
+        return x, perm
+
+    def _orbit(self, perm: tuple, lookup: dict, i: int, rows: tuple) -> list:
+        """The indices in Irr(K) of the conjugates of psi_i (with these rows)
+        under the class permutation perm, starting at i.  x^p lies in K and
+        fixes psi, so the orbit has length 1 or p; any other length, or a
+        conjugate missing from Irr(K) (lookup = char_index(K)), raises."""
+        p = self._prime
+        orbit = [i]
+        for _ in range(p):
+            rows = tuple(map(rows.__getitem__, perm))
+            k = lookup.get(rows)
+            if k is None:
+                raise IncompleteIrr("a conjugate of an irreducible is not in Irr(K)")
+            if k == i:
+                if len(orbit) in (1, p):
+                    return orbit
+                break
+            orbit.append(k)
+        raise InternalCheckError(f"a conjugation orbit does not close after 1 or {p} steps")
 
     def _inner_product_edges(self, K: Subgroup, H: Subgroup) -> tuple:
         """Restriction edges of any pair K < H, by the multiplicity of each
@@ -393,13 +429,15 @@ class CharContext:
 # -- spec operations -----------------------------------------------------------
 
 
-def _linear_characters(ctx: CharContext, H: Subgroup) -> tuple:
+def _linear_characters(ctx: CharContext, H: Subgroup, kernel: Sequence[int]) -> tuple:
     """All |H/H'| degree-1 characters of H as exponent maps lam: H -> Z/n,
-    grown from lam = 0 on H' inside the ambient table: for x outside S, with
-    x^k the first power of x in S, each lam on S extends to S<x> in exactly
-    k ways, x -> a with k*a = lam(x^k) mod n and s*x^i -> lam(s) + i*a."""
+    grown from lam = 0 on kernel (the elements of H', or of the trivial
+    subgroup when H is abelian) inside the ambient table: for x outside S,
+    with x^k the first power of x in S, each lam on S extends to S<x> in
+    exactly k ways, x -> a with k*a = lam(x^k) mod n and
+    s*x^i -> lam(s) + i*a."""
     G, n = H.ambient, ctx.conductor
-    elems = derived_subgroup(H).elems
+    elems = kernel
     pos = {s: j for j, s in enumerate(elems)}
     maps = [[0] * len(elems)]
     for x in H.elems:
@@ -433,9 +471,165 @@ def linear_characters(H: Subgroup) -> tuple:
 
 
 def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
+    """Irr(H), canonically sorted, by one of three routes.
+
+    An abelian H (as many classes as elements) gets its |H| linear
+    characters by the coset walk from the trivial subgroup.  A nonabelian
+    subgroup of a p-group is built from Irr(K), K its first maximal
+    subgroup, by Clifford theory (_clifford_irr).  A nonabelian subgroup of
+    any other group takes the monomial search (_monomial_irr), which is also
+    the oracle of the Clifford route."""
+    cc = ctx.classes(H)
+    if cc.count == len(H.elems):
+        chars = _linear_characters(ctx, H, (H.ambient.identity,))
+    elif ctx._prime is not None:
+        chars = [ClassFunction._from_rows(H, cc, rows) for rows in _clifford_irr(ctx, H)]
+    else:
+        chars = _monomial_irr(ctx, H)
+    return tuple(sorted(chars, key=ClassFunction.sort_key))
+
+
+def _clifford_irr(ctx: CharContext, H: Subgroup) -> list:
+    """The rows of Irr(H) for a nonabelian subgroup H of a p-group, from
+    Irr(K) for K = H's first pair in maximal_pairs(), which is normal of
+    index p.  For x in H \\ K, Irr(K) splits into conjugation orbits
+    (CharContext._orbit) of length p or 1 (Isaacs, Character Theory of
+    Finite Groups, Cor. 6.19 and 11.22):
+
+    * an orbit of length p gives one irreducible psi^H: the orbit's row sum
+      on the classes inside K, and 0 off K;
+    * an invariant linear psi extends to H by x -> zeta^a with
+      zeta^(p*a) = psi(x^p), worked as exponent maps k*x^i -> psi(k) + i*a
+      mod n; the p solutions a give its p extensions;
+    * an invariant nonlinear psi extends to some chi = nu^H with nu linear on
+      an N <= H, N not in K, |H:N| = psi(1) (p-groups are monomial), found
+      by search and certified by chi_K = psi; its p extensions are the
+      twists chi*lam by the characters lam of H/K (Gallagher, Cor. 6.17).
+
+    The result is checked complete: as many characters as classes, distinct,
+    sum of squared degrees |H|, and sum of chi(1) * chi the regular
+    character (|H| at 1, 0 elsewhere)."""
+    G, p, n = ctx.group, ctx._prime, ctx.conductor
+    t = G.table
+    ctx.lattice()
+    K = ctx._first_below[H.elems]
+    irrK = ctx.irr(K)
+    ccK = ctx.classes(K)
+    ccH = ctx.classes(H)
+    lookup = ctx.char_index(K)
+    x, perm = ctx._conjugation(K, H)
+    zrows = ctx.zeta_rows
+    # Each class of H lies in one coset K x^i; its rep is k * x^i, k in K.
+    xinv = G.inverse[x]
+    at_reps = []
+    for r in ccH.reps:
+        i, k = 0, r
+        while not K.contains(k):
+            k = t[k][xinv]
+            i += 1
+        at_reps.append((i, ccK.class_of[k]))
+    xp_class = ccK.class_of[G.power(x, p)]
+    zero = (0,) * len(zrows[0])
+    out = []
+    done = set()
+    for j, psi in enumerate(irrK):
+        if j in done:
+            continue
+        orbit = ctx._orbit(perm, lookup, j, psi.rows)
+        done.update(orbit)
+        if len(orbit) > 1:
+            total = [tuple(map(sum, zip(*col))) for col in zip(*(irrK[k].rows for k in orbit))]
+            out.append(tuple(zero if i else total[kc] for i, kc in at_reps))
+        elif psi.degree == 1:
+            exps = [ctx.zeta_exponent[row] for row in psi.rows]
+            b = exps[xp_class]
+            if b % p:
+                raise IncompleteIrr(f"the exponent of x^{p} is not divisible by {p}")
+            for a in range(b // p, n, n // p):
+                out.append(tuple(zrows[(exps[kc] + i * a) % n] for i, kc in at_reps))
+        else:
+            chi = _induced_extension(ctx, K, H, psi)
+            for a in range(0, n, n // p):
+                out.append(tuple(
+                    cyc.mul_coeffs(n, row, zrows[i * a % n]) if i else row
+                    for row, (i, _) in zip(chi, at_reps)
+                ))
+    order = len(H.elems)
+    degrees = [cyc.coeffs_as_integer(rows[ccH.identity_class]) for rows in out]
+    if len(out) != ccH.count or len(set(out)) != len(out) or sum(d * d for d in degrees) != order:
+        raise IncompleteIrr(
+            f"{G.name}: Clifford theory over |K| = {len(K.elems)} gave {len(set(out))} "
+            f"distinct characters with sum(deg^2) = {sum(d * d for d in degrees)} for "
+            f"|H| = {order} with {ccH.count} classes"
+        )
+    regular = [[0] * len(zero) for _ in range(ccH.count)]
+    for d, rows in zip(degrees, out):
+        for acc, row in zip(regular, rows):
+            for k, v in enumerate(row):
+                if v:
+                    acc[k] += d * v
+    expected = [[0] * len(zero) for _ in range(ccH.count)]
+    expected[ccH.identity_class][0] = order
+    if regular != expected:
+        raise IncompleteIrr(
+            f"{G.name}: sum of chi(1) * chi is not the regular character of |H| = {order}"
+        )
+    return out
+
+
+def _induced_extension(ctx: CharContext, K: Subgroup, H: Subgroup, psi: ClassFunction) -> tuple:
+    """The rows of one extension to H of the H-invariant nonlinear psi in
+    Irr(K), K normal of index p in H: the first nu^H, over the subgroups N of
+    H of index psi(1) not inside K and their linear nu, whose restriction to
+    K is psi.  chi_K = psi is irreducible, so chi is; no norm test is needed.
+    By monomiality such a nu exists, and N is not inside K since chi does not
+    vanish off K.
+
+    A central z of H in K acts on psi by the scalar psi(z) / psi(1), while
+    nu^H(z) is |H:N| nu(z) for z in N and 0 otherwise; so N must contain
+    every such z, with psi(1) nu(z) = psi(z), before nu is induced."""
+    order = len(H.elems) // psi.degree
+    ccH = ctx.classes(H)
+    ccK = ctx.classes(K)
+    class_map = tuple(ccH.class_of[r] for r in ccK.reps)
+    central = [
+        (z, psi.rows[ccK.class_of[z]])
+        for z, size in zip(ccH.reps, ccH.sizes)
+        if size == 1 and K.contains(z)
+    ]
+    zmask = sum(1 << z for z, _ in central)
+    for N in ctx.lattice():
+        if (
+            len(N.elems) == order
+            and N.mask | H.mask == H.mask
+            and N.mask | K.mask != K.mask
+            and N.mask & zmask == zmask
+        ):
+            class_of_N = ctx.classes(N).class_of
+            for nu in ctx.linear(N):
+                if any(
+                    tuple(psi.degree * v for v in nu.rows[class_of_N[z]]) != row
+                    for z, row in central
+                ):
+                    continue
+                chi = induce(nu, H)
+                if tuple(map(chi.rows.__getitem__, class_map)) == psi.rows:
+                    return chi.rows
+    raise IncompleteIrr(f"no monomial extension of a degree-{psi.degree} invariant character")
+
+
+def _monomial_irr(ctx: CharContext, H: Subgroup) -> list:
+    """Irr(H) by the monomial search: H's own linear characters, grown over
+    the cosets of H', plus the norm-1 characters induced from the linear
+    characters of proper subgroups of index at most sqrt(|H|).  Every
+    character of an M-group is induced from a linear one of a subgroup of
+    index chi(1) <= sqrt(|H|), so the search is complete for M-groups and in
+    particular for p-groups.  An incomplete search raises NotMonomial when H
+    is not a p-group (it is then not an M-group) and IncompleteIrr when it
+    is."""
     cc = ctx.classes(H)
     order = len(H.elems)
-    found = {ch.rows: ch for ch in _linear_characters(ctx, H)}
+    found = {ch.rows: ch for ch in _linear_characters(ctx, H, derived_subgroup(H).elems)}
     total = len(found)
     if len(found) < cc.count:
         bound = isqrt(order)
@@ -457,18 +651,24 @@ def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
                     total += theta.degree**2
             if total == order and len(found) == cc.count:
                 break
-    chars = sorted(found.values(), key=ClassFunction.sort_key)
-    if total != order or len(chars) != cc.count:
-        raise IncompleteIrr(
-            f"monomial search found {len(chars)} characters with "
+    if total != order or len(found) != cc.count:
+        summary = (
+            f"monomial search found {len(found)} characters with "
             f"sum(deg^2) = {total} for |H| = {order}"
         )
-    return tuple(chars)
+        if prime_of(order) is None:
+            raise NotMonomial(
+                f"a subgroup of order {order} of {H.ambient.name} is not an M-group: {summary}"
+            )
+        raise IncompleteIrr(summary)
+    return list(found.values())
 
 
 def irr(H: Subgroup) -> tuple:
     """The complete irreducible character set of H, canonically ordered
-    (degree-major, then lexicographic in the rows)."""
+    (degree-major, then lexicographic in the rows), by the route of
+    _compute_irr: linear characters for an abelian H, Clifford theory over a
+    maximal subgroup in a p-group, the monomial search otherwise."""
     return get_context(H.ambient).irr(H)
 
 

@@ -88,6 +88,11 @@ class InvalidExponent(DomainError):
     pass
 
 
+class NotMonomial(DomainError):
+    """A subgroup that is not a p-group has an irreducible character induced
+    from no linear character, so the monomial search cannot complete it."""
+
+
 # -- witness preconditions --------------------------------------------------
 
 class PreconditionFailed(WitnessError):

@@ -71,6 +71,14 @@ class WitnessChain:
         return len(self.nodes)
 
 
+def check_level(G: GroupTable, p: int, e: int) -> None:
+    """Raise InvalidExponent unless e >= 0 and p^(e+1) <= |G|."""
+    if e < 0:
+        raise InvalidExponent(f"e = {e}: the level e must be >= 0")
+    if p ** (e + 1) > G.order:
+        raise InvalidExponent(f"p^(e+1) = {p ** (e + 1)} exceeds |G| = {G.order}")
+
+
 class CharacterPoset:
     """Node set of the poset for one (G, p, e), with its edges (held by
     ctx.restriction_edges), components, and witness machinery."""
@@ -80,10 +88,7 @@ class CharacterPoset:
             raise InputError(f"unknown edge strategy {strategy!r}")
         G = ctx.group
         p = require_p_group(G, p)
-        if e < 0 or p ** (e + 1) > G.order:
-            raise InvalidExponent(
-                f"p^(e+1) = {p ** (e + 1)} exceeds |G| = {G.order}"
-            )
+        check_level(G, p, e)
         self.ctx = ctx
         self.group = G
         self.p = p

@@ -24,7 +24,6 @@ from .errors import (
     CharposetError,
     CriterionViolation,
     InternalCheckError,
-    InvalidExponent,
 )
 from .families import builtin
 from .groups import (
@@ -36,7 +35,7 @@ from .groups import (
     require_p_group,
     subgroups_of_order,
 )
-from .poset import CharacterPoset, central_poset_map
+from .poset import CharacterPoset, central_poset_map, check_level
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,7 @@ def compute_I(G: GroupTable, p: Optional[int], e: int) -> Subgroup:
     """Intersection of all subgroups of order p^(e+1); normal in G since the
     family is closed under conjugation."""
     p = require_p_group(G, p)
-    if e < 0 or p ** (e + 1) > G.order:
-        raise InvalidExponent(f"p^(e+1) = {p ** (e + 1)} exceeds |G| = {G.order}")
+    check_level(G, p, e)
     ctx = get_context(G)
     subs = subgroups_of_order(G, p ** (e + 1), ctx.lattice())
     I = intersect_all(subs)

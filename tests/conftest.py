@@ -105,10 +105,16 @@ def brute_group_check(table):
     return None
 
 
+def relabelling(order, seed):
+    """The shuffle relabelled(G, seed) applies: element x becomes perm[x]."""
+    perm = list(range(order))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
 def relabelled(G, seed):
     """The same group with its element indices shuffled."""
-    perm = list(range(G.order))
-    random.Random(seed).shuffle(perm)
+    perm = relabelling(G.order, seed)
     back = [0] * G.order
     for x, y in enumerate(perm):
         back[y] = x

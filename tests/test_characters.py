@@ -10,6 +10,7 @@ from charposet import families as fam
 from charposet import groups as gr
 from charposet.characters import (
     ClassFunction,
+    _monomial_irr,
     conjugate_character,
     decompose,
     frobenius_check,
@@ -572,3 +573,41 @@ def test_non_normal_prime_index_pairs_keep_inner_products():
     assert len(twos) == 3 and ctx.maximal_pairs() == []
     for K in twos:
         assert ctx.restriction_edges(K, ctx.whole) == ((0, 0), (1, 1), (0, 2), (1, 2))
+
+
+def test_clifford_irr_matches_monomial_oracle():
+    """Every subgroup of the catalogs and of relabelled tables gets the same
+    canonical Irr from Clifford theory over its first maximal subgroup as
+    from the monomial search, and the invariant nonlinear case (an
+    extension found by induction, then Gallagher twists) is met.  Subgroups
+    are taken in lattice order, so at the first disagreement the oracle's
+    inputs, the linear characters of proper subgroups, have already been
+    checked."""
+    specs = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 81) + fam.builtin_catalog(5, 125)
+    groups = [fam.builtin(spec) for spec in specs]
+    groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+        ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
+    )]
+    groups += [
+        fam.builtin("DirectProduct(Dihedral(16),Dihedral(8))"),
+        relabelled(fam.builtin("DirectProduct(Extraspecial(3,+),ElemAbelian(3,2))", 256), 1),
+    ]
+    compared = invariant_nonlinear = 0
+    for G in groups:
+        ctx = get_context(G, 256)
+        first_below = {}
+        for K, H in ctx.maximal_pairs():
+            first_below.setdefault(H.elems, K)
+        for S in ctx.lattice():
+            if ctx.classes(S).count == len(S.elems):
+                continue
+            expected = sorted(_monomial_irr(ctx, S), key=ClassFunction.sort_key)
+            assert [ch.rows for ch in ctx.irr(S)] == [ch.rows for ch in expected], (G.name, S)
+            compared += 1
+            K = first_below[S.elems]
+            x = next(h for h in S.elems if not K.contains(h))
+            invariant_nonlinear += sum(
+                psi.degree > 1 and conjugate_character(psi, x).rows == psi.rows
+                for psi in ctx.irr(K)
+            )
+    assert compared > 1579 and invariant_nonlinear > 0

@@ -2,6 +2,7 @@ import ast
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -116,6 +117,66 @@ def test_poset_counts(capsys):
 def test_poset_bad_exponent(capsys):
     code, _, err = run(capsys, "poset", "--group", "Quaternion(8)", "--e", "5")
     assert code == 3
+    code, out, err = run(capsys, "poset", "--group", "Quaternion(8)", "--e", "-1")
+    assert code == 3 and out == ""
+    assert "e = -1: the level e must be >= 0" in err
+
+
+def _sl23_table():
+    """SL(2,3): the 24 2x2 matrices over F_3 of determinant 1."""
+    mats = [m for m in itertools.product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3 == 1]
+    index = {m: i for i, m in enumerate(mats)}
+
+    def mul(a, b):
+        return (
+            (a[0] * b[0] + a[1] * b[2]) % 3, (a[0] * b[1] + a[1] * b[3]) % 3,
+            (a[2] * b[0] + a[3] * b[2]) % 3, (a[2] * b[1] + a[3] * b[3]) % 3,
+        )
+
+    return [[index[mul(a, b)] for b in mats] for a in mats]
+
+
+# sha256 of `irr --group @file [--subgroups]` stdout for groups that are not
+# p-groups, taken before Irr of p-groups moved to Clifford theory.
+_NON_P_IRR_DIGESTS = {
+    ("S3", ""): "ca5c3b28b6240eb82c4773471c065d3aa12ecbfc012632fb20cfa45a7b6246fd",
+    ("S3", "--subgroups"): "392106f73189db5b7328a2516e85dbc4ac3141ae988b9ba5d428d39d591ed187",
+    ("A4", ""): "0bd2ea68280ed393ee10aedc4262a060224fdbcb00d3d82f31ca947315b07e67",
+    ("A4", "--subgroups"): "7fbc00a1091136574ed245b93a156f9d5d85837cb65bfb96a5ecdd305d6665c9",
+}
+
+
+def test_irr_of_groups_that_are_not_p_groups(tmp_path, capsys):
+    """S3 and A4 are M-groups: the monomial search completes them.  SL(2,3)
+    is not: its degree-2 characters are induced from no linear character,
+    which is a limit of the method (exit 3), not a failed invariant."""
+    files = {
+        "S3": {"name": "S3", "degree": 3, "perm_gens": [[1, 0, 2], [1, 2, 0]]},
+        "A4": {"name": "A4", "degree": 4, "perm_gens": [[1, 2, 0, 3], [1, 0, 3, 2]]},
+        "SL23": {"name": "SL(2,3)", "cayley": _sl23_table()},
+    }
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    for (name, flag), want in _NON_P_IRR_DIGESTS.items():
+        code, out, err = run(capsys, "irr", "--group", f"@{tmp_path / name}.json", *flag.split())
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (name, flag)
+    code, out, err = run(capsys, "irr", "--group", f"@{tmp_path / 'SL23'}.json")
+    assert code == 3 and out == ""
+    assert "order 24 of SL(2,3) is not an M-group" in err
+
+
+def test_irr_lattice_cap_and_abelian_bypass(capsys):
+    """A nonabelian Irr needs the lattice, so its cap still applies; an
+    abelian group's Irr never builds the lattice."""
+    code, out, err = run(
+        capsys, "irr", "--group", "DirectProduct(ElemAbelian(2,5),Dihedral(8))", "--cap", "512"
+    )
+    assert code == 3 and out == ""
+    assert "more than 20000 subgroups" in err
+    code, out, err = run(capsys, "irr", "--group", "ElemAbelian(2,7)")
+    assert code == 0, err
+    assert len(json.loads(out)["tables"][0]["characters"]) == 128
 
 
 def test_poset_non_p_group_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ from charposet import families as fam
 from charposet import groups as gr
 from charposet.characters import get_context
 from charposet.errors import InvalidExponent, NotPGroup
-from charposet.poset import components
+from charposet.poset import CharacterPoset, components
 from charposet.verify import (
     compute_I,
     sweep,
@@ -14,7 +14,7 @@ from charposet.verify import (
     valid_exponents,
 )
 
-from conftest import relabelled
+from conftest import relabelled, relabelling
 
 
 def test_compute_I_cyclic(c16):
@@ -39,6 +39,10 @@ def test_compute_I_whole_group(q8):
 def test_compute_I_invalid_exponent(q8):
     with pytest.raises(InvalidExponent):
         compute_I(q8, 2, 3)
+    # A negative level is named as such, not as p^(e+1) > |G|.
+    for call in (lambda: compute_I(q8, 2, -1), lambda: CharacterPoset(get_context(q8), 2, -1)):
+        with pytest.raises(InvalidExponent, match=r"e = -1: the level e must be >= 0"):
+            call()
 
 
 def test_valid_exponents(q8, c16):
@@ -149,6 +153,10 @@ def test_reports_survive_relabelling_and_isomorphism():
         sizes = _component_sizes(G)
         for seed in (1, 2):
             H = relabelled(G, seed)
+            perm = relabelling(G.order, seed)
+            for e in valid_exponents(G):
+                image = tuple(sorted(perm[x] for x in compute_I(G, None, e).elems))
+                assert compute_I(H, None, e).elems == image, (spec, seed, e)
             assert _reports(H) == expected, (spec, seed)
             assert _degrees(H) == degrees, (spec, seed)
             assert _component_sizes(H) == sizes, (spec, seed)
