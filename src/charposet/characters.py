@@ -36,19 +36,29 @@ classes, character sets with their row index, and restriction
 decompositions with their constituent bitmasks; everything it stores is
 immutable.
 
-Restriction edges of a pair K < H of index p in a p-group (every cover pair
-of the lattice) take the Clifford route: K is normal, so each chi_K is one
-irreducible or the sum of one H-conjugation orbit, found by row lookups with
-no inner product.  Every other pair (the full strategy's non-cover pairs,
-chains checked by related(), groups that are not p-groups) is decomposed by
-inner products; that route is kept as the general case and as the oracle of
-the Clifford route.
+The restriction edges of a pair K < H are stored once per pair, in
+CharContext._edges, as two flat int tuples (I, J) in (j, i) order: edge k
+says that psi_I[k] in Irr(K) is a constituent of chi_J[k] in Irr(H).
+Consumers zip the two tuples; constituent_masks is a view of them.
+
+A pair of index p in a p-group (every cover pair of the lattice) takes the
+Clifford route: K is normal, so each chi_K is one irreducible or the sum of
+one H-conjugation orbit, found by row lookups with no inner product.  All of
+Irr(H) is restricted at once, by one itemgetter over the class map of K into
+H, and looked up in char_index(K) by one map; when every chi_K is
+irreducible (always so for an abelian H) those indices are the edges, and
+only the misses go on to the orbit walk.  Every other pair (the full
+strategy's non-cover pairs, chains checked by related(), groups that are not
+p-groups) is decomposed by inner products; that route is kept as the general
+case and as the oracle of the Clifford route.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cache
 from math import isqrt
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import cyclotomic as cyc
@@ -148,6 +158,13 @@ class ClassFunction:
         return f"ClassFunction(deg={self.degree}, |H|={len(self.owner.elems)})"
 
 
+@cache
+def _first_ints(n: int) -> tuple:
+    """tuple(range(n)), one shared instance per n: the J of every pair whose
+    restrictions are all irreducible."""
+    return tuple(range(n))
+
+
 def get_context(
     G: GroupTable, order_cap: Optional[int] = None, lattice_cap: Optional[int] = None
 ) -> "CharContext":
@@ -184,7 +201,7 @@ class CharContext:
         self._classes: dict = {}
         self._irr: dict = {}
         self._char_index: dict = {}
-        self._edges: dict = {}
+        self._edges: dict = {}  # (K.elems, H.elems) -> (I, J), see restriction_edges
         self._masks: dict = {}  # constituent_masks, a view of _edges
         # strategy -> {least subgroup order of a level: ComponentPartition}
         self.partitions: dict = {}
@@ -276,8 +293,9 @@ class CharContext:
         return q
 
     def restriction_edges(self, K: Subgroup, H: Subgroup) -> tuple:
-        """Pairs (i, j) with psi_i a constituent of chi_j restricted to K,
-        for K a proper subgroup of H, sorted by (j, i).
+        """The pairs (i, j) with psi_i a constituent of chi_j restricted to K,
+        for K a proper subgroup of H, as two flat tuples (I, J) sorted by
+        (j, i): pair k is (I[k], J[k]).
 
         In a p-group a subgroup of index p is normal, so those pairs take the
         Clifford route (_clifford_edges).  Every other pair takes the
@@ -304,38 +322,44 @@ class CharContext:
                 hit = tuple(1 << j for j in range(len(self.irr(H))))
             else:
                 masks = [0] * len(self.irr(H))
-                for i, j in self.restriction_edges(K, H):
+                for i, j in zip(*self.restriction_edges(K, H)):
                     masks[j] |= 1 << i
                 hit = tuple(masks)
             self._masks[key] = hit
         return hit
 
     def _clifford_edges(self, K: Subgroup, H: Subgroup) -> tuple:
-        """Restriction edges for K normal of prime index p in H, on rows only.
+        """Restriction edges (I, J) for K normal of prime index p in H, on
+        rows only.
 
         By Clifford's theorem at prime index (Isaacs, Cor. 6.19), chi_K is
         either irreducible or the sum of the p distinct H-conjugates of one
-        psi in Irr(K).  The first case is a row lookup in char_index(K); in
-        the second, each remaining psi's orbit under conjugation by one
-        x in H \\ K sums to exactly one split chi_K.  Exact row equality plus
-        the asserted completeness of Irr(K) certifies the decomposition."""
+        psi in Irr(K).  All of Irr(H) is restricted by one itemgetter and
+        looked up in char_index(K) at once.  When every chi_K is irreducible
+        the lookups are the edges, certified by every psi being hit.
+        Otherwise each psi not hit has an orbit under conjugation by one
+        x in H \\ K that sums to exactly one missed chi_K.  Exact row
+        equality plus the asserted completeness of Irr(K) certifies the
+        decomposition."""
         irrK = self.irr(K)
         irrH = self.irr(H)
-        ccK = self.classes(K)
         lookup = self.char_index(K)
         class_of_H = self.classes(H).class_of
-        class_map = tuple(class_of_H[r] for r in ccK.reps)
-        edges = []
-        split: dict = {}  # rows of a reducible chi_K -> j
-        placed = set()
-        for j, chi in enumerate(irrH):
-            rrows = tuple(map(chi.rows.__getitem__, class_map))
-            i = lookup.get(rrows)
-            if i is None:
-                split[rrows] = j
-            else:
-                edges.append((i, j))
-                placed.add(i)
+        class_map = [class_of_H[r] for r in self.classes(K).reps]
+        restricted = list(map(itemgetter(*class_map), [chi.rows for chi in irrH]))
+        if len(class_map) == 1:  # itemgetter of one index returns the bare row
+            restricted = [(row,) for row in restricted]
+        idx = list(map(lookup.get, restricted))
+        if None not in idx:
+            if len(set(idx)) != len(irrK):
+                raise IncompleteIrr(
+                    f"{len(irrK) - len(set(idx))} characters of Irr(K) lie under no irreducible"
+                    " restriction"
+                )
+            return tuple(idx), _first_ints(len(irrH))
+        edges = [(i, j) for j, i in enumerate(idx) if i is not None]
+        placed = {i for i, _ in edges}
+        split = {rows: j for j, (rows, i) in enumerate(zip(restricted, idx)) if i is None}
         reached = set()
         if len(placed) < len(irrK):
             perm = self._conjugation(K, H)[1]
@@ -359,8 +383,9 @@ class CharContext:
             raise IncompleteIrr(
                 f"{len(split) - len(reached)} restrictions are neither irreducible nor an orbit sum"
             )
-        edges.sort(key=lambda ij: (ij[1], ij[0]))
-        return tuple(edges)
+        edges.sort(key=itemgetter(1, 0))
+        I, J = zip(*edges)
+        return I, J
 
     def _conjugation(self, K: Subgroup, H: Subgroup) -> tuple:
         """(x, perm) for K normal of prime index in H: one x in H \\ K, and
@@ -394,8 +419,9 @@ class CharContext:
         raise InternalCheckError(f"a conjugation orbit does not close after 1 or {p} steps")
 
     def _inner_product_edges(self, K: Subgroup, H: Subgroup) -> tuple:
-        """Restriction edges of any pair K < H, by the multiplicity of each
-        psi in chi_K; the general route and the oracle of the Clifford one."""
+        """Restriction edges (I, J) of any pair K < H, by the multiplicity of
+        each psi in chi_K; the general route and the oracle of the Clifford
+        one."""
         irrK = self.irr(K)
         irrH = self.irr(H)
         ccK = self.classes(K)
@@ -403,11 +429,12 @@ class CharContext:
         index = len(H.elems) // len(K.elems)
         lookup = self.char_index(K)
         class_map = tuple(ccH.class_of[r] for r in ccK.reps)
-        edges = []
+        I, J = [], []
         for j, chi in enumerate(irrH):
             rrows = tuple(map(chi.rows.__getitem__, class_map))
             if chi.degree == 1:
-                edges.append((lookup[rrows], j))
+                I.append(lookup[rrows])
+                J.append(j)
                 continue
             remaining = chi.degree
             for i, psi in enumerate(irrK):
@@ -415,7 +442,8 @@ class CharContext:
                     continue
                 m = self.inner_raw(ccK, rrows, psi.rows)
                 if m:
-                    edges.append((i, j))
+                    I.append(i)
+                    J.append(j)
                     remaining -= m * psi.degree
                     if remaining == 0:
                         break
@@ -423,7 +451,7 @@ class CharContext:
                 raise IncompleteIrr(
                     f"restriction of a degree-{chi.degree} character did not decompose"
                 )
-        return tuple(edges)
+        return tuple(I), tuple(J)
 
 
 # -- spec operations -----------------------------------------------------------

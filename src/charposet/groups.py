@@ -404,13 +404,14 @@ def is_normal_in(N: Subgroup, H: Subgroup) -> bool:
 def conjugacy_classes(H: Subgroup) -> ConjClasses:
     """Orbits of H acting on itself by conjugation; reps are minimal indices."""
     G = H.ambient
+    t, inv = G.table, G.inverse
     class_of = [-1] * G.order
     reps, sizes, members = [], [], []
     for x in H.elems:
         if class_of[x] != -1:
             continue
         cid = len(reps)
-        orbit = sorted({G.conj(x, h) for h in H.elems})
+        orbit = sorted({t[t[h][x]][inv[h]] for h in H.elems})  # h x h^-1
         for y in orbit:
             class_of[y] = cid
         reps.append(x)

@@ -10,6 +10,11 @@ H, which yields the same partition because any comparability factors
 through a chain of index-p steps (each restriction step keeps a common
 constituent).  The full strategy is kept as an oracle.
 
+A node is an integer id: the characters of the poset's subgroups numbered
+consecutively, subgroup by subgroup, from offsets[sid].  Union-find and the
+central-map checks work on these ids alone; the PosetNode list (nodes) is
+built on first access, for export, witness chains and build_nodes.
+
 Witness chains make connectivity explicit: witness_direct joins two nodes
 through a peak in Irr(G) over both, and witness_sequence joins the nodes it
 chooses on a list of subgroups whose successive intersections carry a
@@ -24,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .characters import CharContext, ClassFunction, get_context, restrict
@@ -97,12 +104,18 @@ class CharacterPoset:
         self.min_order = p ** (e + 1)
         self.subgroups = [S for S in ctx.lattice() if len(S.elems) >= self.min_order]
         self._sid = {S.elems: i for i, S in enumerate(self.subgroups)}
-        self.offsets = []
-        self.nodes = []
-        for sid, S in enumerate(self.subgroups):
-            self.offsets.append(len(self.nodes))
-            for cid in range(len(ctx.irr(S))):
-                self.nodes.append(PosetNode(sid, cid))
+        self.offsets = list(accumulate((len(ctx.irr(S)) for S in self.subgroups), initial=0))
+        self.node_count = self.offsets.pop()
+
+    @cached_property
+    def nodes(self) -> list:
+        """One PosetNode per node id, built on first access."""
+        irr = self.ctx.irr
+        return [
+            PosetNode(sid, cid)
+            for sid, S in enumerate(self.subgroups)
+            for cid in range(len(irr(S)))
+        ]
 
     # -- node helpers -------------------------------------------------------
 
@@ -166,7 +179,7 @@ class CharacterPoset:
         return [
             (koff + i, hoff + j)
             for K, H, koff, hoff in self._pairs()
-            for i, j in self.ctx.restriction_edges(K, H)
+            for i, j in zip(*self.ctx.restriction_edges(K, H))
         ]
 
     # -- components ------------------------------------------------------------
@@ -181,7 +194,7 @@ class CharacterPoset:
         levels = self.ctx.partitions.setdefault(self.strategy, {})
         if self.min_order in levels:
             return levels[self.min_order]
-        parent = list(range(len(self.nodes)))
+        parent = list(range(self.node_count))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -195,7 +208,7 @@ class CharacterPoset:
             layers.setdefault(len(pair[0].elems), []).append(pair)
         for order, start in starts.items():
             for K, H, koff, hoff in layers.get(order, ()):
-                for i, j in self.ctx.restriction_edges(K, H):
+                for i, j in zip(*self.ctx.restriction_edges(K, H)):
                     a, b = find(koff + i), find(hoff + j)
                     if a != b:  # the higher root stays, so upper layers keep theirs
                         parent[min(a, b)] = max(a, b)

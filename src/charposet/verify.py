@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .characters import get_context
@@ -24,6 +25,7 @@ from .errors import (
     CharposetError,
     CriterionViolation,
     InternalCheckError,
+    NotMultipleOfLinear,
 )
 from .families import builtin
 from .groups import (
@@ -35,7 +37,7 @@ from .groups import (
     require_p_group,
     subgroups_of_order,
 )
-from .poset import CharacterPoset, central_poset_map, check_level
+from .poset import CharacterPoset, check_level
 
 
 @dataclass(frozen=True)
@@ -153,25 +155,45 @@ def theorem_report(
 
 def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
     """Central map is constant on components and surjective onto Irr(IZ);
-    the central subgroup's own poset has one component per character."""
+    the central subgroup's own poset has one component per character.
+
+    The map is taken per subgroup S of the poset, on rows: IZ's classes are
+    mapped into S's once, one itemgetter picks each character's values on
+    IZ (|IZ| > 1, so it returns a tuple), a nonlinear character's rows are
+    divided by its degree, and the result is looked up in char_index(IZ),
+    as central_poset_map does for one node.  The restriction edges that
+    built the partition are never read.  Constancy and surjectivity are
+    read off one set of (component, image) pairs."""
     lookup = ctx.char_index(IZ)
-    comp_image: dict = {}
-    seen = set()
-    for node in poset.nodes:
-        alpha = poset.char_of(node)
-        beta = central_poset_map(alpha, IZ)
-        idx = lookup[beta.rows]
-        seen.add(idx)
-        comp = partition.node_to_component[poset.node_id(node)]
-        prev = comp_image.setdefault(comp, idx)
-        if prev != idx:
-            raise CriterionViolation(
-                "central map is not constant on a connected component"
-            )
-    if len(seen) != len(IZ.elems):
-        raise CriterionViolation(
-            f"central map hits {len(seen)} of {len(IZ.elems)} linear characters"
-        )
+    comp = partition.node_to_component
+    reps = ctx.classes(IZ).reps
+    images = set()
+    for S, off in zip(poset.subgroups, poset.offsets):
+        class_of = ctx.classes(S).class_of
+        at = [class_of[z] for z in reps]
+        if min(at) < 0:
+            raise InternalCheckError(f"I n Z(G) is not inside a subgroup of order {len(S.elems)}")
+        pick = itemgetter(*at)
+        for node, chi in enumerate(ctx.irr(S), off):
+            rows = pick(chi.rows)
+            d = chi.degree
+            if d != 1:
+                if any(v % d for row in rows for v in row):
+                    raise NotMultipleOfLinear(
+                        "restriction to the central subgroup is not deg * (a single value vector)"
+                    )
+                rows = tuple(tuple(v // d for v in row) for row in rows)
+            idx = lookup.get(rows)
+            if idx is None:
+                raise NotMultipleOfLinear(
+                    "restriction to the central subgroup is not a multiple of one linear character"
+                )
+            images.add((comp[node], idx))
+    if len({c for c, _ in images}) != len(images):
+        raise CriterionViolation("central map is not constant on a connected component")
+    hit = len({idx for _, idx in images})
+    if hit != len(IZ.elems):
+        raise CriterionViolation(f"central map hits {hit} of {len(IZ.elems)} linear characters")
     # At its top level the poset of IZ is the one subgroup IZ with no edges,
     # so its components are the characters of IZ.
     if len(ctx.irr(IZ)) != len(IZ.elems):

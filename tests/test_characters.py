@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from charposet import characters
 from charposet import cyclotomic as cyc
 from charposet import families as fam
 from charposet import groups as gr
@@ -22,8 +23,10 @@ from charposet.characters import (
     mackey_check,
     restrict,
 )
+from charposet.cli import main
 from charposet.errors import (
     ConductorMismatch,
+    IncompleteIrr,
     InputError,
     InternalCheckError,
     NotASubgroup,
@@ -572,7 +575,42 @@ def test_non_normal_prime_index_pairs_keep_inner_products():
     twos = [K for K in ctx.lattice() if len(K.elems) == 2]
     assert len(twos) == 3 and ctx.maximal_pairs() == []
     for K in twos:
-        assert ctx.restriction_edges(K, ctx.whole) == ((0, 0), (1, 1), (0, 2), (1, 2))
+        assert ctx.restriction_edges(K, ctx.whole) == ((0, 1, 0, 1), (0, 1, 2, 2))
+
+
+@pytest.mark.parametrize("tamper", ["drop", "spurious"])
+def test_bulk_clifford_edges_certify_irr_of_the_smaller_subgroup(tamper, capsys, monkeypatch):
+    """On an abelian cover pair every chi_K is irreducible, so the bulk
+    lookup is the whole decomposition.  An Irr(K) with one character
+    dropped, or with a spurious one added, must raise IncompleteIrr, and
+    exit 5 from the CLI."""
+
+    def tampered(chars):
+        if tamper == "drop":
+            return chars[:-1]
+        first = chars[0]
+        doubled = tuple(tuple(2 * v for v in row) for row in first.rows)
+        return chars + (ClassFunction._from_rows(first.owner, first.classes, doubled),)
+
+    ctx = get_context(fam.builtin("Cyclic(2,2)"))
+    K, H = ctx.maximal_pairs()[-1]
+    assert (len(K.elems), len(H.elems)) == (2, 4)
+    assert ctx.restriction_edges(K, H) == ((1, 0, 0, 1), (0, 1, 2, 3))
+    ctx._edges.clear()
+    ctx._irr[K.elems] = tampered(ctx.irr(K))
+    ctx._char_index.pop(K.elems, None)
+    with pytest.raises(IncompleteIrr):
+        ctx.restriction_edges(K, H)
+
+    compute_irr = characters._compute_irr
+
+    def tampered_irr(ctx, S):
+        chars = compute_irr(ctx, S)
+        return tampered(chars) if len(S.elems) == 2 else chars
+
+    monkeypatch.setattr(characters, "_compute_irr", tampered_irr)
+    assert main(["poset", "--group", "Cyclic(2,2)", "--e", "0"]) == 5
+    assert "internal check failed" in capsys.readouterr().err
 
 
 def test_clifford_irr_matches_monomial_oracle():

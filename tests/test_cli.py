@@ -412,6 +412,17 @@ def test_sweep_under_python_O_matches_in_process(capsys):
     assert proc.stdout == out
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("spec, levels", [("AbelianProduct(4,2,2,2,2,2)", 7), ("ElemAbelian(3,5)", 5)])
+def test_verify_cap_256_on_the_heaviest_abelian_lattices(capsys, spec, levels):
+    """(C2)^5xC4 and (C3)^5 have the most restriction edges of the order-128
+    and order-243 groups; both verify at every e."""
+    code, out, err = run(capsys, "verify", "--group", spec, "--cap", "256")
+    assert code == 0, err
+    reports = json.loads(out)["reports"]
+    assert len(reports) == levels and all(r["ok"] for r in reports)
+
+
 def test_verify_cap_reaches_the_central_count(capsys):
     code, out, err = run(capsys, "verify", "--group", "Cyclic(3,5)", "--cap", "256")
     assert code == 0, err

@@ -20,6 +20,7 @@ from charposet.errors import (
 from charposet.poset import (
     CharacterPoset,
     Ordering,
+    PosetNode,
     abelian_component_count,
     build_nodes,
     build_poset,
@@ -61,6 +62,34 @@ def test_build_nodes_q8(q8):
 def test_build_nodes_d8_e0(d8):
     subs, nodes = build_nodes(d8, 2, 0)
     assert [len(S) for S in subs] == [2, 2, 2, 2, 2, 4, 4, 4, 8]
+
+
+def test_nodes_are_built_on_demand_with_unchanged_ids():
+    """A poset keeps offsets and a node count; its PosetNode list is built on
+    first access, numbered as before: build_nodes output over every level of
+    five groups hashes to its value from before the list was made lazy."""
+    digest = hashlib.sha256()
+    total = 0
+    for spec in ["Quaternion(8)", "Dihedral(16)", "Extraspecial(3,+)",
+                 "AbelianProduct(4,2,2)", "Modular(3,3)"]:
+        G = fam.builtin(spec)
+        ctx = get_context(G)
+        for e in valid_exponents(G):
+            poset = build_poset(G, None, e)
+            poset.components()
+            assert "nodes" not in poset.__dict__
+            assert poset.nodes == [
+                PosetNode(sid, cid)
+                for sid, S in enumerate(poset.subgroups)
+                for cid in range(len(ctx.irr(S)))
+            ]
+            assert [poset.node_id(n) for n in poset.nodes] == list(range(poset.node_count))
+            subs, nodes = build_nodes(G, None, e)
+            doc = [[list(S.elems) for S in subs], [[n.subgroup_id, n.char_id] for n in nodes]]
+            digest.update(json.dumps(doc).encode())
+            total += len(nodes)
+    assert total == 776
+    assert digest.hexdigest() == "24b8afd2cd7ba4f957a29ea26fcb74ed72f68a781cac120b16a4a19ec9a9255e"
 
 
 def test_build_nodes_errors(q8, d8):

@@ -4,9 +4,10 @@ import pytest
 
 from charposet import families as fam
 from charposet import groups as gr
+from charposet import verify
 from charposet.characters import get_context
-from charposet.errors import InvalidExponent, NotPGroup
-from charposet.poset import CharacterPoset, components
+from charposet.errors import CriterionViolation, InvalidExponent, NotPGroup
+from charposet.poset import CharacterPoset, ComponentPartition, components
 from charposet.verify import (
     compute_I,
     sweep,
@@ -186,3 +187,37 @@ def test_sweep_cap_reaches_the_central_count():
     res = sweep(["Cyclic(3,5)", "AbelianProduct(27,9)"], cap=256)
     assert res.errors == []
     assert len(res.reports) == 10 and all(r.ok for r in res.reports)
+
+
+def test_central_suite_rejects_a_partition_merging_two_central_images(c4):
+    """C4 at e = 0: I = I n Z(G) = C2 and the true partition has the two
+    components of the two characters of C2.  A partition that merges them
+    puts two central images in one component."""
+    ctx = get_context(c4)
+    poset = CharacterPoset(ctx, 2, 0)
+    IZ = compute_I(c4, 2, 0)
+    partition = poset.components()
+    assert len(IZ.elems) == partition.count == 2
+    verify._central_suite(ctx, poset, partition, IZ)
+    merged = ComponentPartition(node_to_component=(0,) * poset.node_count, count=1)
+    with pytest.raises(CriterionViolation, match="not constant"):
+        verify._central_suite(ctx, poset, merged, IZ)
+
+
+def test_theorem_report_leaves_the_node_list_unbuilt(monkeypatch):
+    """Union-find and the central suite work on node ids; no PosetNode is
+    built for a report, including one that runs the central suite."""
+    made = []
+
+    class Spy(CharacterPoset):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "CharacterPoset", Spy)
+    G = fam.builtin("Quaternion(8)")
+    for e in valid_exponents(G):
+        report = theorem_report(G, 2, e)
+        assert report.ok and report.IZ_order > 1
+    assert len(made) == 3
+    assert all("nodes" not in poset.__dict__ for poset in made)
