@@ -415,8 +415,9 @@ def test_sweep_under_python_O_matches_in_process(capsys):
 @pytest.mark.slow
 @pytest.mark.parametrize("spec, levels", [("AbelianProduct(4,2,2,2,2,2)", 7), ("ElemAbelian(3,5)", 5)])
 def test_verify_cap_256_on_the_heaviest_abelian_lattices(capsys, spec, levels):
-    """(C2)^5xC4 and (C3)^5 have the most restriction edges of the order-128
-    and order-243 groups; both verify at every e."""
+    """(C2)^5xC4 and (C3)^5, the slowest and largest in memory of the
+    order-128 and order-243 catalog groups under verify --cap 256, verify
+    at every e."""
     code, out, err = run(capsys, "verify", "--group", spec, "--cap", "256")
     assert code == 0, err
     reports = json.loads(out)["reports"]

@@ -66,8 +66,8 @@ def test_build_nodes_d8_e0(d8):
 
 def test_nodes_are_built_on_demand_with_unchanged_ids():
     """A poset keeps offsets and a node count; its PosetNode list is built on
-    first access, numbered as before: build_nodes output over every level of
-    five groups hashes to its value from before the list was made lazy."""
+    first access, in node-id order, and build_nodes output over every level
+    of five groups matches a pinned sha256."""
     digest = hashlib.sha256()
     total = 0
     for spec in ["Quaternion(8)", "Dihedral(16)", "Extraspecial(3,+)",
