@@ -5,12 +5,12 @@ Irr(H) takes one of three routes (_compute_irr):
 * an abelian H (as many classes as elements) gets its |H| linear characters
   as exponent maps, grown over the cosets of the trivial subgroup inside
   the ambient table;
-* a nonabelian subgroup of a p-group is built from Irr(K), K a maximal
-  subgroup of H, by Clifford theory at prime index: one induced character
-  per conjugation orbit of length p, the p extensions of each invariant
-  linear character as exponent maps, and, for an invariant nonlinear one,
-  one extension induced from a linear character and certified by its
-  restriction to K, times the characters of H/K (Gallagher);
+* a nonabelian subgroup of a p-group is built by Clifford theory at prime
+  index over its maximal subgroups, with no search and no induction: the
+  p extensions of each invariant linear character of the first maximal K
+  as exponent maps, and one character per conjugation orbit of length p of
+  the maximal subgroups, read while Irr(H) is short (_clifford_irr says
+  why every nonlinear character is such an orbit sum);
 * a nonabelian subgroup of any other group takes the monomial search: its
   linear characters over the cosets of H', plus the norm-1 characters
   induced from linear characters of proper subgroups of index at most
@@ -19,9 +19,8 @@ Irr(H) takes one of three routes (_compute_irr):
 
 Completeness is asserted: the abelian route's |H| linear characters must
 be distinct, the other two routes check the class count and the sum of
-squared degrees, and the Clifford route also distinct rows and the regular
-character.  So a gap in a method surfaces as an error rather than a wrong
-answer.
+squared degrees, and the Clifford route also the regular character.  So a
+gap in a method surfaces as an error rather than a wrong answer.
 
 All values are exact cyclotomic integers at one global conductor, the
 exponent of the ambient group.  A ClassFunction stores them as integer
@@ -43,7 +42,8 @@ Consumers zip the two tuples; constituent_masks is a view of them.
 
 A pair of index p in a p-group (every cover pair of the lattice) takes the
 Clifford route: K is normal, so each chi_K is one irreducible or the sum of
-one H-conjugation orbit, found by row lookups with no inner product.  All of
+one H-conjugation orbit, found by row lookups with no inner product; one
+orbit split (CharContext._clifford_split) serves these edges and Irr.  All of
 Irr(H) is restricted at once, by one itemgetter over the class map of K into
 H, and looked up in char_index(K) by one map; when every chi_K is
 irreducible (always so for an abelian H) those indices are the edges, and
@@ -165,17 +165,14 @@ def _first_ints(n: int) -> tuple:
     return tuple(range(n))
 
 
-def get_context(
-    G: GroupTable, order_cap: Optional[int] = None, lattice_cap: Optional[int] = None
-) -> "CharContext":
-    """The group's CharContext, built on first use and kept on G itself.  A
-    cap given here is stored on it for lattice(); None keeps the stored one."""
+def get_context(G: GroupTable, order_cap: Optional[int] = None) -> "CharContext":
+    """The group's CharContext, built on first use and kept on G itself.  An
+    order cap given here is stored on it for lattice(); None keeps the stored
+    one."""
     if G.context is None:
-        G.context = CharContext(G, DEFAULT_ORDER_CAP, DEFAULT_LATTICE_CAP)
+        G.context = CharContext(G, DEFAULT_ORDER_CAP)
     if order_cap is not None:
         G.context.order_cap = order_cap
-    if lattice_cap is not None:
-        G.context.lattice_cap = lattice_cap
     return G.context
 
 
@@ -183,11 +180,10 @@ class CharContext:
     """Per-group memo of Z(G), lattice and covers, classes, characters and
     restriction data."""
 
-    def __init__(self, G: GroupTable, order_cap: int, lattice_cap: int):
+    def __init__(self, G: GroupTable, order_cap: int):
         self.group = G
         self.conductor = G.exponent
         self.order_cap = order_cap
-        self.lattice_cap = lattice_cap
         self.whole = whole_group(G)
         self.center = center(self.whole)
         # The prime of a p-group, else None: its index-p pairs are normal.
@@ -196,7 +192,7 @@ class CharContext:
         self.zeta_exponent = {row: k for k, row in enumerate(self.zeta_rows)}
         self._lattice: Optional[list] = None
         self._covers: list = []
-        self._first_below: dict = {}  # H.elems -> H's first K in maximal_pairs()
+        self._maximal: dict = {}  # H.elems -> H's maximal subgroups, in maximal_pairs() order
         self._by_elems: dict = {}
         self._classes: dict = {}
         self._irr: dict = {}
@@ -211,12 +207,13 @@ class CharContext:
     def lattice(self) -> list:
         if self._lattice is None:
             covers: list = []
-            self._lattice = all_subgroups(self.group, self.order_cap, self.lattice_cap, covers)
+            self._lattice = all_subgroups(self.group, self.order_cap, DEFAULT_LATTICE_CAP, covers)
             self._by_elems = {S.elems: S for S in self._lattice}
             # Order by upper subgroup, then lower, as lattice positions.
             covers.sort(key=lambda kh: (len(kh[1].elems), kh[1].elems, kh[0].elems))
             self._covers = covers
-            self._first_below = {H.elems: K for K, H in reversed(covers)}
+            for K, H in covers:
+                self._maximal.setdefault(H.elems, []).append(K)
         return self._lattice
 
     def canonical(self, S: Subgroup) -> Subgroup:
@@ -337,10 +334,10 @@ class CharContext:
         psi in Irr(K).  All of Irr(H) is restricted by one itemgetter and
         looked up in char_index(K) at once.  When every chi_K is irreducible
         the lookups are the edges, certified by every psi being hit.
-        Otherwise each psi not hit has an orbit under conjugation by one
-        x in H \\ K that sums to exactly one missed chi_K.  Exact row
-        equality plus the asserted completeness of Irr(K) certifies the
-        decomposition."""
+        Otherwise each orbit of length p (_clifford_split) must sum to exactly
+        one missed chi_K, every missed chi_K must be such a sum, and every psi
+        must lie in an edge.  Exact row equality plus the asserted
+        completeness of Irr(K) certifies the decomposition."""
         irrK = self.irr(K)
         irrH = self.irr(H)
         lookup = self.char_index(K)
@@ -358,65 +355,66 @@ class CharContext:
                 )
             return tuple(idx), _first_ints(len(irrH))
         edges = [(i, j) for j, i in enumerate(idx) if i is not None]
-        placed = {i for i, _ in edges}
         split = {rows: j for j, (rows, i) in enumerate(zip(restricted, idx)) if i is None}
-        reached = set()
-        if len(placed) < len(irrK):
-            perm = self._conjugation(K, H)[1]
-            for i, psi in enumerate(irrK):
-                if i in placed:
-                    continue
-                orbit = self._orbit(perm, lookup, i, psi.rows)
-                total = tuple(
-                    tuple(map(sum, zip(*col)))
-                    for col in zip(*(irrK[k].rows for k in orbit))
-                )
-                j = split.get(total)
-                if j is None or j in reached:
-                    raise IncompleteIrr("a conjugation orbit does not sum to one restriction")
-                if len(orbit) * psi.degree != irrH[j].degree:
-                    raise IncompleteIrr("an orbit's degree is not its restriction's degree")
-                reached.add(j)
-                placed.update(orbit)
-                edges.extend((k, j) for k in orbit)
-        if len(reached) != len(split):
+        for orbit, total in self._clifford_split(K, H)[1]:
+            if total is None:
+                continue
+            j = split.pop(total, None)
+            if j is None:
+                raise IncompleteIrr("a conjugation orbit does not sum to one restriction")
+            edges.extend((k, j) for k in orbit)
+        if split:
             raise IncompleteIrr(
-                f"{len(split) - len(reached)} restrictions are neither irreducible nor an orbit sum"
+                f"{len(split)} restrictions are neither irreducible nor an orbit sum"
             )
+        if len({i for i, _ in edges}) != len(irrK):
+            raise IncompleteIrr("a character of Irr(K) lies under no restriction")
         edges.sort(key=itemgetter(1, 0))
         I, J = zip(*edges)
         return I, J
 
-    def _conjugation(self, K: Subgroup, H: Subgroup) -> tuple:
-        """(x, perm) for K normal of prime index in H: one x in H \\ K, and
-        the permutation of K's classes by conjugation with x, so that the
-        rows of the conjugate psi^x are psi's rows re-indexed by perm."""
-        G = self.group
+    def _clifford_split(self, K: Subgroup, H: Subgroup) -> tuple:
+        """(x, orbits) for K normal of prime index p in H: one x in H \\ K,
+        and the orbits of Irr(K) under conjugation by x, in order of their
+        first index.  Each orbit is (indices, total): total is the orbit's
+        class-by-class row sum when its length is p, and None when psi is
+        H-invariant.  x^p lies in K and fixes psi, so no other length occurs;
+        one raises InternalCheckError, as does a K not normal in H, and a
+        conjugate missing from Irr(K) raises IncompleteIrr."""
+        G, p = self.group, self._prime
         ccK = self.classes(K)
+        irrK = self.irr(K)
+        lookup = self.char_index(K)
         x = next(h for h in H.elems if not K.contains(h))
         perm = tuple(ccK.class_of[G.conj(r, x)] for r in ccK.reps)
         if min(perm) < 0:
             raise InternalCheckError("K is not normal in H")
-        return x, perm
-
-    def _orbit(self, perm: tuple, lookup: dict, i: int, rows: tuple) -> list:
-        """The indices in Irr(K) of the conjugates of psi_i (with these rows)
-        under the class permutation perm, starting at i.  x^p lies in K and
-        fixes psi, so the orbit has length 1 or p; any other length, or a
-        conjugate missing from Irr(K) (lookup = char_index(K)), raises."""
-        p = self._prime
-        orbit = [i]
-        for _ in range(p):
-            rows = tuple(map(rows.__getitem__, perm))
-            k = lookup.get(rows)
-            if k is None:
-                raise IncompleteIrr("a conjugate of an irreducible is not in Irr(K)")
-            if k == i:
-                if len(orbit) in (1, p):
-                    return orbit
-                break
-            orbit.append(k)
-        raise InternalCheckError(f"a conjugation orbit does not close after 1 or {p} steps")
+        orbits = []
+        seen = set()
+        for i, psi in enumerate(irrK):
+            if i in seen:
+                continue
+            orbit, rows = [i], psi.rows
+            for _ in range(p):
+                rows = tuple(map(rows.__getitem__, perm))
+                k = lookup.get(rows)
+                if k is None:
+                    raise IncompleteIrr("a conjugate of an irreducible is not in Irr(K)")
+                if k == i:
+                    break
+                orbit.append(k)
+            if len(orbit) not in (1, p):
+                raise InternalCheckError(
+                    f"a conjugation orbit does not close after 1 or {p} steps"
+                )
+            seen.update(orbit)
+            total = None
+            if len(orbit) > 1:
+                total = tuple(
+                    tuple(map(sum, zip(*col))) for col in zip(*(irrK[k].rows for k in orbit))
+                )
+            orbits.append((orbit, total))
+        return x, orbits
 
     def _inner_product_edges(self, K: Subgroup, H: Subgroup) -> tuple:
         """Restriction edges (I, J) of any pair K < H, by the multiplicity of
@@ -503,10 +501,11 @@ def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
 
     An abelian H (as many classes as elements) gets its |H| linear
     characters by the coset walk from the trivial subgroup.  A nonabelian
-    subgroup of a p-group is built from Irr(K), K its first maximal
-    subgroup, by Clifford theory (_clifford_irr).  A nonabelian subgroup of
-    any other group takes the monomial search (_monomial_irr), which is also
-    the oracle of the Clifford route."""
+    subgroup of a p-group is built from the conjugation orbits of Irr of its
+    maximal subgroups by Clifford theory (_clifford_irr), with no search and
+    no induction.  A nonabelian subgroup of any other group takes the
+    monomial search (_monomial_irr), which is also the oracle of the
+    Clifford route."""
     cc = ctx.classes(H)
     if cc.count == len(H.elems):
         chars = _linear_characters(ctx, H, (H.ambient.identity,))
@@ -518,34 +517,40 @@ def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
 
 
 def _clifford_irr(ctx: CharContext, H: Subgroup) -> list:
-    """The rows of Irr(H) for a nonabelian subgroup H of a p-group, from
-    Irr(K) for K = H's first pair in maximal_pairs(), which is normal of
-    index p.  For x in H \\ K, Irr(K) splits into conjugation orbits
-    (CharContext._orbit) of length p or 1 (Isaacs, Character Theory of
-    Finite Groups, Cor. 6.19 and 11.22):
+    """The rows of Irr(H) for a nonabelian subgroup H of a p-group, by
+    Clifford theory at prime index over H's maximal subgroups, each normal of
+    index p (Isaacs, Character Theory of Finite Groups, Cor. 6.19 and 11.22).
+    For each maximal M, Irr(M) splits into H-conjugation orbits of length p
+    or 1 (CharContext._clifford_split):
 
-    * an orbit of length p gives one irreducible psi^H: the orbit's row sum
-      on the classes inside K, and 0 off K;
-    * an invariant linear psi extends to H by x -> zeta^a with
-      zeta^(p*a) = psi(x^p), worked as exponent maps k*x^i -> psi(k) + i*a
-      mod n; the p solutions a give its p extensions;
-    * an invariant nonlinear psi extends to some chi = nu^H with nu linear on
-      an N <= H, N not in K, |H:N| = psi(1) (p-groups are monomial), found
-      by search and certified by chi_K = psi; its p extensions are the
-      twists chi*lam by the characters lam of H/K (Gallagher, Cor. 6.17).
+    * an orbit of length p gives one irreducible theta^H: the orbit's row
+      sum on the classes of H inside M, and 0 off M;
+    * an invariant linear psi of K, H's first maximal subgroup, extends to H
+      by x -> zeta^a with zeta^(p*a) = psi(x^p), worked as exponent maps
+      k*x^i -> psi(k) + i*a mod n; the p solutions a give its p extensions,
+      and these are all the linear characters of H.
 
-    The result is checked complete: as many characters as classes, distinct,
-    sum of squared degrees |H|, and sum of chi(1) * chi the regular
-    character (|H| at 1, 0 elsewhere)."""
+    Every nonlinear chi in Irr(H) is an orbit sum of some maximal M: p-groups
+    are M-groups, so chi = theta^H for a theta of some maximal M, and theta
+    is not H-invariant, since otherwise chi_M = p*theta and
+    [chi_M, chi_M] = p^2 > p.  K's orbits are read first, then the other
+    maximal subgroups in maximal_pairs() order while Irr(H) is still short
+    of the class count; rows are keyed in a dict, as one chi is met once per
+    maximal subgroup it is induced from.  No subgroup search and no
+    induction is needed.
+
+    The result is checked complete: as many characters as classes, sum of
+    squared degrees |H|, and sum of chi(1) * chi the regular character (|H|
+    at 1, 0 elsewhere); a shortfall raises IncompleteIrr."""
     G, p, n = ctx.group, ctx._prime, ctx.conductor
     t = G.table
     ctx.lattice()
-    K = ctx._first_below[H.elems]
+    maximal = ctx._maximal[H.elems]
+    K = maximal[0]
     irrK = ctx.irr(K)
     ccK = ctx.classes(K)
     ccH = ctx.classes(H)
-    lookup = ctx.char_index(K)
-    x, perm = ctx._conjugation(K, H)
+    x, orbits = ctx._clifford_split(K, H)
     zrows = ctx.zeta_rows
     # Each class of H lies in one coset K x^i; its rep is k * x^i, k in K.
     xinv = G.inverse[x]
@@ -557,38 +562,34 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> list:
             i += 1
         at_reps.append((i, ccK.class_of[k]))
     xp_class = ccK.class_of[G.power(x, p)]
-    zero = (0,) * len(zrows[0])
-    out = []
-    done = set()
-    for j, psi in enumerate(irrK):
-        if j in done:
-            continue
-        orbit = ctx._orbit(perm, lookup, j, psi.rows)
-        done.update(orbit)
-        if len(orbit) > 1:
-            total = [tuple(map(sum, zip(*col))) for col in zip(*(irrK[k].rows for k in orbit))]
-            out.append(tuple(zero if i else total[kc] for i, kc in at_reps))
-        elif psi.degree == 1:
+    found: dict = {}
+    for orbit, total in orbits:
+        psi = irrK[orbit[0]]
+        if total is None and psi.degree == 1:
             exps = [ctx.zeta_exponent[row] for row in psi.rows]
             b = exps[xp_class]
             if b % p:
                 raise IncompleteIrr(f"the exponent of x^{p} is not divisible by {p}")
             for a in range(b // p, n, n // p):
-                out.append(tuple(zrows[(exps[kc] + i * a) % n] for i, kc in at_reps))
-        else:
-            chi = _induced_extension(ctx, K, H, psi)
-            for a in range(0, n, n // p):
-                out.append(tuple(
-                    cyc.mul_coeffs(n, row, zrows[i * a % n]) if i else row
-                    for row, (i, _) in zip(chi, at_reps)
-                ))
+                found[tuple(zrows[(exps[kc] + i * a) % n] for i, kc in at_reps)] = None
+    zero = (0,) * len(zrows[0])
+    for M in maximal:
+        if len(found) >= ccH.count:
+            break
+        if M is not K:
+            orbits = ctx._clifford_split(M, H)[1]
+        at = [ctx.classes(M).class_of[r] for r in ccH.reps]
+        for _, total in orbits:
+            if total is not None:
+                found[tuple(zero if c < 0 else total[c] for c in at)] = None
+    out = list(found)
     order = len(H.elems)
     degrees = [cyc.coeffs_as_integer(rows[ccH.identity_class]) for rows in out]
-    if len(out) != ccH.count or len(set(out)) != len(out) or sum(d * d for d in degrees) != order:
+    if len(out) != ccH.count or sum(d * d for d in degrees) != order:
         raise IncompleteIrr(
-            f"{G.name}: Clifford theory over |K| = {len(K.elems)} gave {len(set(out))} "
-            f"distinct characters with sum(deg^2) = {sum(d * d for d in degrees)} for "
-            f"|H| = {order} with {ccH.count} classes"
+            f"{G.name}: Clifford theory over the maximal subgroups gave {len(out)} "
+            f"distinct characters with sum(deg^2) = "
+            f"{sum(d * d for d in degrees)} for |H| = {order} with {ccH.count} classes"
         )
     regular = [[0] * len(zero) for _ in range(ccH.count)]
     for d, rows in zip(degrees, out):
@@ -603,47 +604,6 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> list:
             f"{G.name}: sum of chi(1) * chi is not the regular character of |H| = {order}"
         )
     return out
-
-
-def _induced_extension(ctx: CharContext, K: Subgroup, H: Subgroup, psi: ClassFunction) -> tuple:
-    """The rows of one extension to H of the H-invariant nonlinear psi in
-    Irr(K), K normal of index p in H: the first nu^H, over the subgroups N of
-    H of index psi(1) not inside K and their linear nu, whose restriction to
-    K is psi.  chi_K = psi is irreducible, so chi is; no norm test is needed.
-    By monomiality such a nu exists, and N is not inside K since chi does not
-    vanish off K.
-
-    A central z of H in K acts on psi by the scalar psi(z) / psi(1), while
-    nu^H(z) is |H:N| nu(z) for z in N and 0 otherwise; so N must contain
-    every such z, with psi(1) nu(z) = psi(z), before nu is induced."""
-    order = len(H.elems) // psi.degree
-    ccH = ctx.classes(H)
-    ccK = ctx.classes(K)
-    class_map = tuple(ccH.class_of[r] for r in ccK.reps)
-    central = [
-        (z, psi.rows[ccK.class_of[z]])
-        for z, size in zip(ccH.reps, ccH.sizes)
-        if size == 1 and K.contains(z)
-    ]
-    zmask = sum(1 << z for z, _ in central)
-    for N in ctx.lattice():
-        if (
-            len(N.elems) == order
-            and N.mask | H.mask == H.mask
-            and N.mask | K.mask != K.mask
-            and N.mask & zmask == zmask
-        ):
-            class_of_N = ctx.classes(N).class_of
-            for nu in ctx.linear(N):
-                if any(
-                    tuple(psi.degree * v for v in nu.rows[class_of_N[z]]) != row
-                    for z, row in central
-                ):
-                    continue
-                chi = induce(nu, H)
-                if tuple(map(chi.rows.__getitem__, class_map)) == psi.rows:
-                    return chi.rows
-    raise IncompleteIrr(f"no monomial extension of a degree-{psi.degree} invariant character")
 
 
 def _monomial_irr(ctx: CharContext, H: Subgroup) -> list:
@@ -695,8 +655,8 @@ def _monomial_irr(ctx: CharContext, H: Subgroup) -> list:
 def irr(H: Subgroup) -> tuple:
     """The complete irreducible character set of H, canonically ordered
     (degree-major, then lexicographic in the rows), by the route of
-    _compute_irr: linear characters for an abelian H, Clifford theory over a
-    maximal subgroup in a p-group, the monomial search otherwise."""
+    _compute_irr: linear characters for an abelian H, Clifford theory over
+    the maximal subgroups in a p-group, the monomial search otherwise."""
     return get_context(H.ambient).irr(H)
 
 

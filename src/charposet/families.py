@@ -11,7 +11,7 @@ import math
 from typing import Sequence
 
 from .errors import InternalCheckError, OrderCapExceeded, UnknownFamily
-from .groups import DEFAULT_ORDER_CAP, GroupTable, from_cayley
+from .groups import DEFAULT_ORDER_CAP, GroupTable, from_cayley, prime_of
 
 
 def _check_cap(order: int, cap: int) -> None:
@@ -19,19 +19,8 @@ def _check_cap(order: int, cap: int) -> None:
         raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def _require_prime(p: int) -> None:
-    if not _is_prime(p):
+    if prime_of(p) != p:
         raise UnknownFamily(f"{p} is not prime")
 
 

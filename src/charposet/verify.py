@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional, Sequence
 
+from . import errors as error_kinds
 from .characters import get_context
 from .errors import (
     BoundViolation,
@@ -78,6 +79,12 @@ class TheoremReport:
         }
 
 
+def _is_internal(kind: str) -> bool:
+    """Whether an error kind names an InternalCheckError subclass."""
+    cls = getattr(error_kinds, kind, None)
+    return isinstance(cls, type) and issubclass(cls, InternalCheckError)
+
+
 @dataclass
 class SweepResult:
     reports: list
@@ -86,7 +93,7 @@ class SweepResult:
     @property
     def violations(self) -> list:
         return [r for r in self.reports if not r.ok] + [
-            err for err in self.errors if err["kind"] in ("BoundViolation", "CriterionViolation")
+            err for err in self.errors if _is_internal(err["kind"])
         ]
 
 

@@ -613,11 +613,36 @@ def test_bulk_clifford_edges_certify_irr_of_the_smaller_subgroup(tamper, capsys,
     assert "internal check failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tamper", ["drop", "spurious"])
+def test_clifford_orbit_walk_certifies_irr_of_the_smaller_subgroup(tamper):
+    """On Q8 over a cyclic C4 the degree-2 chi_K is an orbit sum, so the
+    orbit walk runs.  An Irr(K) without the invariant constituent of chi_0
+    leaves a restriction that is neither irreducible nor an orbit sum; one
+    with a spurious invariant character leaves a psi under no restriction.
+    Both raise IncompleteIrr."""
+    ctx = get_context(fam.builtin("Quaternion(8)"))
+    K, H = ctx.maximal_pairs()[-1]
+    I, J = ctx.restriction_edges(K, H)
+    assert (len(K.elems), len(H.elems), len(I)) == (4, 8, 6)
+    chars = ctx.irr(K)
+    psi = chars[I[0]]
+    if tamper == "drop":
+        chars = tuple(ch for ch in chars if ch is not psi)
+    else:
+        doubled = tuple(tuple(2 * v for v in row) for row in psi.rows)
+        chars += (ClassFunction._from_rows(K, psi.classes, doubled),)
+    ctx._edges.clear()
+    ctx._irr[K.elems] = chars
+    ctx._char_index.pop(K.elems, None)
+    with pytest.raises(IncompleteIrr):
+        ctx.restriction_edges(K, H)
+
+
 def test_clifford_irr_matches_monomial_oracle():
     """Every subgroup of the catalogs and of relabelled tables gets the same
     canonical Irr from Clifford theory over its first maximal subgroup as
-    from the monomial search, and the invariant nonlinear case (an
-    extension found by induction, then Gallagher twists) is met.  Subgroups
+    from the monomial search, and the invariant nonlinear case (extensions
+    that are orbit sums of other maximal subgroups) is met.  Subgroups
     are taken in lattice order, so at the first disagreement the oracle's
     inputs, the linear characters of proper subgroups, have already been
     checked."""
@@ -649,3 +674,65 @@ def test_clifford_irr_matches_monomial_oracle():
                 for psi in ctx.irr(K)
             )
     assert compared > 1579 and invariant_nonlinear > 0
+
+
+_D8xD8 = "DirectProduct(Dihedral(8),Dihedral(8))"
+
+
+def _invariant_nonlinear_subgroups(ctx) -> list:
+    """The nonabelian subgroups H whose first maximal subgroup K carries an
+    H-invariant nonlinear character, found by conjugate_character."""
+    found = []
+    for H in ctx.lattice():
+        if ctx.classes(H).count == len(H.elems):
+            continue
+        K = ctx._maximal[H.elems][0]
+        x = next(h for h in H.elems if not K.contains(h))
+        if any(
+            psi.degree > 1 and conjugate_character(psi, x).rows == psi.rows
+            for psi in ctx.irr(K)
+        ):
+            found.append(H)
+    return found
+
+
+def test_clifford_irr_makes_no_induce_call(monkeypatch):
+    """Irr of every subgroup of D8 x D8 comes from orbit sums over maximal
+    subgroups, with no induction, although 27 of its subgroups H have a
+    first maximal subgroup carrying an H-invariant nonlinear character."""
+
+    def no_induce(phi, target):
+        raise AssertionError("induce called on the Clifford route")
+
+    monkeypatch.setattr(characters, "induce", no_induce)
+    ctx = get_context(fam.builtin(_D8xD8))
+    for S in ctx.lattice():
+        ctx.irr(S)
+    assert len(_invariant_nonlinear_subgroups(ctx)) == 27
+
+
+def test_clifford_irr_with_only_the_first_maximal_subgroup_is_incomplete(monkeypatch, capsys):
+    """An H-invariant nonlinear psi of the first maximal subgroup K gives no
+    character of H from K's orbits: its extensions are orbit sums of H's
+    other maximal subgroups.  Withholding those must raise IncompleteIrr,
+    and exit 5 from charposet irr --subgroups."""
+    ctx = get_context(fam.builtin(_D8xD8))
+    H = _invariant_nonlinear_subgroups(ctx)[0]
+    assert len(ctx._maximal[H.elems]) > 1
+    ctx._maximal[H.elems] = ctx._maximal[H.elems][:1]
+    del ctx._irr[H.elems]
+    with pytest.raises(IncompleteIrr):
+        ctx.irr(H)
+
+    lattice = characters.CharContext.lattice
+
+    def withheld(self):
+        out = lattice(self)
+        if H.elems in self._maximal:
+            self._maximal[H.elems] = self._maximal[H.elems][:1]
+        return out
+
+    monkeypatch.setattr(characters.CharContext, "lattice", withheld)
+    assert main(["irr", "--group", _D8xD8, "--subgroups"]) == 5
+    err = capsys.readouterr().err
+    assert "internal check failed" in err and "Clifford theory" in err

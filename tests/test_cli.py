@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from charposet.characters import CharContext
 from charposet.cli import main
+from charposet.errors import IncompleteIrr
 
 
 def run(capsys, *argv):
@@ -373,6 +375,23 @@ def test_sweep_small_and_deterministic(tmp_path, capsys):
     doc = json.loads(a.read_text(encoding="utf-8"))
     assert doc["errors"] == []
     assert all(r["ok"] for r in doc["reports"])
+
+
+def test_sweep_internal_check_failure_exits_5(monkeypatch, capsys):
+    """An internal-check failure recorded by the sweep exits 5, as verify
+    does for the same failure, and the errors entries keep their kind."""
+
+    def broken(self, K, H):
+        raise IncompleteIrr("restriction edges withheld")
+
+    monkeypatch.setattr(CharContext, "_clifford_edges", broken)
+    code, out, _ = run(capsys, "sweep", "--p", "2", "--max-order", "8")
+    assert code == 5
+    doc = json.loads(out)
+    assert len(doc["reports"]) == 8 and all(r["ok"] for r in doc["reports"])
+    assert doc["errors"] and {err["kind"] for err in doc["errors"]} == {"IncompleteIrr"}
+    code, _, err = run(capsys, "verify", "--group", "Quaternion(8)")
+    assert code == 5 and "internal check failed" in err
 
 
 def test_sweep_csv(capsys):
