@@ -193,13 +193,14 @@ class CharContext:
         self._lattice: Optional[list] = None
         self._covers: list = []
         self._maximal: dict = {}  # H.elems -> H's maximal subgroups, in maximal_pairs() order
+        self.up_cover: dict = {}  # K.elems -> K's first cover in maximal_pairs() order
         self._by_elems: dict = {}
         self._classes: dict = {}
         self._irr: dict = {}
         self._char_index: dict = {}
         self._edges: dict = {}  # (K.elems, H.elems) -> (I, J), see restriction_edges
         self._masks: dict = {}  # constituent_masks, a view of _edges
-        # strategy -> {least subgroup order of a level: ComponentPartition}
+        # least subgroup order of a level -> its ComponentPartition
         self.partitions: dict = {}
 
     # -- lattice ---------------------------------------------------------
@@ -214,6 +215,7 @@ class CharContext:
             self._covers = covers
             for K, H in covers:
                 self._maximal.setdefault(H.elems, []).append(K)
+                self.up_cover.setdefault(K.elems, H)
         return self._lattice
 
     def canonical(self, S: Subgroup) -> Subgroup:

@@ -84,7 +84,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_poset, ["json", "dot"], cmd_poset)
     p_poset.add_argument("--p", type=int, default=None)
     p_poset.add_argument("--e", type=int, required=True)
-    p_poset.add_argument("--strategy", choices=["maximal", "full"], default="maximal")
+    p_poset.add_argument(
+        "--strategy",
+        choices=["maximal", "full"],
+        default="maximal",
+        help="picks only the edges --out lists: cover pairs or every containment",
+    )
 
     p_wit = sub.add_parser("witness", help="connectivity witness chain between two nodes")
     common(p_wit, ["json"], cmd_witness)
@@ -100,14 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_ver, ["json", "csv"], cmd_verify)
     p_ver.add_argument("--p", type=int, default=None)
     p_ver.add_argument("--e", type=int, default=None, help="default: every valid e")
-    p_ver.add_argument("--strategy", choices=["maximal", "full"], default="maximal")
 
     p_sw = sub.add_parser("sweep", help="verify the whole built-in catalog")
     p_sw.set_defaults(run=cmd_sweep)
     p_sw.add_argument("--p", type=int, action="append", default=None, help="repeatable; default 2 3 5")
     p_sw.add_argument("--max-order", type=int, default=64)
     p_sw.add_argument("--cap", type=int, default=None)
-    p_sw.add_argument("--strategy", choices=["maximal", "full"], default="maximal")
     p_sw.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
     p_sw.add_argument("--out", default=None)
     return top
@@ -196,7 +199,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     G = _load_group(args)
     p = require_p_group(G, args.p)
     levels = [args.e] if args.e is not None else valid_exponents(G, p)
-    reports = [theorem_report(G, p, e, args.strategy) for e in levels]
+    reports = [theorem_report(G, p, e) for e in levels]
     if args.fmt == "csv":
         _emit(export.reports_csv(reports), args.out)
     else:
@@ -208,7 +211,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     specs = []
     for p in args.p or (2, 3, 5):
         specs.extend(builtin_catalog(p, args.max_order))
-    result = run_sweep(specs, strategy=args.strategy, cap=args.cap)
+    result = run_sweep(specs, cap=args.cap)
     if args.fmt == "csv":
         _emit(export.reports_csv(result.reports), args.out)
     else:

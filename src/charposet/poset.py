@@ -5,10 +5,13 @@ p^(e+1) and chi over Irr(H); (K, psi) <= (H, chi) iff K <= H and psi is a
 constituent of chi restricted to K.  Level e is level e+1 plus the layer
 of subgroups of order p^(e+1), so one union-find pass over the edges held
 by CharContext adds the layers from the top and keeps each level's
-partition.  The default edge strategy only tests pairs where K is maximal in
-H, which yields the same partition because any comparability factors
-through a chain of index-p steps (each restriction step keeps a common
-constituent).  The full strategy is kept as an oracle.
+partition.  The pass unions only the restriction edges of (K, up(K)) for
+each K != G, up(K) being K's first cover in maximal_pairs() order.  They
+span every component: if psi lies under chi on K < H, both lie under some
+omega in Irr(G), and restricting omega down the covers G > ... > up(K) > K
+one constituent at a time reaches psi (and likewise chi) through subgroups
+of order >= |K|.  The edge strategy (maximal: cover pairs; full: every
+containment, the oracle) only picks the edges that edge_list() lists.
 
 A node is an integer id: the characters of the poset's subgroups numbered
 consecutively, subgroup by subgroup, from offsets[sid].  Union-find and the
@@ -158,63 +161,57 @@ class CharacterPoset:
             return Ordering.INCOMPARABLE
         return Ordering.INCOMPARABLE
 
-    def _pairs(self) -> list:
-        """(K, H, first id of K, first id of H) for the subgroup pairs whose
-        restriction edges are the poset's, by lattice positions of H, then K."""
-        if self.strategy == "maximal":
-            pairs = [(K, H) for K, H in self.ctx.maximal_pairs() if K.elems in self._sid]
-        else:
-            subs = self.subgroups
-            pairs = [
-                (K, H)
-                for h, H in enumerate(subs)
-                for K in subs[:h]
-                if len(K.elems) < len(H.elems) and K.is_subset_of(H)
-            ]
-        first = {S.elems: off for S, off in zip(self.subgroups, self.offsets)}
-        return [(K, H, first[K.elems], first[H.elems]) for K, H in pairs]
-
     def edge_list(self) -> list:
-        """Comparable node pairs (ids), per the strategy, listed for export."""
-        return [
-            (koff + i, hoff + j)
-            for K, H, koff, hoff in self._pairs()
-            for i, j in zip(*self.ctx.restriction_edges(K, H))
-        ]
+        """Comparable node pairs (ids), listed for export: the restriction
+        edges of each cover pair K < H of the poset (maximal) or of each
+        containment (full), by lattice positions of H, then K."""
+        sid, off = self._sid, self.offsets
+        if self.strategy == "maximal":
+            pairs = [(K, H) for K, H in self.ctx.maximal_pairs() if K.elems in sid]
+        else:  # distinct subgroups in lattice order: K <= H is proper containment
+            subs = self.subgroups
+            pairs = [(K, H) for h, H in enumerate(subs) for K in subs[:h] if K.is_subset_of(H)]
+        out = []
+        for K, H in pairs:
+            koff, hoff = off[sid[K.elems]], off[sid[H.elems]]
+            out += [(koff + i, hoff + j) for i, j in zip(*self.ctx.restriction_edges(K, H))]
+        return out
 
     # -- components ------------------------------------------------------------
 
     def components(self) -> ComponentPartition:
-        """This level's partition, kept in ctx.partitions[strategy].
+        """This level's partition, kept in ctx.partitions.
 
-        On a miss, one union-find pass adds the subgroup layers from the
-        largest order down to this level's.  Each higher level's nodes are a
-        suffix of this poset's ids, so its partition is the snapshot after
-        its layer, and every snapshot is kept."""
-        levels = self.ctx.partitions.setdefault(self.strategy, {})
+        On a miss, one union-find pass adds the subgroups from the largest
+        order down, each K != G with the edges of (K, ctx.up_cover[K]) only.
+        Each higher level's nodes are a suffix of this poset's ids, so its
+        partition is the snapshot after its layer, and every snapshot is kept."""
+        levels = self.ctx.partitions
         if self.min_order in levels:
             return levels[self.min_order]
-        parent = list(range(self.node_count))
+        n = self.node_count
+        parent = list(range(n))
 
         def find(x: int) -> int:
             while parent[x] != x:
                 parent[x] = x = parent[parent[x]]
             return x
 
-        # The first id of each subgroup order, largest order first.
-        starts = {len(S.elems): off for S, off in zip(self.subgroups[::-1], self.offsets[::-1])}
-        layers: dict = {}
-        for pair in self._pairs():
-            layers.setdefault(len(pair[0].elems), []).append(pair)
-        for order, start in starts.items():
-            for K, H, koff, hoff in layers.get(order, ()):
-                for i, j in zip(*self.ctx.restriction_edges(K, H)):
+        subs, sid, off = self.subgroups, self._sid, self.offsets
+        up, edges = self.ctx.up_cover, self.ctx.restriction_edges
+        for s in range(len(subs) - 1, -1, -1):
+            K = subs[s]
+            H = up.get(K.elems)
+            if H is not None:
+                koff, hoff = off[s], off[sid[H.elems]]
+                for i, j in zip(*edges(K, H)):
                     a, b = find(koff + i), find(hoff + j)
                     if a != b:  # the higher root stays, so upper layers keep theirs
                         parent[min(a, b)] = max(a, b)
-            labels: dict = {}
-            out = tuple(labels.setdefault(find(x), len(labels)) for x in range(start, len(parent)))
-            levels[order] = ComponentPartition(node_to_component=out, count=len(labels))
+            if s == 0 or len(subs[s - 1].elems) < len(K.elems):  # K's layer is complete
+                labels: dict = {}
+                out = tuple(labels.setdefault(find(x), len(labels)) for x in range(off[s], n))
+                levels[len(K.elems)] = ComponentPartition(out, len(labels))
         return levels[self.min_order]
 
     def component_representatives(self, partition: ComponentPartition, H: Subgroup) -> dict:

@@ -110,9 +110,7 @@ def compute_I(G: GroupTable, p: Optional[int], e: int) -> Subgroup:
     return I
 
 
-def theorem_report(
-    G: GroupTable, p: Optional[int], e: int, strategy: str = "maximal"
-) -> TheoremReport:
+def theorem_report(G: GroupTable, p: Optional[int], e: int) -> TheoremReport:
     """Compute I, Z(G), the poset partition, and check both bounds and the
     connectivity criterion; run the central-map cross-checks when they apply."""
     p = require_p_group(G, p)
@@ -125,7 +123,7 @@ def theorem_report(
     timings["structure"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    poset = CharacterPoset(ctx, p, e, strategy)
+    poset = CharacterPoset(ctx, p, e)
     partition = poset.components()
     timings["components"] = time.perf_counter() - t0
 
@@ -222,7 +220,6 @@ def valid_exponents(G: GroupTable, p: Optional[int] = None) -> list:
 def sweep(
     specs: Sequence[str],
     es: Optional[Sequence[int]] = None,
-    strategy: str = "maximal",
     cap: int = DEFAULT_ORDER_CAP,
 ) -> SweepResult:
     """One report per (group, e) pair; individual failures are recorded and
@@ -242,7 +239,7 @@ def sweep(
         levels = valid_exponents(G, p) if es is None else es
         for e in levels:
             try:
-                reports.append(theorem_report(G, p, e, strategy))
+                reports.append(theorem_report(G, p, e))
             except CharposetError as err:
                 errors.append(
                     {"spec": spec, "e": e, "kind": type(err).__name__, "message": str(err)}

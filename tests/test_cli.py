@@ -432,6 +432,28 @@ def test_sweep_under_python_O_matches_in_process(capsys):
 
 
 @pytest.mark.slow
+def test_default_sweep_output_is_pinned(tmp_path, capsys, monkeypatch):
+    """The default catalog sweep (p in 2, 3, 5, order <= 64) writes the same
+    bytes as before."""
+    monkeypatch.delenv("CHARPOSET_CAP", raising=False)
+    out = tmp_path / "sweep.json"
+    code, _, err = run(capsys, "sweep", "--out", str(out))
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3a978b16ba1cb307f3318ddbfa5283359bc162fc489f4b36b75b93fc1085f5f2"
+    )
+
+
+@pytest.mark.parametrize("command", [["verify", "--group", "Cyclic(2,2)"], ["sweep"]])
+def test_verify_and_sweep_take_no_strategy(command):
+    """The partition does not depend on the edge strategy, so only poset
+    takes --strategy."""
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--strategy", "full"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("spec, levels", [("AbelianProduct(4,2,2,2,2,2)", 7), ("ElemAbelian(3,5)", 5)])
 def test_verify_cap_256_on_the_heaviest_abelian_lattices(capsys, spec, levels):
     """(C2)^5xC4 and (C3)^5, the slowest and largest in memory of the

@@ -27,7 +27,7 @@ from charposet.poset import (
     central_poset_map,
     components,
 )
-from charposet.verify import valid_exponents
+from charposet.verify import theorem_report, valid_exponents
 
 from conftest import (
     bfs_components,
@@ -185,14 +185,37 @@ def test_component_counts(spec, e, expected):
 
 
 def test_strategy_partitions_identical(q8, d8, d16, c4xc2, e222):
+    """The one pass over the upward covers gives the partition of a
+    breadth-first search over every containment edge of the full poset."""
     for G in (q8, d8, d16, c4xc2, e222):
         for e in range(0, 3):
             if 2 ** (e + 1) > G.order:
                 break
-            full = components(G, None, e, "full")
-            maxi = components(G, None, e, "maximal")
-            assert full.node_to_component == maxi.node_to_component
-            assert full.count == maxi.count
+            labels, count = bfs_components(_poset(G, e, "full"))
+            part = components(G, None, e, "maximal")
+            assert part.node_to_component == labels
+            assert part.count == count
+
+
+@pytest.mark.parametrize(
+    "spec, edges",
+    [("DirectProduct(Dihedral(8),Dihedral(8))", 4660),
+     ("DirectProduct(Extraspecial(3,+),Cyclic(3,1))", 2160)],
+)
+def test_components_read_one_upward_cover_per_subgroup(spec, edges):
+    """A report at e = 0 computes the restriction edges of exactly one pair
+    per subgroup K != G of order >= p: K under its first cover in
+    maximal_pairs().  The edge total is counted here."""
+    G = fam.builtin(spec)
+    assert theorem_report(G, None, 0).ok
+    ctx = get_context(G)
+    first = {}
+    for K, H in ctx.maximal_pairs():
+        first.setdefault(K.elems, H.elems)
+    p = gr.require_p_group(G)
+    below = [S.elems for S in ctx.lattice() if p <= len(S.elems) < G.order]
+    assert sorted(ctx._edges) == sorted((K, first[K]) for K in below)
+    assert sum(len(I) for I, _ in ctx._edges.values()) == edges
 
 
 def test_component_representatives_abelian(c4xc2):

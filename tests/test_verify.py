@@ -1,6 +1,9 @@
 from collections import Counter
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charposet import families as fam
 from charposet import groups as gr
@@ -179,6 +182,25 @@ def test_reports_survive_relabelling_and_isomorphism():
         assert _reports(A) == _reports(B), (A.name, B.name)
         assert _degrees(A) == _degrees(B), (A.name, B.name)
         assert _component_sizes(A) == _component_sizes(B), (A.name, B.name)
+
+
+_SMALL_CATALOG = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27) + fam.builtin_catalog(5, 25)
+
+
+@cache
+def _unrelabelled(spec):
+    G = fam.builtin(spec)
+    return _reports(G), _component_sizes(G)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_SMALL_CATALOG), seed=st.integers(0, 2**32 - 1))
+def test_partition_does_not_depend_on_the_upward_cover_choice(spec, seed):
+    """Relabelling moves lattice positions, and so which cover of each
+    subgroup the union-find pass reads; the reports and the component
+    sizes at every e stay those of the unrelabelled group."""
+    G = relabelled(fam.builtin(spec), seed)
+    assert (_reports(G), _component_sizes(G)) == _unrelabelled(spec)
 
 
 def test_sweep_cap_reaches_the_central_count():
