@@ -1,10 +1,18 @@
 """Irreducible characters of all subgroups of a fixed finite group.
 
-Irr(H) takes one of three routes (_compute_irr):
+Irr(H) takes one of four routes (_compute_irr):
 
-* an abelian H (as many classes as elements) gets its |H| linear characters
-  as exponent maps, grown over the cosets of the trivial subgroup inside
-  the ambient table;
+* a proper subgroup H of a p-group whose up cover U (its first cover in
+  maximal_pairs() order, read only once the lattice is built) is abelian
+  gets singleton classes with no conjugation, and Irr(H) as the |H|
+  distinct restrictions of Irr(U), since every linear character of H
+  extends to U;
+* any other abelian H (as many classes as elements: a whole group, whose
+  Irr never builds the lattice, an abelian H under a nonabelian U, an
+  abelian subgroup of a group that is not a p-group) gets its |H| linear
+  characters as exponent maps, grown over the cosets of the trivial
+  subgroup inside the ambient table; this coset walk is also the oracle of
+  the restriction route;
 * a nonabelian subgroup of a p-group is built by Clifford theory at prime
   index over its maximal subgroups, with no search and no induction: the
   p extensions of each invariant linear character of the first maximal K
@@ -17,10 +25,10 @@ Irr(H) takes one of three routes (_compute_irr):
   sqrt(|H|).  It is complete exactly for M-groups, and it is the oracle of
   the Clifford route.
 
-Completeness is asserted: the abelian route's |H| linear characters must
-be distinct, the other two routes check the class count and the sum of
-squared degrees, and the Clifford route also the regular character.  So a
-gap in a method surfaces as an error rather than a wrong answer.
+Completeness is asserted: the two abelian routes must give |H| distinct
+linear characters, the other two routes check the class count and the sum
+of squared degrees, and the Clifford route also the regular character.  So
+a gap in a method surfaces as an error rather than a wrong answer.
 
 All values are exact cyclotomic integers at one global conductor, the
 exponent of the ambient group.  A ClassFunction stores them as integer
@@ -235,11 +243,25 @@ class CharContext:
     # -- classes and characters -------------------------------------------
 
     def classes(self, S: Subgroup) -> ConjClasses:
+        """S's conjugacy classes: singletons, with no conjugation, when S lies
+        under an abelian up cover; conjugacy_classes(S) otherwise."""
         hit = self._classes.get(S.elems)
         if hit is None:
-            hit = conjugacy_classes(S)
+            if self._abelian_up(S) is None:
+                hit = conjugacy_classes(S)
+            else:
+                hit = _singleton_classes(S)
             self._classes[S.elems] = hit
         return hit
+
+    def _abelian_up(self, S: Subgroup) -> Optional[Subgroup]:
+        """S's first cover up_cover[S] when the lattice is built and that
+        cover is abelian, else None.  Only reads up_cover: it never builds
+        the lattice."""
+        U = self.up_cover.get(S.elems)
+        if U is not None and self.classes(U).count == len(U.elems):
+            return U
+        return None
 
     def linear(self, S: Subgroup) -> tuple:
         """The degree-1 front of irr(S)."""
@@ -498,19 +520,64 @@ def linear_characters(H: Subgroup) -> tuple:
     return get_context(H.ambient).linear(H)
 
 
-def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
-    """Irr(H), canonically sorted, by one of three routes.
+def _singleton_classes(S: Subgroup) -> ConjClasses:
+    """The classes of an abelian S, one per element in index order: field for
+    field what conjugacy_classes(S) gives, in O(|S|)."""
+    G = S.ambient
+    class_of = [-1] * G.order
+    for c, x in enumerate(S.elems):
+        class_of[x] = c
+    return ConjClasses(
+        owner=S,
+        class_of=tuple(class_of),
+        reps=S.elems,
+        sizes=(1,) * len(S.elems),
+        inverse_class=tuple(class_of[G.inverse[x]] for x in S.elems),
+        members=tuple((x,) for x in S.elems),
+        identity_class=class_of[G.identity],
+    )
 
-    An abelian H (as many classes as elements) gets its |H| linear
-    characters by the coset walk from the trivial subgroup.  A nonabelian
-    subgroup of a p-group is built from the conjugation orbits of Irr of its
-    maximal subgroups by Clifford theory (_clifford_irr), with no search and
-    no induction.  A nonabelian subgroup of any other group takes the
-    monomial search (_monomial_irr), which is also the oracle of the
-    Clifford route."""
+
+def _restricted_irr(ctx: CharContext, S: Subgroup, U: Subgroup) -> list:
+    """Irr(S) for S under an abelian up cover U: every linear character of S
+    extends to U, so Irr(S) is the set of restrictions of Irr(U), read by one
+    itemgetter over U's class map.  There must be exactly |S| distinct ones;
+    anything else raises IncompleteIrr."""
+    cc = ctx.classes(S)
+    class_of_U = ctx.classes(U).class_of
+    pick = itemgetter(*[class_of_U[r] for r in cc.reps])
+    found = set(map(pick, [chi.rows for chi in ctx.irr(U)]))
+    if cc.count == 1:  # itemgetter of one index returns the bare row
+        found = {(row,) for row in found}
+    if len(found) != cc.count:
+        raise IncompleteIrr(
+            f"{S.ambient.name}: Irr of an abelian cover of order {len(U.elems)} restricts "
+            f"to {len(found)} distinct characters of a subgroup of order {cc.count}"
+        )
+    return [ClassFunction._from_rows(S, cc, rows) for rows in found]
+
+
+def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
+    """Irr(H), canonically sorted, by one of four routes.
+
+    An abelian proper subgroup of a p-group whose up cover U is abelian
+    restricts Irr(U) (_restricted_irr), the pair whose edges union-find reads
+    anyway.  Any other abelian H (as many classes as elements: a whole
+    group, whose Irr never builds the lattice, an abelian H under a
+    nonabelian U, an abelian subgroup of a group that is not a p-group) gets
+    its |H| linear characters by the coset walk from the trivial subgroup.
+    A nonabelian subgroup of a p-group is built from the conjugation orbits
+    of Irr of its maximal subgroups by Clifford theory (_clifford_irr), with
+    no search and no induction.  A nonabelian subgroup of any other group
+    takes the monomial search (_monomial_irr), which is also the oracle of
+    the Clifford route."""
     cc = ctx.classes(H)
     if cc.count == len(H.elems):
-        chars = _linear_characters(ctx, H, (H.ambient.identity,))
+        U = ctx._abelian_up(H)
+        if U is None:
+            chars = _linear_characters(ctx, H, (H.ambient.identity,))
+        else:
+            chars = _restricted_irr(ctx, H, U)
     elif ctx._prime is not None:
         chars = [ClassFunction._from_rows(H, cc, rows) for rows in _clifford_irr(ctx, H)]
     else:
@@ -585,27 +652,41 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> list:
             if total is not None:
                 found[tuple(zero if c < 0 else total[c] for c in at)] = None
     out = list(found)
+    _check_complete(ccH, out)
+    return out
+
+
+def _check_complete(cc: ConjClasses, out: list) -> None:
+    """Raise IncompleteIrr unless the distinct rows out are all of Irr of
+    cc's owner H: as many as classes, sum of squared degrees |H|, and sum of
+    chi(1) * chi the regular character (|H| at 1, 0 elsewhere).  The last
+    sum is taken per degree d, as d times the column sums of the rows of
+    that degree."""
+    H = cc.owner
     order = len(H.elems)
-    degrees = [cyc.coeffs_as_integer(rows[ccH.identity_class]) for rows in out]
-    if len(out) != ccH.count or sum(d * d for d in degrees) != order:
+    degrees = [cyc.coeffs_as_integer(rows[cc.identity_class]) for rows in out]
+    if len(out) != cc.count or sum(d * d for d in degrees) != order:
         raise IncompleteIrr(
-            f"{G.name}: Clifford theory over the maximal subgroups gave {len(out)} "
+            f"{H.ambient.name}: Clifford theory over the maximal subgroups gave {len(out)} "
             f"distinct characters with sum(deg^2) = "
-            f"{sum(d * d for d in degrees)} for |H| = {order} with {ccH.count} classes"
+            f"{sum(d * d for d in degrees)} for |H| = {order} with {cc.count} classes"
         )
-    regular = [[0] * len(zero) for _ in range(ccH.count)]
-    for d, rows in zip(degrees, out):
-        for acc, row in zip(regular, rows):
-            for k, v in enumerate(row):
-                if v:
-                    acc[k] += d * v
-    expected = [[0] * len(zero) for _ in range(ccH.count)]
-    expected[ccH.identity_class][0] = order
+    by_degree = [
+        [
+            tuple(d * s for s in map(sum, zip(*col)))
+            for col in zip(*(rows for e, rows in zip(degrees, out) if e == d))
+        ]
+        for d in set(degrees)
+    ]
+    regular = [tuple(map(sum, zip(*parts))) for parts in zip(*by_degree)]
+    zero = (0,) * len(out[0][0])
+    expected = [zero] * cc.count
+    expected[cc.identity_class] = (order,) + zero[1:]
     if regular != expected:
         raise IncompleteIrr(
-            f"{G.name}: sum of chi(1) * chi is not the regular character of |H| = {order}"
+            f"{H.ambient.name}: sum of chi(1) * chi is not the regular character of "
+            f"|H| = {order}"
         )
-    return out
 
 
 def _monomial_irr(ctx: CharContext, H: Subgroup) -> list:
@@ -657,7 +738,8 @@ def _monomial_irr(ctx: CharContext, H: Subgroup) -> list:
 def irr(H: Subgroup) -> tuple:
     """The complete irreducible character set of H, canonically ordered
     (degree-major, then lexicographic in the rows), by the route of
-    _compute_irr: linear characters for an abelian H, Clifford theory over
+    _compute_irr: for an abelian H, restrictions of Irr of an abelian up
+    cover or else linear characters by the coset walk; Clifford theory over
     the maximal subgroups in a p-group, the monomial search otherwise."""
     return get_context(H.ambient).irr(H)
 

@@ -736,3 +736,119 @@ def test_clifford_irr_with_only_the_first_maximal_subgroup_is_incomplete(monkeyp
     assert main(["irr", "--group", _D8xD8, "--subgroups"]) == 5
     err = capsys.readouterr().err
     assert "internal check failed" in err and "Clifford theory" in err
+
+
+def _abelian_up_cover_oracle(ctx, S):
+    """Whether S's first cover is abelian, by conjugacy_classes itself."""
+    U = ctx.up_cover.get(S.elems)
+    return U is not None and gr.conjugacy_classes(U).count == len(U.elems)
+
+
+def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
+    """On every subgroup of the catalogs and of relabelled tables,
+    ctx.classes equals conjugacy_classes field for field, and Irr of every
+    abelian subgroup equals the coset walk's.  Exactly the subgroups under an
+    abelian up cover take the singleton classes and the restriction of
+    Irr(U)."""
+    def spy(seen, fn, at):
+        def wrapped(*args):
+            seen.append(args[at].elems)
+            return fn(*args)
+        return wrapped
+
+    singleton, restricted = [], []
+    monkeypatch.setattr(characters, "_singleton_classes", spy(singleton, characters._singleton_classes, 0))
+    monkeypatch.setattr(characters, "_restricted_irr", spy(restricted, characters._restricted_irr, 1))
+    specs = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 81) + fam.builtin_catalog(5, 125)
+    groups = [fam.builtin(spec) for spec in specs]
+    groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+        ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
+    )]
+    under_abelian = 0
+    for G in groups:
+        ctx = get_context(G, 256)
+        lattice = ctx.lattice()
+        singleton.clear()
+        restricted.clear()
+        expected = {S.elems for S in lattice if _abelian_up_cover_oracle(ctx, S)}
+        for S in lattice:
+            assert ctx.classes(S) == gr.conjugacy_classes(S), (G.name, S)
+        for S in lattice:
+            if ctx.classes(S).count == len(S.elems):
+                walk = sorted(
+                    characters._linear_characters(ctx, S, (G.identity,)), key=ClassFunction.sort_key
+                )
+                assert [ch.rows for ch in ctx.irr(S)] == [ch.rows for ch in walk], (G.name, S)
+        assert sorted(singleton) == sorted(expected), G.name
+        assert sorted(restricted) == sorted(expected), G.name
+        under_abelian += len(expected)
+    assert under_abelian > 9000
+
+
+def test_abelian_subgroup_routes_never_build_the_lattice():
+    """Classes, Irr and restriction onto a proper subgroup of (C2)^7, whose
+    lattice exceeds the lattice cap, read up_cover only and build nothing."""
+    G = fam.builtin("ElemAbelian(2,7)", 256)
+    ctx = get_context(G, 256)
+    gens: list = []
+    S = _sub(G, gens)
+    for g in range(G.order):
+        if len(S.elems) == 64:
+            break
+        if not S.contains(g):
+            gens.append(g)
+            S = _sub(G, gens)
+    assert len(S.elems) == 64
+    assert ctx.classes(S).count == 64
+    assert len(ctx.irr(S)) == 64
+    chi = ctx.irr(ctx.whole)[-1]
+    assert restrict(chi, S).rows in ctx.char_index(S)
+    assert ctx._lattice is None
+
+
+def test_restricted_irr_certifies_irr_of_the_abelian_cover(capsys, monkeypatch):
+    """A spurious row (the doubled first character) in Irr(U) restricts to
+    one character too many for a subgroup under U: IncompleteIrr, and exit
+    5 from charposet irr --subgroups when the whole group's Irr is the one
+    tampered with."""
+
+    def tampered(chars):
+        first = chars[0]
+        doubled = tuple(tuple(2 * v for v in row) for row in first.rows)
+        return chars + (ClassFunction._from_rows(first.owner, first.classes, doubled),)
+
+    ctx = get_context(fam.builtin("ElemAbelian(3,2)"))
+    S = ctx.lattice()[1]
+    U = ctx.up_cover[S.elems]
+    assert (len(S.elems), len(U.elems)) == (3, 9)
+    ctx._irr[U.elems] = tampered(ctx.irr(U))
+    with pytest.raises(IncompleteIrr):
+        ctx.irr(S)
+
+    compute_irr = characters._compute_irr
+
+    def tampered_irr(ctx, S):
+        chars = compute_irr(ctx, S)
+        return tampered(chars) if len(S.elems) == ctx.group.order else chars
+
+    monkeypatch.setattr(characters, "_compute_irr", tampered_irr)
+    assert main(["irr", "--group", "Cyclic(2,3)", "--subgroups"]) == 5
+    assert "internal check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["Dihedral(8)", "Quaternion(16)", "Extraspecial(3,+)"])
+def test_regular_character_check_catches_one_changed_value(spec):
+    """Rows with the right count, the right degree squares and no repeats,
+    but one value changed at a class other than the identity's, fail the
+    regular-character check; the true Irr passes it."""
+    ctx = get_context(fam.builtin(spec))
+    cc = ctx.classes(ctx.whole)
+    rows = [ch.rows for ch in ctx.irr(ctx.whole)]
+    characters._check_complete(cc, rows)
+    c = next(c for c in range(cc.count) if c != cc.identity_class)
+    changed = list(rows[0])
+    changed[c] = tuple(-v for v in changed[c])
+    bad = [tuple(changed)] + rows[1:]
+    assert bad[0] != rows[0] and len(set(bad)) == cc.count
+    with pytest.raises(IncompleteIrr, match="regular character"):
+        characters._check_complete(cc, bad)
