@@ -38,10 +38,12 @@ CycInt appears only at the boundary: the public ClassFunction constructor
 and the views values and value_at (export writes the rows directly).
 
 A per-group CharContext is the one home of each structural fact of the
-group: Z(G), the subgroup lattice with its index-p cover relation, conjugacy
-classes, character sets with their row index, and restriction
-decompositions with their constituent bitmasks; everything it stores is
-immutable.
+group: Z(G), the subgroup lattice with its index-p cover relation and a
+generating set of G, conjugacy classes, character sets with their row
+index, restriction decompositions with their constituent bitmasks, and the
+component partitions of the poset levels; everything it stores is
+immutable, except the state of the component pass (the peaks so far and
+the merge forest over Irr(G)), which the next lower level resumes.
 
 The restriction edges of a pair K < H are stored once per pair, in
 CharContext._edges, as two flat int tuples (I, J) in (j, i) order: edge k
@@ -199,6 +201,7 @@ class CharContext:
         self.zeta_rows = tuple(z.coeffs for z in cyc.zeta_table(G.exponent))
         self.zeta_exponent = {row: k for k, row in enumerate(self.zeta_rows)}
         self._lattice: Optional[list] = None
+        self.generators: tuple = ()  # a generating set of G, read off the lattice
         self._covers: list = []
         self._maximal: dict = {}  # H.elems -> H's maximal subgroups, in maximal_pairs() order
         self.up_cover: dict = {}  # K.elems -> K's first cover in maximal_pairs() order
@@ -208,15 +211,25 @@ class CharContext:
         self._char_index: dict = {}
         self._edges: dict = {}  # (K.elems, H.elems) -> (I, J), see restriction_edges
         self._masks: dict = {}  # constituent_masks, a view of _edges
-        # least subgroup order of a level -> its ComponentPartition
+        # least subgroup order of a level -> its ComponentPartition, which
+        # holds one forest root per character of G (CharacterPoset.components)
         self.partitions: dict = {}
+        # The state of that pass from G down, which a lower level resumes:
+        # K.elems -> the peak in Irr(G) of each character of K, for every
+        # subgroup passed so far, and the merge forest over Irr(G) ids.
+        self.peaks: dict = {}
+        self.forest: list = []
 
     # -- lattice ---------------------------------------------------------
 
     def lattice(self) -> list:
         if self._lattice is None:
             covers: list = []
-            self._lattice = all_subgroups(self.group, self.order_cap, DEFAULT_LATTICE_CAP, covers)
+            gens: list = []
+            self._lattice = all_subgroups(
+                self.group, self.order_cap, DEFAULT_LATTICE_CAP, covers, gens
+            )
+            self.generators = tuple(gens)
             self._by_elems = {S.elems: S for S in self._lattice}
             # Order by upper subgroup, then lower, as lattice positions.
             covers.sort(key=lambda kh: (len(kh[1].elems), kh[1].elems, kh[0].elems))

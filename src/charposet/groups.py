@@ -401,6 +401,15 @@ def is_normal_in(N: Subgroup, H: Subgroup) -> bool:
     return all(N.contains(G.conj(n, h)) for h in H.elems for n in N.elems)
 
 
+def normalised_by(N: Subgroup, gens: Iterable[int]) -> bool:
+    """Whether x N x^-1 lies in N for every x in gens, so N is normal in the
+    group they generate (conjugation maps the finite N into itself one to
+    one).  |gens|*|N| table reads, where is_normal_in(N, H) takes |H|*|N|."""
+    G = N.ambient
+    t, inv, mask = G.table, G.inverse, N.mask
+    return all(mask >> t[t[x][n]][inv[x]] & 1 for x in gens for n in N.elems)
+
+
 def conjugacy_classes(H: Subgroup) -> ConjClasses:
     """Orbits of H acting on itself by conjugation; reps are minimal indices."""
     G = H.ambient
@@ -440,8 +449,10 @@ def all_subgroups(
     order_cap: int = DEFAULT_ORDER_CAP,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
     covers: Optional[list] = None,
+    generators: Optional[list] = None,
 ) -> list:
-    """Every subgroup of G exactly once, sorted by (order, elements).
+    """Every subgroup of G exactly once, sorted by (order, elements); when
+    generators is a list, a generating set of G is appended to it.
 
     A p-group's lattice is built layer by layer by cyclic extension
     (Neubüser 1960): every subgroup K of order p^(k+1) has a normal subgroup
@@ -462,7 +473,7 @@ def all_subgroups(
         raise OrderCapExceeded(f"|G| = {G.order} exceeds cap {order_cap}")
     p = prime_of(G.order)
     if p is not None:
-        return _cyclic_extension_lattice(G, p, lattice_cap, covers)
+        return _cyclic_extension_lattice(G, p, lattice_cap, covers, generators)
 
     found: dict[tuple, Subgroup] = {}
     gens_of: dict[tuple, tuple] = {}
@@ -491,11 +502,13 @@ def all_subgroups(
         for x in range(G.order):
             if not H.contains(x):
                 add(closure_from_gens(G, base_gens + (x,)), base_gens + (x,))
+    if generators is not None:
+        generators.extend(gens_of[tuple(range(G.order))])
     return sorted(found.values(), key=lambda S: (len(S.elems), S.elems))
 
 
 def _cyclic_extension_lattice(
-    G: GroupTable, p: int, lattice_cap: int, covers: Optional[list]
+    G: GroupTable, p: int, lattice_cap: int, covers: Optional[list], generators: Optional[list]
 ) -> list:
     """all_subgroups for a p-group: layer k+1 is every H<x> over layer k."""
     t = G.table
@@ -554,6 +567,8 @@ def _cyclic_extension_lattice(
             )
         layer = sorted(found.values(), key=lambda Sg: Sg[0].elems)
         out += [S for S, _ in layer]
+    if generators is not None:
+        generators.extend(layer[0][1])  # the top layer is G alone
     return out
 
 

@@ -3,20 +3,25 @@
 Nodes are pairs (H, chi) where H runs over the subgroups of order at least
 p^(e+1) and chi over Irr(H); (K, psi) <= (H, chi) iff K <= H and psi is a
 constituent of chi restricted to K.  Level e is level e+1 plus the layer
-of subgroups of order p^(e+1), so one union-find pass over the edges held
-by CharContext adds the layers from the top and keeps each level's
-partition.  The pass unions only the restriction edges of (K, up(K)) for
-each K != G, up(K) being K's first cover in maximal_pairs() order.  They
-span every component: if psi lies under chi on K < H, both lie under some
-omega in Irr(G), and restricting omega down the covers G > ... > up(K) > K
-one constituent at a time reaches psi (and likewise chi) through subgroups
-of order >= |K|.  The edge strategy (maximal: cover pairs; full: every
-containment, the oracle) only picks the edges that edge_list() lists.
+of subgroups of order p^(e+1).  Every node (K, psi) lies under some
+(G, omega): by Frobenius reciprocity psi^G has a constituent omega, and
+restricting omega down the covers G > ... > up(K) > K one constituent at a
+time reaches psi through subgroups of order >= |K|, up(K) being K's first
+cover in maximal_pairs() order.  So every component holds a character of
+G, the edges of (K, up(K)) for each K != G span every component, and as e
+falls components only merge classes of Irr(G).  One pass from G down
+(components) gives each node a peak in Irr(G) and merges peaks on a forest
+over the ids of Irr(G); each level keeps one root per character of G, the
+0-dimensional merge tree of the filtration by order.  The edge strategy
+(maximal: cover pairs; full: every containment, the oracle) only picks the
+edges that edge_list() lists.
 
 A node is an integer id: the characters of the poset's subgroups numbered
-consecutively, subgroup by subgroup, from offsets[sid].  Union-find and the
-central-map checks work on these ids alone; the PosetNode list (nodes) is
-built on first access, for export, witness chains and build_nodes.
+consecutively, subgroup by subgroup, from offsets[sid].  The pass and the
+central-map checks never list the nodes: a level's node_to_component is
+built on first access from its roots and the peaks, and the PosetNode list
+(nodes) is built on first access, for export, witness chains and
+build_nodes.
 
 Witness chains make connectivity explicit: witness_direct joins two nodes
 through a peak in Irr(G) over both, and witness_sequence joins the nodes it
@@ -41,6 +46,7 @@ from .errors import (
     ChoiceExhausted,
     ComponentCoverageError,
     InputError,
+    InternalCheckError,
     InvalidExponent,
     NoConstituent,
     NotAbelian,
@@ -63,10 +69,39 @@ class PosetNode:
     char_id: int
 
 
-@dataclass(frozen=True)
 class ComponentPartition:
-    node_to_component: tuple
-    count: int
+    """One level's components: their count, and node_to_component, which
+    labels each node id by component in order of first appearance.
+
+    CharacterPoset.components gives roots, the forest root of each character
+    of G at this level, and peaks, one tuple per subgroup of the level in
+    node order; node x lies in the component of roots[peak(x)], and
+    node_to_component is built from them on first access."""
+
+    def __init__(
+        self, node_to_component: Optional[tuple] = None, count: int = 0,
+        roots: tuple = (), peaks: tuple = (),
+    ):
+        self.count = count
+        self.roots = roots
+        self.peaks = peaks
+        if node_to_component is not None:
+            self.__dict__["node_to_component"] = node_to_component
+
+    @cached_property
+    def node_to_component(self) -> tuple:
+        labels: dict = {}
+        roots = self.roots
+        return tuple(labels.setdefault(roots[w], len(labels)) for pk in self.peaks for w in pk)
+
+    def component_keys(self) -> Sequence[int]:
+        """One key per node id, equal exactly within a component: the labels
+        when they are given or built, else each node's root, not kept."""
+        labels = self.__dict__.get("node_to_component")
+        if labels is not None:
+            return labels
+        roots = self.roots
+        return [roots[w] for pk in self.peaks for w in pk]
 
 
 @dataclass(frozen=True)
@@ -182,36 +217,55 @@ class CharacterPoset:
     def components(self) -> ComponentPartition:
         """This level's partition, kept in ctx.partitions.
 
-        On a miss, one union-find pass adds the subgroups from the largest
-        order down, each K != G with the edges of (K, ctx.up_cover[K]) only.
-        Each higher level's nodes are a suffix of this poset's ids, so its
-        partition is the snapshot after its layer, and every snapshot is kept."""
-        levels = self.ctx.partitions
+        On a miss the pass resumes from G down, a layer of subgroups at a
+        time, and gives each character psi of K != G a peak: the peak of the
+        first chi over psi in the (j, i)-sorted edges of (K, up(K)).  Every
+        further edge unions the peaks of its ends on the forest over Irr(G),
+        and each finished layer stores its level's roots.  Peaks and forest
+        do not depend on the level, so they stay on the context.  A psi
+        under no chi raises InternalCheckError."""
+        ctx = self.ctx
+        levels, peaks, parent = ctx.partitions, ctx.peaks, ctx.forest
         if self.min_order in levels:
             return levels[self.min_order]
-        n = self.node_count
-        parent = list(range(n))
 
         def find(x: int) -> int:
             while parent[x] != x:
                 parent[x] = x = parent[parent[x]]
             return x
 
-        subs, sid, off = self.subgroups, self._sid, self.offsets
-        up, edges = self.ctx.up_cover, self.ctx.restriction_edges
-        for s in range(len(subs) - 1, -1, -1):
+        subs = self.subgroups
+        up, edges, irr = ctx.up_cover, ctx.restriction_edges, ctx.irr
+        for s in range(len(subs) - 1 - len(peaks), -1, -1):
             K = subs[s]
             H = up.get(K.elems)
-            if H is not None:
-                koff, hoff = off[s], off[sid[H.elems]]
+            if H is None:  # K is G: each omega is its own peak
+                peaks[K.elems] = tuple(range(len(irr(K))))
+                parent.extend(peaks[K.elems])
+            else:
+                over = peaks[H.elems]
+                peak = [None] * len(irr(K))
                 for i, j in zip(*edges(K, H)):
-                    a, b = find(koff + i), find(hoff + j)
-                    if a != b:  # the higher root stays, so upper layers keep theirs
-                        parent[min(a, b)] = max(a, b)
+                    a, b = peak[i], over[j]
+                    if a is None:
+                        peak[i] = b
+                    elif a != b:
+                        a, b = find(a), find(b)
+                        if a != b:
+                            parent[max(a, b)] = min(a, b)
+                if None in peak:
+                    raise InternalCheckError(
+                        f"{self.group.name}: a character of a subgroup of order {len(K.elems)} "
+                        "lies under no character of its up cover"
+                    )
+                peaks[K.elems] = tuple(peak)
             if s == 0 or len(subs[s - 1].elems) < len(K.elems):  # K's layer is complete
-                labels: dict = {}
-                out = tuple(labels.setdefault(find(x), len(labels)) for x in range(off[s], n))
-                levels[len(K.elems)] = ComponentPartition(out, len(labels))
+                roots = tuple(map(find, range(len(parent))))
+                levels[len(K.elems)] = ComponentPartition(
+                    count=len(set(roots)),
+                    roots=roots,
+                    peaks=tuple(peaks[S.elems] for S in subs[s:]),
+                )
         return levels[self.min_order]
 
     def component_representatives(self, partition: ComponentPartition, H: Subgroup) -> dict:

@@ -34,7 +34,7 @@ from .groups import (
     GroupTable,
     Subgroup,
     intersect_all,
-    is_normal_in,
+    normalised_by,
     require_p_group,
     subgroups_of_order,
 )
@@ -99,13 +99,14 @@ class SweepResult:
 
 def compute_I(G: GroupTable, p: Optional[int], e: int) -> Subgroup:
     """Intersection of all subgroups of order p^(e+1); normal in G since the
-    family is closed under conjugation."""
+    family is closed under conjugation, which is certified under the
+    lattice's generating set of G."""
     p = require_p_group(G, p)
     check_level(G, p, e)
     ctx = get_context(G)
     subs = subgroups_of_order(G, p ** (e + 1), ctx.lattice())
     I = intersect_all(subs)
-    if not is_normal_in(I, ctx.whole):
+    if not normalised_by(I, ctx.generators):
         raise InternalCheckError(f"{G.name} e={e}: I is not normal in G")
     return I
 
@@ -170,7 +171,7 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
     built the partition are never read.  Constancy and surjectivity are
     read off one set of (component, image) pairs."""
     lookup = ctx.char_index(IZ)
-    comp = partition.node_to_component
+    comp = partition.component_keys()
     reps = ctx.classes(IZ).reps
     images = set()
     for S, off in zip(poset.subgroups, poset.offsets):

@@ -240,6 +240,43 @@ def bfs_components(poset):
     return tuple(label), count
 
 
+def union_find_levels(poset):
+    """{least subgroup order: (node_to_component, count)} for the poset's
+    level and every level above it, by one union-find pass over node ids.
+
+    The pass adds the subgroups from the largest order down, each K != G with
+    the edges of (K, ctx.up_cover[K]); the higher root stays.  Each higher
+    level's nodes are a suffix of the poset's ids, so its partition is the
+    snapshot after its layer, labelled in order of first appearance.  The
+    oracle for CharacterPoset.components, which merges peaks over Irr(G)."""
+    n = poset.node_count
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    subs, off = poset.subgroups, poset.offsets
+    sid = {S.elems: s for s, S in enumerate(subs)}
+    ctx = poset.ctx
+    levels = {}
+    for s in range(len(subs) - 1, -1, -1):
+        K = subs[s]
+        H = ctx.up_cover.get(K.elems)
+        if H is not None:
+            koff, hoff = off[s], off[sid[H.elems]]
+            for i, j in zip(*ctx.restriction_edges(K, H)):
+                a, b = find(koff + i), find(hoff + j)
+                if a != b:
+                    parent[min(a, b)] = max(a, b)
+        if s == 0 or len(subs[s - 1].elems) < len(K.elems):  # K's layer is complete
+            labels = {}
+            out = tuple(labels.setdefault(find(x), len(labels)) for x in range(off[s], n))
+            levels[len(K.elems)] = (out, len(labels))
+    return levels
+
+
 def witness_direct_oracle(poset, alpha, beta):
     """witness_direct by induction and inner products: the first omega in
     Irr(G) with [alpha^G, omega] != 0 and [omega_K, beta] != 0.  The oracle

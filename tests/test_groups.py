@@ -502,3 +502,28 @@ def test_subgroup_validation(q8):
 def test_lagrange_all_subgroups(d16):
     for S in gr.all_subgroups(d16):
         assert d16.order % len(S) == 0
+
+
+def test_normality_under_the_lattice_generators_matches_is_normal_in():
+    """The lattice hands out a generating set of G, and normality under it
+    agrees with conjugation by every element, on every subgroup of the
+    catalogs p = 2 <= 32 and p = 3 <= 27, normal or not.  The closure route
+    of a group that is not a p-group hands out generators too."""
+    tally = {True: 0, False: 0}
+    for spec in fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27):
+        G = fam.builtin(spec)
+        gens = []
+        lattice = gr.all_subgroups(G, generators=gens)
+        whole = gr.whole_group(G)
+        assert gr.closure_from_gens(G, gens) == whole.elems, spec
+        for S in lattice:
+            normal = gr.normalised_by(S, gens)
+            assert normal == gr.is_normal_in(S, whole), (spec, S.elems)
+            tally[normal] += 1
+    assert tally[True] and tally[False]
+    S3 = gr.from_permutations([(1, 2, 0), (1, 0, 2)])
+    gens = []
+    lattice = gr.all_subgroups(S3, generators=gens)
+    assert gr.closure_from_gens(S3, gens) == tuple(range(6))
+    whole = gr.whole_group(S3)
+    assert [gr.normalised_by(S, gens) for S in lattice] == [gr.is_normal_in(S, whole) for S in lattice]

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from charposet import groups as gr
 from charposet.characters import ClassFunction, get_context, inner_product, irr, restrict
 from charposet.errors import (
     InputError,
+    InternalCheckError,
     InvalidExponent,
     NotAbelian,
     NotPGroup,
@@ -32,6 +37,7 @@ from charposet.verify import theorem_report, valid_exponents
 from conftest import (
     bfs_components,
     relabelled,
+    union_find_levels,
     witness_direct_oracle,
     witness_sequence_oracle,
 )
@@ -523,6 +529,125 @@ def test_level_partitions_match_per_level_oracle():
                     part = poset.components()
                     got = (part.node_to_component, part.count)
                     assert got == bfs_components(poset), (G.name, strategy, asked, e)
+
+
+_SWEEP_SPECS = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 64) + fam.builtin_catalog(5, 64)
+_RELABELLED = ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
+
+
+def test_components_match_the_union_find_oracle_at_every_level():
+    """On the sweep catalog ((C2)^6 and D8xD8 included) and five relabelled
+    tables, the merge of peaks over Irr(G) gives every level exactly the
+    partition of the per-node union-find pass, with its labels, whatever
+    order the levels are asked in, from a fresh context."""
+    builds = [lambda spec=spec: fam.builtin(spec) for spec in _SWEEP_SPECS]
+    builds += [
+        lambda spec=spec, seed=seed: relabelled(fam.builtin(spec), seed)
+        for seed, spec in enumerate(_RELABELLED)
+    ]
+    assert "AbelianProduct(2,2,2,2,2,2)" in _SWEEP_SPECS
+    assert "DirectProduct(Dihedral(8),Dihedral(8))" in _SWEEP_SPECS
+    for build in builds:
+        G = build()
+        oracle = union_find_levels(build_poset(G, None, 0))
+        levels = valid_exponents(G)
+        shuffled = levels[:]
+        random.Random(G.order).shuffle(shuffled)
+        for asked in (levels, levels[::-1], shuffled):
+            G = build()
+            for e in asked:
+                poset = build_poset(G, None, e)
+                part = poset.components()
+                got = (part.node_to_component, part.count)
+                assert got == oracle[poset.min_order], (G.name, asked, e)
+
+
+def test_every_component_holds_a_character_of_the_whole_group():
+    """The fact the merge forest rests on, on every level of the sweep
+    catalog: each component holds a node (G, omega), so counts never rise as
+    e falls, and each count is the number of distinct forest roots over
+    Irr(G)."""
+    for spec in _SWEEP_SPECS:
+        G = fam.builtin(spec)
+        whole = get_context(G).whole
+        counts = []
+        for e in reversed(valid_exponents(G)):
+            poset = build_poset(G, None, e)
+            part = poset.components()
+            reps = poset.component_representatives(part, whole)
+            assert part.count == len(reps) == len(set(part.roots)), (spec, e)
+            counts.append(part.count)
+        assert counts == sorted(counts, reverse=True), spec
+
+
+def test_level_labels_are_built_on_first_read_and_lower_levels_resume_the_pass():
+    """A report keeps one root per character of G for its level, and no node
+    labels; asking the levels from the top down reads the edges of each
+    subgroup's up cover once in all, since each level continues the pass."""
+    G = fam.builtin("DirectProduct(Dihedral(8),Cyclic(2,1))")
+    ctx = get_context(G)
+    reads = []
+    edges = ctx.restriction_edges
+    ctx.restriction_edges = lambda K, H: reads.append(K.elems) or edges(K, H)
+    levels = valid_exponents(G)
+    for e in reversed(levels):
+        assert theorem_report(G, None, e).ok
+    assert sorted(reads) == sorted(S.elems for S in ctx.lattice()[1:-1])
+    parts = ctx.partitions
+    assert sorted(parts) == [2 ** (e + 1) for e in levels]
+    assert all(len(part.roots) == len(ctx.irr(ctx.whole)) for part in parts.values())
+    assert not any("node_to_component" in part.__dict__ for part in parts.values())
+    labels = parts[2].node_to_component
+    assert "node_to_component" in parts[2].__dict__
+    assert len(labels) == build_poset(G, None, 0).node_count
+
+
+_DROP_PSI = """
+import sys
+from charposet import characters, cli, families
+from charposet.characters import get_context
+from charposet.errors import InternalCheckError
+from charposet.poset import CharacterPoset
+
+def dropped(I, J):
+    kept = [(i, j) for i, j in zip(I, J) if i != I[-1]]
+    return tuple(i for i, _ in kept), tuple(j for _, j in kept)
+
+ctx = get_context(families.builtin("Dihedral(8)"))
+K = next(S for S in ctx.lattice() if len(S.elems) == 2)
+key = (K.elems, ctx.up_cover[K.elems].elems)
+ctx._edges[key] = dropped(*ctx.restriction_edges(K, ctx.up_cover[K.elems]))
+try:
+    CharacterPoset(ctx, 2, 0).components()
+except InternalCheckError as err:
+    print(err)
+else:
+    sys.exit("components() took the tampered edges")
+
+clifford_edges = characters.CharContext._clifford_edges
+
+def tampered(self, K, H):
+    I, J = clifford_edges(self, K, H)
+    return dropped(I, J) if (K.elems, H.elems) == key else (I, J)
+
+characters.CharContext._clifford_edges = tampered
+sys.exit(0 if cli.main(["verify", "--group", "Dihedral(8)"]) == 5 else "verify did not exit 5")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_character_under_no_character_of_its_up_cover_exits_5(flags):
+    """Edges of (K, up(K)) with one psi of K dropped leave psi without a
+    peak: components() raises InternalCheckError and verify exits 5, under
+    plain Python and under python -O."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _DROP_PSI],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "lies under no character of its up cover" in proc.stdout
+    assert "internal check failed" in proc.stderr
 
 
 # sha256 of canonical_json(poset_json(...)) and of poset_dot(...) at each e,

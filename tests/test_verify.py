@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +228,43 @@ def test_central_suite_rejects_a_partition_merging_two_central_images(c4):
     merged = ComponentPartition(node_to_component=(0,) * poset.node_count, count=1)
     with pytest.raises(CriterionViolation, match="not constant"):
         verify._central_suite(ctx, poset, merged, IZ)
+
+
+_NOT_NORMAL_I = """
+import sys
+from charposet import cli, families, verify
+from charposet import groups as gr
+from charposet.errors import InternalCheckError
+
+def not_normal(subs):
+    G = subs[0].ambient
+    whole = gr.whole_group(G)
+    return next(S for S in gr.all_subgroups(G) if not gr.is_normal_in(S, whole))
+
+verify.intersect_all = not_normal
+try:
+    verify.compute_I(families.builtin("Dihedral(8)"), 2, 0)
+except InternalCheckError as err:
+    print(err)
+else:
+    sys.exit("compute_I took a subgroup that is not normal")
+sys.exit(0 if cli.main(["verify", "--group", "Dihedral(8)"]) == 5 else "verify did not exit 5")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_compute_I_rejects_an_intersection_that_is_not_normal(flags):
+    """An intersection replaced by a non-normal subgroup of D8 fails the
+    normality certificate under G's generators: InternalCheckError, and
+    verify exits 5, under plain Python and under python -O."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _NOT_NORMAL_I],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "I is not normal in G" in proc.stdout
+    assert "internal check failed" in proc.stderr
 
 
 def test_theorem_report_leaves_the_node_list_unbuilt(monkeypatch):
