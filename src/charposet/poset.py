@@ -79,8 +79,7 @@ class ComponentPartition:
     node_to_component is built from them on first access."""
 
     def __init__(
-        self, node_to_component: Optional[tuple] = None, count: int = 0,
-        roots: tuple = (), peaks: tuple = (),
+        self, node_to_component: Optional[tuple], count: int, roots: tuple = (), peaks: tuple = ()
     ):
         self.count = count
         self.roots = roots
@@ -262,9 +261,7 @@ class CharacterPoset:
             if s == 0 or len(subs[s - 1].elems) < len(K.elems):  # K's layer is complete
                 roots = tuple(map(find, range(len(parent))))
                 levels[len(K.elems)] = ComponentPartition(
-                    count=len(set(roots)),
-                    roots=roots,
-                    peaks=tuple(peaks[S.elems] for S in subs[s:]),
+                    None, len(set(roots)), roots, tuple(peaks[S.elems] for S in subs[s:])
                 )
         return levels[self.min_order]
 

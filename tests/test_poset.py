@@ -15,7 +15,6 @@ from charposet import groups as gr
 from charposet.characters import ClassFunction, get_context, inner_product, irr, restrict
 from charposet.errors import (
     InputError,
-    InternalCheckError,
     InvalidExponent,
     NotAbelian,
     NotPGroup,
