@@ -30,12 +30,22 @@ linear characters, the other two routes check the class count and the sum
 of squared degrees, and the Clifford route also the regular character.  So
 a gap in a method surfaces as an error rather than a wrong answer.
 
-All values are exact cyclotomic integers at one global conductor, the
-exponent of the ambient group.  A ClassFunction stores them as integer
-coefficient rows, one power-basis coordinate tuple per class, and every hot
-path (lookup, restriction, induction, inner products) works on those rows;
-CycInt appears only at the boundary: the public ClassFunction constructor
-and the views values and value_at (export writes the rows directly).
+All values are exact cyclotomic integers at one global conductor n, the
+exponent of the ambient group.  A ClassFunction stores them as a row of
+ints, one per class: the value's power-basis coordinates packed as balanced
+signed digits of the context's width W, coordinate 0 the most significant
+(cyclotomic.pack).  W is derived per CharContext from |G| and the largest
+coordinate of a root of unity at n (cyclotomic.digit_width) so that every
+digit the character code forms stays below 2^(W-1); that bound is checked
+once when the context is built.  Below it ints are equal exactly when the
+coordinate tuples are and integer order is their lexicographic order, so
+Irr's canonical order, node ids and exports do not depend on the packing,
+while row sums, scaling, hashed lookups, restriction, induction and inner
+products (one big-int accumulation, cyclotomic.packed_product_coeffs) are
+plain int operations.  Only cyclotomic knows the digit format.  CycInt
+appears only at the boundary: the public ClassFunction constructor, the
+views values and value_at, and export, which unpacks each distinct value
+once.
 
 A per-group CharContext is the one home of each structural fact of the
 group: Z(G), the subgroup lattice with its index-p cover relation and a
@@ -101,10 +111,14 @@ from .groups import (
 
 
 class ClassFunction:
-    """A class function on a subgroup, stored as integer coefficient rows:
-    rows[c] is the power-basis coordinate tuple of its value on class c at
-    the ambient group's exponent.  values and value_at build CycInt views of
-    the rows on access."""
+    """A class function on a subgroup, stored as one row of ints: rows[c] is
+    its value on class c at the ambient group's exponent n, its phi(n)
+    power-basis coordinates packed by cyclotomic.pack at the context's width
+    W, coordinate 0 the most significant.  Integer order of the packed values
+    is the lexicographic order of the coordinate tuples, which sort_key
+    relies on.  The constructor takes CycInt values with coordinates at most
+    the context's value bound |G| * M (cyclotomic.packing_bounds), and values
+    and value_at unpack the rows on access."""
 
     __slots__ = ("owner", "classes", "rows", "degree")
 
@@ -112,7 +126,8 @@ class ClassFunction:
         values = tuple(values)
         if len(values) != classes.count:
             raise InputError(f"{len(values)} values given for {classes.count} classes")
-        n = owner.ambient.exponent
+        ctx = get_context(owner.ambient)
+        n = ctx.conductor
         for v in values:
             if not isinstance(v, CycInt):
                 raise InputError(f"value {v!r} is not a CycInt")
@@ -120,11 +135,16 @@ class ClassFunction:
                 raise ConductorMismatch(
                     f"a value has conductor {v.n}, not the group exponent {n}"
                 )
-        self._fill(owner, classes, tuple(v.coeffs for v in values))
+            if max(map(abs, v.coeffs)) > ctx.value_bound:
+                raise InputError(
+                    f"a value has a coordinate beyond {ctx.value_bound}, the bound of a"
+                    " character value of the group"
+                )
+        self._fill(owner, classes, tuple(cyc.pack(v.coeffs, ctx.width) for v in values))
 
     @classmethod
     def _from_rows(cls, owner: Subgroup, classes: ConjClasses, rows: tuple) -> "ClassFunction":
-        """The hot-path constructor: rows already at the group exponent."""
+        """The hot-path constructor: rows already packed at the context's width."""
         self = cls.__new__(cls)
         self._fill(owner, classes, rows)
         return self
@@ -133,13 +153,15 @@ class ClassFunction:
         self.owner = owner
         self.classes = classes
         self.rows = rows
-        self.degree = cyc.coeffs_as_integer(rows[classes.identity_class])
+        ctx = owner.ambient.context
+        self.degree = cyc.unpack_integer(rows[classes.identity_class], ctx.width, ctx.digits)
 
     @property
     def values(self) -> tuple:
-        """One CycInt per class, built from the rows on each access."""
-        n = self.owner.ambient.exponent
-        return tuple(CycInt(n, row, _raw=True) for row in self.rows)
+        """One CycInt per class, unpacked from the rows on each access."""
+        ctx = self.owner.ambient.context
+        n, width, digits = ctx.conductor, ctx.width, ctx.digits
+        return tuple(CycInt(n, cyc.unpack(x, width, digits), _raw=True) for x in self.rows)
 
     def value_at(self, g: int) -> CycInt:
         """Value at an ambient element index (must lie in the owner)."""
@@ -148,7 +170,8 @@ class ClassFunction:
         c = self.classes.class_of[g]
         if c < 0:
             raise InputError(f"element {g} is not in the owner subgroup")
-        return CycInt(self.owner.ambient.exponent, self.rows[c], _raw=True)
+        ctx = self.owner.ambient.context
+        return CycInt(ctx.conductor, cyc.unpack(self.rows[c], ctx.width, ctx.digits), _raw=True)
 
     def sort_key(self):
         return (self.degree, self.rows)
@@ -192,13 +215,22 @@ class CharContext:
 
     def __init__(self, G: GroupTable, order_cap: int):
         self.group = G
-        self.conductor = G.exponent
+        self.conductor = n = G.exponent
         self.order_cap = order_cap
+        # Class values are packed at width W (cyclotomic.pack); every digit
+        # formed stays below bound < 2^(W-1), checked here once.
+        self.value_bound, bound = cyc.packing_bounds(n, G.order)
+        self.width = cyc.digit_width(n, G.order)
+        self.digits = cyc.euler_phi(n)
+        if bound >= 1 << (self.width - 1):
+            raise InternalCheckError(
+                f"{G.name}: packing width {self.width} does not hold the digit bound {bound}"
+            )
         self.whole = whole_group(G)
         self.center = center(self.whole)
         # The prime of a p-group, else None: its index-p pairs are normal.
         self._prime = prime_of(G.order)
-        self.zeta_rows = tuple(z.coeffs for z in cyc.zeta_table(G.exponent))
+        self.zeta_rows = tuple(cyc.pack(z.coeffs, self.width) for z in cyc.zeta_table(n))
         self.zeta_exponent = {row: k for k, row in enumerate(self.zeta_rows)}
         self._lattice: Optional[list] = None
         self.generators: tuple = ()  # a generating set of G, read off the lattice
@@ -298,29 +330,19 @@ class CharContext:
 
     # -- restriction decomposition -----------------------------------------
 
-    def inner_raw(self, cc: ConjClasses, rows_a: Sequence[tuple], rows_b: Sequence[tuple]) -> int:
+    def inner_raw(self, cc: ConjClasses, rows_a: Sequence[int], rows_b: Sequence[int]) -> int:
         """[a, b] on the subgroup with classes cc, given their rows.
 
-        Products are accumulated with exponents folded mod n and the whole
-        sum is reduced mod Phi_n once at the end."""
+        The products size * a(c) * b(c^-1) are summed as packed ints, and the
+        sum is unpacked, folded mod n and reduced mod Phi_n once at the end."""
         order = len(cc.owner.elems)
-        inv = cc.inverse_class
-        sizes = cc.sizes
-        n = self.conductor
-        acc = [0] * n
-        for c in range(len(sizes)):
-            brow = rows_b[inv[c]]
-            s = sizes[c]
-            for i, ai in enumerate(rows_a[c]):
-                if ai:
-                    sai = s * ai
-                    for j, bj in enumerate(brow):
-                        if bj:
-                            k = i + j
-                            if k >= n:
-                                k -= n
-                            acc[k] += sai * bj
-        tot = cyc.coeffs_as_integer(cyc.reduce_coeffs(n, acc))
+        acc = 0
+        for s, a, c in zip(cc.sizes, rows_a, cc.inverse_class):
+            if a:
+                acc += s * a * rows_b[c]
+        tot = cyc.coeffs_as_integer(
+            cyc.packed_product_coeffs(self.conductor, acc, self.width, self.digits)
+        )
         q, r = divmod(tot, order)
         if r:
             raise NotDivisible(f"inner product sum {tot} not divisible by {order}")
@@ -447,9 +469,7 @@ class CharContext:
             seen.update(orbit)
             total = None
             if len(orbit) > 1:
-                total = tuple(
-                    tuple(map(sum, zip(*col))) for col in zip(*(irrK[k].rows for k in orbit))
-                )
+                total = tuple(map(sum, zip(*(irrK[k].rows for k in orbit))))
             orbits.append((orbit, total))
         return x, orbits
 
@@ -654,7 +674,6 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> list:
                 raise IncompleteIrr(f"the exponent of x^{p} is not divisible by {p}")
             for a in range(b // p, n, n // p):
                 found[tuple(zrows[(exps[kc] + i * a) % n] for i, kc in at_reps)] = None
-    zero = (0,) * len(zrows[0])
     for M in maximal:
         if len(found) >= ccH.count:
             break
@@ -663,7 +682,7 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> list:
         at = [ctx.classes(M).class_of[r] for r in ccH.reps]
         for _, total in orbits:
             if total is not None:
-                found[tuple(zero if c < 0 else total[c] for c in at)] = None
+                found[tuple(0 if c < 0 else total[c] for c in at)] = None
     out = list(found)
     _check_complete(ccH, out)
     return out
@@ -677,7 +696,8 @@ def _check_complete(cc: ConjClasses, out: list) -> None:
     that degree."""
     H = cc.owner
     order = len(H.elems)
-    degrees = [cyc.coeffs_as_integer(rows[cc.identity_class]) for rows in out]
+    ctx = H.ambient.context
+    degrees = [cyc.unpack_integer(rows[cc.identity_class], ctx.width, ctx.digits) for rows in out]
     if len(out) != cc.count or sum(d * d for d in degrees) != order:
         raise IncompleteIrr(
             f"{H.ambient.name}: Clifford theory over the maximal subgroups gave {len(out)} "
@@ -685,16 +705,12 @@ def _check_complete(cc: ConjClasses, out: list) -> None:
             f"{sum(d * d for d in degrees)} for |H| = {order} with {cc.count} classes"
         )
     by_degree = [
-        [
-            tuple(d * s for s in map(sum, zip(*col)))
-            for col in zip(*(rows for e, rows in zip(degrees, out) if e == d))
-        ]
+        [d * s for s in map(sum, zip(*(rows for e, rows in zip(degrees, out) if e == d)))]
         for d in set(degrees)
     ]
-    regular = [tuple(map(sum, zip(*parts))) for parts in zip(*by_degree)]
-    zero = (0,) * len(out[0][0])
-    expected = [zero] * cc.count
-    expected[cc.identity_class] = (order,) + zero[1:]
+    regular = list(map(sum, zip(*by_degree)))
+    expected = [0] * cc.count
+    expected[cc.identity_class] = cyc.pack((order,) + (0,) * (ctx.digits - 1), ctx.width)
     if regular != expected:
         raise IncompleteIrr(
             f"{H.ambient.name}: sum of chi(1) * chi is not the regular character of "
@@ -782,19 +798,13 @@ def induce(phi: ClassFunction, G_sub: Subgroup) -> ClassFunction:
     class_of_H = phi.classes.class_of
     rows = []
     for ci in range(ccG.count):
-        acc = [0] * len(hrows[0])
+        acc = 0
         for y in ccG.members[ci]:
             c = class_of_H[y]
             if c >= 0:
-                for k, vk in enumerate(hrows[c]):
-                    if vk:
-                        acc[k] += vk
+                acc += hrows[c]
         weight = gsize // ccG.sizes[ci]  # centralizer order
-        for k, a in enumerate(acc):
-            acc[k], r = divmod(a * weight, hsize)
-            if r:
-                raise NotDivisible(f"coefficient {a * weight} not divisible by {hsize}")
-        rows.append(tuple(acc))
+        rows.append(cyc.packed_div(acc * weight, hsize, ctx.width, ctx.digits))
     out = ClassFunction._from_rows(G_sub, ccG, tuple(rows))
     if out.degree != (gsize // hsize) * phi.degree:
         raise InternalCheckError(
@@ -829,12 +839,7 @@ def decompose(theta: ClassFunction, basis: Sequence[ClassFunction]) -> tuple:
     reconstruction is checked exactly."""
     mults = tuple(inner_product(theta, ch) for ch in basis)
     for c, row in enumerate(theta.rows):
-        acc = [0] * len(row)
-        for m, ch in zip(mults, basis):
-            if m:
-                for k, vk in enumerate(ch.rows[c]):
-                    acc[k] += m * vk
-        if tuple(acc) != row:
+        if sum(m * ch.rows[c] for m, ch in zip(mults, basis) if m) != row:
             raise IncompleteIrr("decomposition does not reproduce the class function")
     return mults
 

@@ -5,10 +5,29 @@ A value is a vector of integer coordinates in the power basis
 basis is an integral basis, so equality is coordinate-wise and division by a
 rational integer is coordinate-wise when it is exact.  All character values in
 this package live here; nothing is ever rounded.
+
+On the hot paths of the character code a value is packed into one Python
+int (pack, unpack): the coordinates are balanced signed digits of width W,
+coordinate 0 the most significant, so x = sum of c_i * 2^(W*(d-1-i)) for
+d = phi(n).  While every |c_i| < 2^(W-1) the digits are unique, so ints are
+equal exactly when the coordinate tuples are, integer order is the
+lexicographic order of the tuples, and adding values or scaling them by an
+integer is plain int arithmetic on the packed form.  A product of two packed
+values is the packed polynomial product: its 2d-1 digits are the
+coefficients of zeta^0 .. zeta^(2d-2), read back once and reduced
+(packed_product_coeffs).  For the characters of the subgroups of a group of
+order N, W comes from digit_width: every character value has coordinates at
+most V = N * M, M the largest |coordinate| of a root of unity in the power
+basis, and W is the least width with B = N * phi(n) * V^2 below 2^(W-1).  B
+bounds every digit of a sum of class sizes times products of two such values
+(at most phi(n) products meet in a digit), and every sum and scaled value the
+character code forms.  Packing a coordinate at or beyond 2^(W-1) raises
+InternalCheckError.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 from .errors import ConductorMismatch, InternalCheckError, NotDivisible, NotRationalInteger
@@ -236,6 +255,96 @@ def exact_div_int(a: CycInt, m: int) -> CycInt:
     return CycInt(a.n, tuple(out), _raw=True)
 
 
+@cache
 def zeta_table(n: int) -> tuple[CycInt, ...]:
     """All powers zeta_n^0 .. zeta_n^(n-1), for bulk character construction."""
     return tuple(zeta_pow(n, k) for k in range(n))
+
+
+# -- packed values ---------------------------------------------------------------
+
+
+def packing_bounds(n: int, order: int) -> tuple[int, int]:
+    """(V, B) for class functions of subgroups of a group of this order at
+    conductor n: V = order * M bounds every coordinate of a character value,
+    and B = order * phi(n) * V^2 every digit that the packed hot paths form."""
+    m = max(abs(c) for z in zeta_table(n) for c in z.coeffs)
+    v = order * m
+    return v, order * euler_phi(n) * v * v
+
+
+def digit_width(n: int, order: int) -> int:
+    """The packing width W: the least with B < 2^(W-1), B from packing_bounds."""
+    return packing_bounds(n, order)[1].bit_length() + 1
+
+
+def pack(coeffs: Sequence[int], width: int) -> int:
+    """The coordinates as balanced digits of this width, coordinate 0 the
+    most significant; InternalCheckError for one at or beyond 2^(width-1)."""
+    half = 1 << (width - 1)
+    x = 0
+    for c in coeffs:
+        if not -half < c < half:
+            raise InternalCheckError(f"coordinate {c} is beyond the packing bound 2^{width - 1}")
+        x = (x << width) + c
+    return x
+
+
+def unpack(x: int, width: int, count: int) -> tuple[int, ...]:
+    """The count balanced digits of x, most significant first: the inverse
+    of pack on coordinates below 2^(width-1)."""
+    half = 1 << (width - 1)
+    x += _halves(width, count)  # every digit shifted into [0, 2^width)
+    mask = (1 << width) - 1
+    return tuple([(x >> k & mask) - half for k in range(width * (count - 1), -1, -width)])
+
+
+@cache
+def _halves(width: int, count: int) -> int:
+    """count digits of 2^(width-1), unsigned."""
+    return (1 << (width - 1)) * ((1 << (width * count)) - 1) // ((1 << width) - 1)
+
+
+def unpack_integer(x: int, width: int, count: int) -> int:
+    """The rational integer a packed value stands for: its top digit, when
+    every lower digit is 0; NotRationalInteger otherwise."""
+    shift = width * (count - 1)
+    c = x >> shift
+    if c << shift != x:
+        raise NotRationalInteger(
+            f"coordinates {list(unpack(x, width, count))} have a nonzero non-constant entry"
+        )
+    return c
+
+
+def packed_div(x: int, m: int, width: int, count: int) -> int:
+    """x / m digit by digit; NotDivisible unless m divides every digit.  The
+    quotient's digits times m are a balanced representation of x exactly
+    when they stay below 2^(width-1), and then they are x's own digits."""
+    q, r = divmod(x, m)
+    if r or any(abs(c) * m >= 1 << (width - 1) for c in unpack(q, width, count)):
+        raise NotDivisible(
+            f"a coordinate of {list(unpack(x, width, count))} is not divisible by {m}"
+        )
+    return q
+
+
+def packed_product_coeffs(n: int, x: int, width: int, count: int) -> tuple[int, ...]:
+    """Power-basis coordinates of a sum of products of packed values: its
+    2*count - 1 digits are the coefficients of zeta_n^0 .. zeta_n^(2*count-2),
+    and each adds its multiple of that power's coordinates."""
+    out = [0] * count
+    for c, terms in zip(unpack(x, width, 2 * count - 1), _power_terms(n, count)):
+        if c:
+            for k, v in terms:
+                out[k] += c * v
+    return tuple(out)
+
+
+@cache
+def _power_terms(n: int, count: int) -> tuple:
+    """For t < 2*count - 1, the nonzero coordinates (k, c_k) of zeta_n^t."""
+    return tuple(
+        tuple((k, c) for k, c in enumerate(zeta_pow(n, t).coeffs) if c)
+        for t in range(2 * count - 1)
+    )

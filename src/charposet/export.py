@@ -8,9 +8,9 @@ list of plain ints is one join, strings go through json's C escaper, and
 the text of each dict or list is kept per (object, indentation), so an
 object met again at the same depth is written once.
 
-irr_json builds one value dict {"n", "coeffs"} per distinct character row
-and shares it across the document, so the writer emits each distinct value
-once per depth.
+irr_json builds one value dict {"n", "coeffs"} per distinct packed class
+value, unpacking it once, and shares it across the document, so the writer
+emits each distinct value once per depth.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .characters import CharContext, get_context
+from .cyclotomic import unpack
 from .errors import InputError
 from .groups import DEFAULT_ORDER_CAP, GroupTable, Subgroup, from_cayley, from_permutations
 from .poset import CharacterPoset, ComponentPartition, WitnessChain
@@ -125,15 +126,16 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 
 
 def char_table_dict(ctx: CharContext, S: Subgroup, values: dict) -> dict:
-    """The table of S; values maps each row met so far to its shared value dict."""
+    """The table of S; values maps each packed class value met so far to its
+    shared value dict."""
     cc = ctx.classes(S)
     G = ctx.group
-    n = ctx.conductor
+    n, width, digits = ctx.conductor, ctx.width, ctx.digits
 
-    def value_of(row: tuple) -> dict:
-        v = values.get(row)
+    def value_of(x: int) -> dict:
+        v = values.get(x)
         if v is None:
-            v = values[row] = {"n": n, "coeffs": list(row)}
+            v = values[x] = {"n": n, "coeffs": list(unpack(x, width, digits))}
         return v
 
     return {
@@ -143,7 +145,7 @@ def char_table_dict(ctx: CharContext, S: Subgroup, values: dict) -> dict:
         "class_rep_orders": [G.elem_order[r] for r in cc.reps],
         "class_reps": list(cc.reps),
         "characters": [
-            {"degree": ch.degree, "values": [value_of(row) for row in ch.rows]}
+            {"degree": ch.degree, "values": [value_of(x) for x in ch.rows]}
             for ch in ctx.irr(S)
         ],
     }

@@ -35,6 +35,7 @@ restrictions have a nonzero inner product exactly when their masks meet.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -123,6 +124,10 @@ def check_level(G: GroupTable, p: int, e: int) -> None:
         raise InvalidExponent(f"p^(e+1) = {p ** (e + 1)} exceeds |G| = {G.order}")
 
 
+def _order(S: Subgroup) -> int:
+    return len(S.elems)
+
+
 class CharacterPoset:
     """Node set of the poset for one (G, p, e), with its edges (held by
     ctx.restriction_edges), components, and witness machinery."""
@@ -139,10 +144,15 @@ class CharacterPoset:
         self.e = e
         self.strategy = strategy
         self.min_order = p ** (e + 1)
-        self.subgroups = [S for S in ctx.lattice() if len(S.elems) >= self.min_order]
-        self._sid = {S.elems: i for i, S in enumerate(self.subgroups)}
+        lattice = ctx.lattice()  # sorted by order, so the level is a suffix
+        self.subgroups = lattice[bisect_left(lattice, self.min_order, key=_order) :]
         self.offsets = list(accumulate((len(ctx.irr(S)) for S in self.subgroups), initial=0))
         self.node_count = self.offsets.pop()
+
+    @cached_property
+    def _sid(self) -> dict:
+        """Subgroup elements -> position in subgroups, built on first use."""
+        return {S.elems: i for i, S in enumerate(self.subgroups)}
 
     @cached_property
     def nodes(self) -> list:
@@ -455,18 +465,30 @@ def central_poset_map(alpha: ClassFunction, A: Subgroup) -> ClassFunction:
         raise InputError("the central map needs a subgroup of Z(G)")
     if not A.is_subset_of(alpha.owner):
         raise InputError("the central subgroup must lie in the owner of alpha")
-    rows = restrict(alpha, A).rows
-    d = alpha.degree
-    if any(v % d for row in rows for v in row):
-        raise NotMultipleOfLinear(
-            "restriction to the central subgroup is not deg * (a single value vector)"
-        )
-    idx = ctx.char_index(A).get(tuple(tuple(v // d for v in row) for row in rows))
+    return ctx.irr(A)[central_index(ctx.char_index(A), restrict(alpha, A).rows, alpha.degree)]
+
+
+def central_index(lookup: dict, rows: tuple, d: int) -> int:
+    """The index in lookup, the char_index of a central subgroup A, of the
+    linear beta with rows = d * beta's rows, for rows the restriction to A
+    of a character of degree d; NotMultipleOfLinear if there is none.
+
+    The rows are divided by d as packed ints.  Dividing every digit divides
+    the int, and an int quotient that is a row of a linear character, whose
+    digits times d stay within the packing bound, is the digitwise quotient,
+    since balanced digits below the bound are unique."""
+    if d != 1:
+        if any(x % d for x in rows):
+            raise NotMultipleOfLinear(
+                "restriction to the central subgroup is not deg * (a single value vector)"
+            )
+        rows = tuple(x // d for x in rows)
+    idx = lookup.get(rows)
     if idx is None:
         raise NotMultipleOfLinear(
             "restriction to the central subgroup is not a multiple of one linear character"
         )
-    return ctx.irr(A)[idx]
+    return idx
 
 
 def abelian_component_count(A: GroupTable, f: int) -> int:

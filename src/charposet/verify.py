@@ -26,7 +26,6 @@ from .errors import (
     CharposetError,
     CriterionViolation,
     InternalCheckError,
-    NotMultipleOfLinear,
 )
 from .families import builtin
 from .groups import (
@@ -38,7 +37,7 @@ from .groups import (
     require_p_group,
     subgroups_of_order,
 )
-from .poset import CharacterPoset, check_level
+from .poset import CharacterPoset, central_index, check_level
 
 
 @dataclass(frozen=True)
@@ -165,9 +164,9 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
 
     The map is taken per subgroup S of the poset, on rows: IZ's classes are
     mapped into S's once, one itemgetter picks each character's values on
-    IZ (|IZ| > 1, so it returns a tuple), a nonlinear character's rows are
-    divided by its degree, and the result is looked up in char_index(IZ),
-    as central_poset_map does for one node.  The restriction edges that
+    IZ (|IZ| > 1, so it returns a tuple), and central_index divides them by
+    the character's degree and looks the result up in char_index(IZ), as
+    central_poset_map does for one node.  The restriction edges that
     built the partition are never read.  Constancy and surjectivity are
     read off one set of (component, image) pairs."""
     lookup = ctx.char_index(IZ)
@@ -181,20 +180,7 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
             raise InternalCheckError(f"I n Z(G) is not inside a subgroup of order {len(S.elems)}")
         pick = itemgetter(*at)
         for node, chi in enumerate(ctx.irr(S), off):
-            rows = pick(chi.rows)
-            d = chi.degree
-            if d != 1:
-                if any(v % d for row in rows for v in row):
-                    raise NotMultipleOfLinear(
-                        "restriction to the central subgroup is not deg * (a single value vector)"
-                    )
-                rows = tuple(tuple(v // d for v in row) for row in rows)
-            idx = lookup.get(rows)
-            if idx is None:
-                raise NotMultipleOfLinear(
-                    "restriction to the central subgroup is not a multiple of one linear character"
-                )
-            images.add((comp[node], idx))
+            images.add((comp[node], central_index(lookup, pick(chi.rows), chi.degree)))
     if len({c for c, _ in images}) != len(images):
         raise CriterionViolation("central map is not constant on a connected component")
     hit = len({idx for _, idx in images})
@@ -245,5 +231,8 @@ def sweep(
                 errors.append(
                     {"spec": spec, "e": e, "kind": type(err).__name__, "message": str(err)}
                 )
+        # G and its context refer to each other; break the cycle so the
+        # context goes when the group does, not at a full collection.
+        G.context = None
     reports.sort(key=lambda r: (r.order, r.group, r.e))
     return SweepResult(reports=reports, errors=errors)

@@ -589,8 +589,7 @@ def test_bulk_clifford_edges_certify_irr_of_the_smaller_subgroup(tamper, capsys,
         if tamper == "drop":
             return chars[:-1]
         first = chars[0]
-        doubled = tuple(tuple(2 * v for v in row) for row in first.rows)
-        return chars + (ClassFunction._from_rows(first.owner, first.classes, doubled),)
+        return chars + (ClassFunction(first.owner, first.classes, [2 * v for v in first.values]),)
 
     ctx = get_context(fam.builtin("Cyclic(2,2)"))
     K, H = ctx.maximal_pairs()[-1]
@@ -629,8 +628,7 @@ def test_clifford_orbit_walk_certifies_irr_of_the_smaller_subgroup(tamper):
     if tamper == "drop":
         chars = tuple(ch for ch in chars if ch is not psi)
     else:
-        doubled = tuple(tuple(2 * v for v in row) for row in psi.rows)
-        chars += (ClassFunction._from_rows(K, psi.classes, doubled),)
+        chars += (ClassFunction(K, psi.classes, [2 * v for v in psi.values]),)
     ctx._edges.clear()
     ctx._irr[K.elems] = chars
     ctx._char_index.pop(K.elems, None)
@@ -814,8 +812,7 @@ def test_restricted_irr_certifies_irr_of_the_abelian_cover(capsys, monkeypatch):
 
     def tampered(chars):
         first = chars[0]
-        doubled = tuple(tuple(2 * v for v in row) for row in first.rows)
-        return chars + (ClassFunction._from_rows(first.owner, first.classes, doubled),)
+        return chars + (ClassFunction(first.owner, first.classes, [2 * v for v in first.values]),)
 
     ctx = get_context(fam.builtin("ElemAbelian(3,2)"))
     S = ctx.lattice()[1]
@@ -843,12 +840,13 @@ def test_regular_character_check_catches_one_changed_value(spec):
     regular-character check; the true Irr passes it."""
     ctx = get_context(fam.builtin(spec))
     cc = ctx.classes(ctx.whole)
-    rows = [ch.rows for ch in ctx.irr(ctx.whole)]
+    chars = ctx.irr(ctx.whole)
+    rows = [ch.rows for ch in chars]
     characters._check_complete(cc, rows)
     c = next(c for c in range(cc.count) if c != cc.identity_class)
-    changed = list(rows[0])
-    changed[c] = tuple(-v for v in changed[c])
-    bad = [tuple(changed)] + rows[1:]
+    changed = list(chars[0].values)
+    changed[c] = -changed[c]
+    bad = [ClassFunction(ctx.whole, cc, changed).rows] + rows[1:]
     assert bad[0] != rows[0] and len(set(bad)) == cc.count
     with pytest.raises(IncompleteIrr, match="regular character"):
         characters._check_complete(cc, bad)

@@ -132,3 +132,28 @@ def test_irr_artifacts_are_pinned():
             for S in ctx.lattice()
         ]
         assert [t["characters"] for t in doc["tables"]] == via_cycint, key
+
+
+# sha256 of canonical_json(irr_json(G)) for the whole groups of the widest
+# conductors in reach, 64 and 81, where a class value has 32 and 54
+# power-basis coordinates; taken from tuple-of-coordinates rows, before
+# class values were packed into one int each.
+_WIDE_IRR_DIGESTS = {
+    ("Dihedral(128)", 128): "c7c90a945415d90e480f7ad4fe5167e496e31335e5609d6fc39ee0d69fbb3840",
+    ("Modular(3,5)", 256): "5a684d06952a8e89786c418c77587fbd184e598844d3a0370d16387affb5e9bf",
+}
+
+
+@pytest.mark.parametrize("spec, cap", list(_WIDE_IRR_DIGESTS))
+def test_irr_of_the_widest_conductors_is_pinned(spec, cap):
+    G = families.builtin(spec, cap)
+    get_context(G, order_cap=cap)
+    assert G.exponent in (64, 81)
+    doc = irr_json(G)
+    text = canonical_json(doc)
+    assert hashlib.sha256(text.encode()).hexdigest() == _WIDE_IRR_DIGESTS[spec, cap], spec
+    via_cycint = [
+        {"degree": ch.degree, "values": [cyc_to_json(v) for v in ch.values]}
+        for ch in get_context(G).irr(get_context(G).whole)
+    ]
+    assert doc["tables"][0]["characters"] == via_cycint, spec

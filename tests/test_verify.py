@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -120,6 +122,42 @@ def test_sweep_cap_reaches_the_context():
     res = sweep(["Modular(3,5)"], es=[4], cap=256)
     assert not res.errors
     assert len(res.reports) == 1 and res.reports[0].ok
+
+
+def test_sweep_frees_each_context_without_a_collection(monkeypatch):
+    """With the cyclic collector off, every group's CharContext is gone once
+    sweep returns: G and its context refer to each other until the group's
+    last report, and no longer."""
+    made = []
+
+    def spy(G, order_cap=None):
+        ctx = get_context(G, order_cap)
+        made.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(verify, "get_context", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        res = sweep(["Quaternion(8)", "Bogus(1)", "Dihedral(16)"], es=[0, 9])
+        assert len(res.reports) == 2 and len(res.errors) == 3
+        assert made and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
+
+
+def test_levels_are_suffixes_of_the_lattice():
+    """Each level's subgroups are the lattice's from a bisected start, in
+    lattice order, and the subgroup index is built only when read."""
+    ctx = get_context(fam.builtin("DirectProduct(Dihedral(8),Cyclic(2,1))"))
+    lattice = ctx.lattice()
+    for e in valid_exponents(ctx.group):
+        poset = CharacterPoset(ctx, 2, e)
+        assert poset.subgroups == [S for S in lattice if len(S.elems) >= 2 ** (e + 1)]
+        assert "_sid" not in poset.__dict__
+        poset.components()
+        assert "_sid" not in poset.__dict__
+        assert all(poset._sid[S.elems] == i for i, S in enumerate(poset.subgroups))
 
 
 def _reports(G):
