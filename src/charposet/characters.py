@@ -35,17 +35,21 @@ exponent of the ambient group.  A ClassFunction stores them as a row of
 ints, one per class: the value's power-basis coordinates packed as balanced
 signed digits of the context's width W, coordinate 0 the most significant
 (cyclotomic.pack).  W is derived per CharContext from |G| and the largest
-coordinate of a root of unity at n (cyclotomic.digit_width) so that every
-digit the character code forms stays below 2^(W-1); that bound is checked
-once when the context is built.  Below it ints are equal exactly when the
+coordinate of a root of unity at n (cyclotomic.packing_bounds) so that every
+digit the character code forms from values within the value bound V = |G| *
+M stays below 2^(W-1).  Below 2^(W-1) ints are equal exactly when the
 coordinate tuples are and integer order is their lexicographic order, so
 Irr's canonical order, node ids and exports do not depend on the packing,
 while row sums, scaling, hashed lookups, restriction, induction and inner
 products (one big-int accumulation, cyclotomic.packed_product_coeffs) are
-plain int operations.  Only cyclotomic knows the digit format.  CycInt
-appears only at the boundary: the public ClassFunction constructor, the
-views values and value_at, and export, which unpacks each distinct value
-once.
+plain int operations.  Every character the package computes lies within V.
+A class function built by the public constructor, or induced, may exceed V
+up to 2^(W-1) (it is then wide): induce, inner_product and decompose take
+it through CycInt arithmetic instead, so their results do not depend on the
+packing either.  Only cyclotomic knows the digit format.  CycInt appears
+only at the boundary: the public ClassFunction constructor, the views
+values and value_at, the wide paths, and export, which unpacks each
+distinct value once.
 
 A per-group CharContext is the one home of each structural fact of the
 group: Z(G), the subgroup lattice with its index-p cover relation and a
@@ -116,11 +120,14 @@ class ClassFunction:
     power-basis coordinates packed by cyclotomic.pack at the context's width
     W, coordinate 0 the most significant.  Integer order of the packed values
     is the lexicographic order of the coordinate tuples, which sort_key
-    relies on.  The constructor takes CycInt values with coordinates at most
-    the context's value bound |G| * M (cyclotomic.packing_bounds), and values
-    and value_at unpack the rows on access."""
+    relies on.  The constructor takes CycInt values with coordinates below
+    the context's packing bound 2^(W-1); a value beyond it raises InputError.
+    wide is True when some coordinate exceeds the value bound |G| * M
+    (cyclotomic.packing_bounds) that the packed inner product and induction
+    assume; induce, inner_product and decompose then work on the CycInt
+    values.  values and value_at unpack the rows on access."""
 
-    __slots__ = ("owner", "classes", "rows", "degree")
+    __slots__ = ("owner", "classes", "rows", "degree", "wide")
 
     def __init__(self, owner: Subgroup, classes: ConjClasses, values: Sequence[CycInt]):
         values = tuple(values)
@@ -135,24 +142,29 @@ class ClassFunction:
                 raise ConductorMismatch(
                     f"a value has conductor {v.n}, not the group exponent {n}"
                 )
-            if max(map(abs, v.coeffs)) > ctx.value_bound:
-                raise InputError(
-                    f"a value has a coordinate beyond {ctx.value_bound}, the bound of a"
-                    " character value of the group"
-                )
-        self._fill(owner, classes, tuple(cyc.pack(v.coeffs, ctx.width) for v in values))
+        top = max(abs(c) for v in values for c in v.coeffs)
+        if top >= 1 << (ctx.width - 1):
+            raise InputError(
+                f"a value has a coordinate beyond 2^{ctx.width - 1}, the packing bound of"
+                f" {owner.ambient.name}'s class values"
+            )
+        rows = tuple(cyc.pack(v.coeffs, ctx.width) for v in values)
+        self._fill(owner, classes, rows, top > ctx.value_bound)
 
     @classmethod
-    def _from_rows(cls, owner: Subgroup, classes: ConjClasses, rows: tuple) -> "ClassFunction":
+    def _from_rows(
+        cls, owner: Subgroup, classes: ConjClasses, rows: tuple, wide: bool = False
+    ) -> "ClassFunction":
         """The hot-path constructor: rows already packed at the context's width."""
         self = cls.__new__(cls)
-        self._fill(owner, classes, rows)
+        self._fill(owner, classes, rows, wide)
         return self
 
-    def _fill(self, owner: Subgroup, classes: ConjClasses, rows: tuple) -> None:
+    def _fill(self, owner: Subgroup, classes: ConjClasses, rows: tuple, wide: bool) -> None:
         self.owner = owner
         self.classes = classes
         self.rows = rows
+        self.wide = wide
         ctx = owner.ambient.context
         self.degree = cyc.unpack_integer(rows[classes.identity_class], ctx.width, ctx.digits)
 
@@ -218,14 +230,9 @@ class CharContext:
         self.conductor = n = G.exponent
         self.order_cap = order_cap
         # Class values are packed at width W (cyclotomic.pack); every digit
-        # formed stays below bound < 2^(W-1), checked here once.
-        self.value_bound, bound = cyc.packing_bounds(n, G.order)
-        self.width = cyc.digit_width(n, G.order)
+        # formed from values within value_bound stays below 2^(W-1).
+        self.value_bound, self.width = cyc.packing_bounds(n, G.order)
         self.digits = cyc.euler_phi(n)
-        if bound >= 1 << (self.width - 1):
-            raise InternalCheckError(
-                f"{G.name}: packing width {self.width} does not hold the digit bound {bound}"
-            )
         self.whole = whole_group(G)
         self.center = center(self.whole)
         # The prime of a p-group, else None: its index-p pairs are normal.
@@ -780,13 +787,16 @@ def restrict(chi: ClassFunction, K: Subgroup) -> ClassFunction:
     ctx = get_context(H.ambient)
     ccK = ctx.classes(K)
     rows, class_of = chi.rows, chi.classes.class_of
-    return ClassFunction._from_rows(K, ccK, tuple(rows[class_of[r]] for r in ccK.reps))
+    return ClassFunction._from_rows(K, ccK, tuple(rows[class_of[r]] for r in ccK.reps), chi.wide)
 
 
 def induce(phi: ClassFunction, G_sub: Subgroup) -> ClassFunction:
     """Induced character phi^(G_sub): (1/|H|) sum over x of phi(x g x^-1),
     folded over each class of G_sub (the inner sum is |C(g)| times the sum of
-    phi over the class members lying in H)."""
+    phi over the class members lying in H).  Packed when phi is within the
+    value bound V: the sums' digits then stay within |G_sub| * V, below
+    2^(W-1), and the result is wide when a value exceeds V.  A wide phi is
+    induced in CycInt arithmetic."""
     H = phi.owner
     if not H.is_subset_of(G_sub):
         raise NotASubgroup("induction source is not a subgroup of the target")
@@ -794,18 +804,23 @@ def induce(phi: ClassFunction, G_sub: Subgroup) -> ClassFunction:
     ccG = ctx.classes(G_sub)
     hsize = len(H.elems)
     gsize = len(G_sub.elems)
-    hrows = phi.rows
+    hrows = phi.values if phi.wide else phi.rows
     class_of_H = phi.classes.class_of
-    rows = []
+    zero = cyc.zero(ctx.conductor) if phi.wide else 0
+    sums = []
     for ci in range(ccG.count):
-        acc = 0
+        acc = zero
         for y in ccG.members[ci]:
             c = class_of_H[y]
             if c >= 0:
                 acc += hrows[c]
-        weight = gsize // ccG.sizes[ci]  # centralizer order
-        rows.append(cyc.packed_div(acc * weight, hsize, ctx.width, ctx.digits))
-    out = ClassFunction._from_rows(G_sub, ccG, tuple(rows))
+        sums.append(acc * (gsize // ccG.sizes[ci]))  # times the centralizer order
+    if phi.wide:
+        out = ClassFunction(G_sub, ccG, [cyc.exact_div_int(x, hsize) for x in sums])
+    else:
+        quotients = [cyc.packed_div(x, hsize, ctx.width, ctx.digits) for x in sums]
+        wide = max(top for _, top in quotients) > ctx.value_bound
+        out = ClassFunction._from_rows(G_sub, ccG, tuple(q for q, _ in quotients), wide)
     if out.degree != (gsize // hsize) * phi.degree:
         raise InternalCheckError(
             f"induced degree {out.degree} is not {gsize // hsize} * {phi.degree}"
@@ -822,24 +837,45 @@ def conjugate_character(phi: ClassFunction, x: int) -> ClassFunction:
     xinv = G.inverse[x]
     rows, class_of = phi.rows, phi.classes.class_of
     return ClassFunction._from_rows(
-        Hx, ccHx, tuple(rows[class_of[G.conj(r, xinv)]] for r in ccHx.reps)
+        Hx, ccHx, tuple(rows[class_of[G.conj(r, xinv)]] for r in ccHx.reps), phi.wide
     )
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
-    """[chi, psi] = (1/|H|) sum of size(c) * chi(c) * psi(c^-1)."""
+    """[chi, psi] = (1/|H|) sum of size(c) * chi(c) * psi(c^-1): packed by
+    ctx.inner_raw, or in CycInt arithmetic when either is wide."""
     if chi.owner.ambient is not psi.owner.ambient or chi.owner.elems != psi.owner.elems:
         raise InputError("inner product requires characters of the same subgroup")
     ctx = get_context(chi.owner.ambient)
-    return ctx.inner_raw(chi.classes, chi.rows, psi.rows)
+    cc = chi.classes
+    if not (chi.wide or psi.wide):
+        return ctx.inner_raw(cc, chi.rows, psi.rows)
+    b = psi.values
+    total = cyc.zero(ctx.conductor)
+    for x, s, i in zip(chi.values, cc.sizes, cc.inverse_class):
+        total = total + x * b[i] * s
+    tot = cyc.as_integer(total)
+    order = len(cc.owner.elems)
+    q, r = divmod(tot, order)
+    if r:
+        raise NotDivisible(f"inner product sum {tot} not divisible by {order}")
+    return q
 
 
 def decompose(theta: ClassFunction, basis: Sequence[ClassFunction]) -> tuple:
     """Multiplicities of theta against a complete irreducible basis; the
-    reconstruction is checked exactly."""
+    reconstruction is checked exactly: on the packed rows when the basis is
+    within the value bound V and the sum of |multiplicities| times V stays
+    below 2^(W-1), where packing is one to one, else on the CycInt values."""
+    ctx = get_context(theta.owner.ambient)
     mults = tuple(inner_product(theta, ch) for ch in basis)
-    for c, row in enumerate(theta.rows):
-        if sum(m * ch.rows[c] for m, ch in zip(mults, basis) if m) != row:
+    reach = sum(map(abs, mults)) * ctx.value_bound
+    if reach >= 1 << (ctx.width - 1) or any(ch.wide for ch in basis):
+        target, rows, zero = theta.values, [ch.values for ch in basis], cyc.zero(ctx.conductor)
+    else:
+        target, rows, zero = theta.rows, [ch.rows for ch in basis], 0
+    for c, row in enumerate(target):
+        if sum((m * r[c] for m, r in zip(mults, rows) if m), zero) != row:
             raise IncompleteIrr("decomposition does not reproduce the class function")
     return mults
 

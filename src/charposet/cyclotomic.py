@@ -15,13 +15,14 @@ lexicographic order of the tuples, and adding values or scaling them by an
 integer is plain int arithmetic on the packed form.  A product of two packed
 values is the packed polynomial product: its 2d-1 digits are the
 coefficients of zeta^0 .. zeta^(2d-2), read back once and reduced
-(packed_product_coeffs).  For the characters of the subgroups of a group of
-order N, W comes from digit_width: every character value has coordinates at
-most V = N * M, M the largest |coordinate| of a root of unity in the power
-basis, and W is the least width with B = N * phi(n) * V^2 below 2^(W-1).  B
-bounds every digit of a sum of class sizes times products of two such values
-(at most phi(n) products meet in a digit), and every sum and scaled value the
-character code forms.  Packing a coordinate at or beyond 2^(W-1) raises
+(packed_product_coeffs).  For the class functions of the subgroups of a
+group of order N, packing_bounds gives the value bound V = N * M, M the
+largest |coordinate| of a root of unity in the power basis, so that every
+character of degree at most N has coordinates at most V, and W, the least
+width with B = N * phi(n) * V^2 below 2^(W-1).  B bounds every digit of a
+sum of class sizes times products of two values within V (at most phi(n)
+products meet in a digit), and every sum and scaled value the character code
+forms from such values.  Packing a coordinate at or beyond 2^(W-1) raises
 InternalCheckError.
 """
 
@@ -265,17 +266,14 @@ def zeta_table(n: int) -> tuple[CycInt, ...]:
 
 
 def packing_bounds(n: int, order: int) -> tuple[int, int]:
-    """(V, B) for class functions of subgroups of a group of this order at
-    conductor n: V = order * M bounds every coordinate of a character value,
-    and B = order * phi(n) * V^2 every digit that the packed hot paths form."""
+    """(V, W) for class functions of subgroups of a group of this order at
+    conductor n: V = order * M bounds every coordinate of a character of
+    degree at most order, and W is the least width with B = order * phi(n) *
+    V^2, a bound on every digit that the packed hot paths form from values
+    within V, below 2^(W-1)."""
     m = max(abs(c) for z in zeta_table(n) for c in z.coeffs)
     v = order * m
-    return v, order * euler_phi(n) * v * v
-
-
-def digit_width(n: int, order: int) -> int:
-    """The packing width W: the least with B < 2^(W-1), B from packing_bounds."""
-    return packing_bounds(n, order)[1].bit_length() + 1
+    return v, (order * euler_phi(n) * v * v).bit_length() + 1
 
 
 def pack(coeffs: Sequence[int], width: int) -> int:
@@ -317,16 +315,18 @@ def unpack_integer(x: int, width: int, count: int) -> int:
     return c
 
 
-def packed_div(x: int, m: int, width: int, count: int) -> int:
-    """x / m digit by digit; NotDivisible unless m divides every digit.  The
-    quotient's digits times m are a balanced representation of x exactly
-    when they stay below 2^(width-1), and then they are x's own digits."""
+def packed_div(x: int, m: int, width: int, count: int) -> tuple[int, int]:
+    """x / m digit by digit, with the largest |digit| of the quotient;
+    NotDivisible unless m divides every digit.  The quotient's digits times m
+    are a balanced representation of x exactly when they stay below
+    2^(width-1), and then they are x's own digits."""
     q, r = divmod(x, m)
-    if r or any(abs(c) * m >= 1 << (width - 1) for c in unpack(q, width, count)):
+    top = max(map(abs, unpack(q, width, count)))
+    if r or top * m >= 1 << (width - 1):
         raise NotDivisible(
             f"a coordinate of {list(unpack(x, width, count))} is not divisible by {m}"
         )
-    return q
+    return q, top
 
 
 def packed_product_coeffs(n: int, x: int, width: int, count: int) -> tuple[int, ...]:

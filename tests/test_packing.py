@@ -12,8 +12,18 @@ from hypothesis import strategies as st
 
 from charposet import cyclotomic as cyc
 from charposet import families as fam
-from charposet.characters import ClassFunction, get_context, restrict
+from charposet.characters import (
+    ClassFunction,
+    decompose,
+    frobenius_check,
+    get_context,
+    induce,
+    inner_product,
+    mackey_check,
+    restrict,
+)
 from charposet.errors import (
+    IncompleteIrr,
     InputError,
     InternalCheckError,
     NotDivisible,
@@ -21,6 +31,7 @@ from charposet.errors import (
     NotRationalInteger,
 )
 from charposet.poset import central_index, central_poset_map
+from conftest import naive_induced_value, naive_inner_products
 
 
 def _digits(width):
@@ -61,14 +72,14 @@ def test_a_coordinate_at_or_beyond_the_bound_raises(case, at, sign, beyond):
 
 def test_integers_products_and_digitwise_division_on_packed_values():
     n, order = 9, 27
-    width, count = cyc.digit_width(n, order), cyc.euler_phi(n)
+    width, count = cyc.packing_bounds(n, order)[1], cyc.euler_phi(n)
     assert cyc.unpack_integer(cyc.pack((-27, 0, 0, 0, 0, 0), width), width, count) == -27
     with pytest.raises(NotRationalInteger):
         cyc.unpack_integer(cyc.pack((3, 1, 0, 0, 0, 0), width), width, count)
     a, b = cyc.zeta_pow(n, 4) * 3 - cyc.one(n), cyc.zeta_pow(n, 7) + cyc.zeta_pow(n, 8)
     x, y = cyc.pack(a.coeffs, width), cyc.pack(b.coeffs, width)
     assert cyc.packed_product_coeffs(n, x * y, width, count) == (a * b).coeffs
-    assert cyc.packed_div(cyc.pack((a * 3).coeffs, width), 3, width, count) == x
+    assert cyc.packed_div(cyc.pack((a * 3).coeffs, width), 3, width, count) == (x, 3)
     # 2^width is divisible by 2 as an int, but its digits (1, 0) are not.
     with pytest.raises(NotDivisible):
         cyc.packed_div(cyc.pack((0, 0, 0, 0, 1, 0), width), 2, width, count)
@@ -100,12 +111,61 @@ def test_character_values_round_trip_through_the_packed_rows():
     assert checked == 9548
 
 
-def test_the_constructor_rejects_a_value_beyond_the_value_bound(c4):
+def test_the_constructor_takes_values_up_to_the_packing_bound(c4):
+    """Coordinates above the value bound V are accepted and make the class
+    function wide; one at 2^(W-1), beyond what packing holds, is an
+    InputError."""
     ctx = get_context(c4)
     W = ctx.whole
-    big = cyc.integer(4, ctx.value_bound + 1)
-    with pytest.raises(InputError):
-        ClassFunction(W, ctx.classes(W), [big] + [cyc.zero(4)] * 3)
+    cc = ctx.classes(W)
+    zeros = [cyc.zero(4)] * 3
+    assert not ClassFunction(W, cc, [cyc.integer(4, ctx.value_bound)] + zeros).wide
+    top = cyc.integer(4, (1 << (ctx.width - 1)) - 1)
+    assert ClassFunction(W, cc, [top] + zeros).wide
+    assert ClassFunction(W, cc, [top] + zeros).values[0] == top
+    with pytest.raises(InputError, match="packing bound"):
+        ClassFunction(W, cc, [cyc.integer(4, -(1 << (ctx.width - 1)))] + zeros)
+
+
+def test_wide_class_functions_keep_exact_results(c4, d8):
+    """Induction multiplies values by up to the index, so a class function
+    at the value bound V induces to one beyond it; that and a multiple of
+    the trivial character beyond V are induced, restricted, paired and
+    decomposed in CycInt arithmetic, with the oracles' results."""
+    ctx = get_context(c4)
+    V = ctx.value_bound
+    T = next(S for S in ctx.lattice() if len(S.elems) == 1)
+    phi = ClassFunction(T, ctx.classes(T), [cyc.integer(4, V)])
+    assert not phi.wide
+    theta = induce(phi, ctx.whole)
+    assert theta.wide and theta.degree == 4 * V
+    assert theta.values == tuple(
+        naive_induced_value(ctx.whole, T, phi, r) for r in ctx.classes(ctx.whole).reps
+    )
+    assert inner_product(theta, theta) == naive_inner_products([theta], [theta])[0][0] == 4 * V * V
+    lhs, rhs = frobenius_check(T, phi, ctx.irr(ctx.whole)[0])
+    assert lhs == rhs == V
+    assert decompose(theta, ctx.irr(ctx.whole)) == (V,) * 4
+    assert inner_product(induce(theta, ctx.whole), theta) == 4 * V * V
+
+    ctx = get_context(d8)
+    whole, cc = ctx.whole, ctx.classes(ctx.whole)
+    irr = ctx.irr(whole)
+    big = ClassFunction(whole, cc, [v * (d8.order + 1) for v in irr[0].values])
+    assert big.wide and not irr[0].wide
+    assert inner_product(big, irr[0]) == inner_product(irr[0], big) == d8.order + 1
+    assert decompose(big, irr) == (d8.order + 1,) + (0,) * (len(irr) - 1)
+    with pytest.raises(IncompleteIrr):  # 81 * big is not big, compared on CycInt values
+        decompose(big, [big])
+    K = next(K for K, H in ctx.maximal_pairs() if H.elems == whole.elems)
+    small = restrict(big, K)
+    assert small.wide
+    assert induce(small, whole).values == tuple(
+        naive_induced_value(whole, K, small, r) for r in cc.reps
+    )
+    # K is normal of index 2, so (big_K)^G restricted to K is 2 * big_K.
+    expected = 2 * (d8.order + 1)
+    assert mackey_check(K, K, small, restrict(irr[0], K)) == (expected, expected)
 
 
 def test_central_division_by_the_degree_on_packed_rows(q8):
@@ -133,32 +193,24 @@ def test_central_division_by_the_degree_on_packed_rows(q8):
 
 _NARROW = """
 import sys
-from charposet import cli, cyclotomic, families
-from charposet.characters import get_context
-from charposet.errors import InternalCheckError
+from charposet import cli, cyclotomic
 
-width = cyclotomic.digit_width
-cyclotomic.digit_width = lambda n, order: width(n, order) - 1
-try:
-    get_context(families.builtin("Dihedral(8)"))
-except InternalCheckError as err:
-    print(err)
-else:
-    sys.exit("a context took a width below its digit bound")
+bounds = cyclotomic.packing_bounds
+cyclotomic.packing_bounds = lambda n, order: (bounds(n, order)[0], 4)
 sys.exit(0 if cli.main(["verify", "--group", "Dihedral(8)"]) == 5 else "verify did not exit 5")
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
-def test_a_width_below_the_digit_bound_exits_5(flags):
-    """A packing width one short of the stated digit bound is caught when
-    the context is built: InternalCheckError, and verify exits 5, under
-    plain Python and under python -O."""
+def test_a_coordinate_beyond_the_packing_bound_exits_5(flags):
+    """With a packing width of 4, too narrow for Dihedral(8), packing the
+    value 8 of its regular character (the Clifford route's completeness
+    check) raises InternalCheckError, and verify exits 5, under plain Python
+    and under python -O."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, *flags, "-c", _NARROW],
         capture_output=True, text=True, env=env, check=False, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "does not hold the digit bound" in proc.stdout
-    assert "internal check failed" in proc.stderr
+    assert "internal check failed: coordinate 8 is beyond the packing bound 2^3" in proc.stderr
