@@ -29,6 +29,9 @@ def test_groups_listing(capsys):
                  "Semidihedral", "Modular", "Extraspecial", "AbelianProduct",
                  "DirectProduct"):
         assert name in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "25109938ad316e575ae2e7e382d6529bec94a05acc56177ef6b7527b3ace28dc"
+    )
 
 
 def test_unknown_subcommand():
@@ -486,7 +489,7 @@ def test_no_assert_statements_in_src():
     src = Path(__file__).resolve().parents[1] / "src" / "charposet"
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py"))
+        for path in sorted(src.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from charposet import families as fam
@@ -119,3 +122,19 @@ def test_catalog_orders_covered():
     specs = fam.builtin_catalog(2, 64)
     orders = {fam.builtin(s).order for s in specs}
     assert orders == {2, 4, 8, 16, 32, 64}
+
+
+def test_catalog_tables_are_pinned():
+    """Every catalog group of order <= 256 keeps its name and its table,
+    entry for entry: the element encoding is part of every exported id."""
+    digest = hashlib.sha256()
+    count = 0
+    for p, max_order in ((2, 128), (3, 243), (5, 125)):
+        for spec in fam.builtin_catalog(p, max_order):
+            G = fam.builtin(spec, 256)
+            digest.update(json.dumps([spec, G.name, G.table]).encode() + b"\n")
+            count += 1
+    assert count == 133
+    assert digest.hexdigest() == (
+        "67307ed6e7715513ce8a7daea758152705c0e1247974743ce8d61e6f5a5cd6a8"
+    )
