@@ -406,13 +406,8 @@ class CharContext:
         completeness of Irr(K) certifies the decomposition."""
         irrK = self.irr(K)
         irrH = self.irr(H)
-        lookup = self.char_index(K)
-        class_of_H = self.classes(H).class_of
-        class_map = [class_of_H[r] for r in self.classes(K).reps]
-        restricted = list(map(itemgetter(*class_map), [chi.rows for chi in irrH]))
-        if len(class_map) == 1:  # itemgetter of one index returns the bare row
-            restricted = [(row,) for row in restricted]
-        idx = list(map(lookup.get, restricted))
+        restricted = self._restricted_rows(K, H)
+        idx = list(map(self.char_index(K).get, restricted))
         if None not in idx:
             if len(set(idx)) != len(irrK):
                 raise IncompleteIrr(
@@ -438,6 +433,17 @@ class CharContext:
         edges.sort(key=itemgetter(1, 0))
         I, J = zip(*edges)
         return I, J
+
+    def _restricted_rows(self, K: Subgroup, H: Subgroup) -> list:
+        """The rows of every chi in Irr(H), in order, restricted to K <= H:
+        one itemgetter over the classes of H that hold K's class reps."""
+        ccK = self.classes(K)
+        class_of_H = self.classes(H).class_of
+        pick = itemgetter(*[class_of_H[r] for r in ccK.reps])
+        rows = list(map(pick, [chi.rows for chi in self.irr(H)]))
+        if ccK.count == 1:  # itemgetter of one index returns the bare row
+            return [(row,) for row in rows]
+        return rows
 
     def _clifford_split(self, K: Subgroup, H: Subgroup) -> tuple:
         """(x, orbits) for K normal of prime index p in H: one x in H \\ K,
@@ -580,15 +586,11 @@ def _singleton_classes(S: Subgroup) -> ConjClasses:
 
 def _restricted_irr(ctx: CharContext, S: Subgroup, U: Subgroup) -> list:
     """Irr(S) for S under an abelian up cover U: every linear character of S
-    extends to U, so Irr(S) is the set of restrictions of Irr(U), read by one
-    itemgetter over U's class map.  There must be exactly |S| distinct ones;
+    extends to U, so Irr(S) is the set of restrictions of Irr(U)
+    (CharContext._restricted_rows).  There must be exactly |S| distinct ones;
     anything else raises IncompleteIrr."""
     cc = ctx.classes(S)
-    class_of_U = ctx.classes(U).class_of
-    pick = itemgetter(*[class_of_U[r] for r in cc.reps])
-    found = set(map(pick, [chi.rows for chi in ctx.irr(U)]))
-    if cc.count == 1:  # itemgetter of one index returns the bare row
-        found = {(row,) for row in found}
+    found = set(ctx._restricted_rows(S, U))
     if len(found) != cc.count:
         raise IncompleteIrr(
             f"{S.ambient.name}: Irr of an abelian cover of order {len(U.elems)} restricts "

@@ -1,8 +1,13 @@
 """Built-in group families, constructed from standard presentations.
 
-Tables are synthesized directly from normal forms (r^i s^j for the 2-group
-series, exponent tuples for abelian products, triangular triples for the
-Heisenberg group) and then run through the full from_cayley validation.
+Tables are synthesized from normal forms: r^i s^j for the metacyclic series
+and triangular triples for the Heisenberg group.  A direct product, abelian
+ones included, takes one product table on x1*|G2| + x2 (_product_table); an
+abelian product folds it over cyclic addition tables.  Every table then runs
+through the full from_cayley validation.
+
+FAMILIES lists each descriptor head once: builtin parses descriptors from it
+and FAMILY_HELP is read off it.
 """
 
 from __future__ import annotations
@@ -24,34 +29,26 @@ def _require_prime(p: int) -> None:
         raise UnknownFamily(f"{p} is not prime")
 
 
+def _product_table(t1: Sequence[Sequence[int]], t2: Sequence[Sequence[int]]) -> list:
+    """Table of the direct product of two tables, (x1, x2) encoded as
+    x1*|t2| + x2."""
+    n2 = len(t2)
+    table = []
+    for row1 in t1:
+        high = [a * n2 for a in row1]
+        table.extend([a + b for a in high for b in row2] for row2 in t2)
+    return table
+
+
 def abelian_product(orders: Sequence[int], cap: int = DEFAULT_ORDER_CAP, name: str | None = None) -> GroupTable:
     """Direct product of cyclic groups of the given orders."""
     orders = [int(d) for d in orders]
     if not orders or any(d < 1 for d in orders):
         raise UnknownFamily(f"bad cyclic orders {orders}")
-    n = math.prod(orders)
-    _check_cap(n, cap)
-
-    def encode(tup):
-        x = 0
-        for d, t in zip(orders, tup):
-            x = x * d + t
-        return x
-
-    def decode(x):
-        out = []
-        for d in reversed(orders):
-            x, r = divmod(x, d)
-            out.append(r)
-        return tuple(reversed(out))
-
-    table = [
-        [
-            encode(tuple((a + b) % d for a, b, d in zip(decode(i), decode(j), orders)))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    _check_cap(math.prod(orders), cap)
+    table = [[0]]
+    for d in orders:
+        table = _product_table(table, [[(i + j) % d for j in range(d)] for i in range(d)])
     if name is None:
         name = "x".join(f"C{d}" for d in orders)
     return from_cayley(table, name)
@@ -140,10 +137,9 @@ def extraspecial(p: int, sign: str, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     _check_cap(p**3, cap)
     if p == 2:
         G = dihedral(8, cap) if sign == "+" else quaternion(8, cap)
-        return GroupTable(G.order, G.table, G.identity, G.inverse, G.elem_order, G.exponent, f"ES2{sign}")
+        return from_cayley(G.table, f"ES2{sign}")
     if sign == "-":
-        G = modular(p, 3, cap)
-        return GroupTable(G.order, G.table, G.identity, G.inverse, G.elem_order, G.exponent, f"ES{p}-")
+        return from_cayley(modular(p, 3, cap).table, f"ES{p}-")
 
     # Heisenberg: triples (a, b, c), (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2)
     n = p**3
@@ -160,32 +156,41 @@ def extraspecial(p: int, sign: str, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 
 
 def direct_product(G1: GroupTable, G2: GroupTable, cap: int = DEFAULT_ORDER_CAP, name: str | None = None) -> GroupTable:
-    n = G1.order * G2.order
-    _check_cap(n, cap)
-    n2 = G2.order
-    t1, t2 = G1.table, G2.table
-    table = [
-        [t1[x // n2][y // n2] * n2 + t2[x % n2][y % n2] for y in range(n)]
-        for x in range(n)
-    ]
+    _check_cap(G1.order * G2.order, cap)
     if name is None:
         name = f"{G1.name}x{G2.name}"
-    return from_cayley(table, name)
+    return from_cayley(_product_table(G1.table, G2.table), name)
 
 
 # -- descriptor parsing -------------------------------------------------------
 
-FAMILY_HELP = [
-    ("Cyclic(p,n)", "cyclic group of order p^n"),
-    ("ElemAbelian(p,n)", "elementary abelian group (C_p)^n"),
-    ("AbelianProduct(d1,d2,...)", "direct product of cyclic groups C_d1 x C_d2 x ..."),
-    ("Dihedral(m)", "dihedral group of 2-power order m >= 4"),
-    ("Quaternion(m)", "generalized quaternion group of 2-power order m >= 8"),
-    ("Semidihedral(m)", "semidihedral group of 2-power order m >= 16"),
-    ("Modular(p,n)", "modular maximal-cyclic group of order p^n, n >= 3"),
-    ("Extraspecial(p,+|-)", "extraspecial group of order p^3"),
-    ("DirectProduct(spec,spec)", "direct product of two family specs"),
-]
+# head -> (parameters, description, argument types, constructor).  Each
+# argument is converted by its type (int, or str for a sign or a nested
+# spec); a trailing ... repeats the type before it.  The constructor takes
+# the converted arguments and cap.
+FAMILIES = {
+    "Cyclic": ("p,n", "cyclic group of order p^n", (int, int), cyclic),
+    "ElemAbelian": ("p,n", "elementary abelian group (C_p)^n", (int, int), elem_abelian),
+    "AbelianProduct": (
+        "d1,d2,...",
+        "direct product of cyclic groups C_d1 x C_d2 x ...",
+        (int, ...),
+        lambda *orders, cap: abelian_product(orders, cap),
+    ),
+    "Dihedral": ("m", "dihedral group of 2-power order m >= 4", (int,), dihedral),
+    "Quaternion": ("m", "generalized quaternion group of 2-power order m >= 8", (int,), quaternion),
+    "Semidihedral": ("m", "semidihedral group of 2-power order m >= 16", (int,), semidihedral),
+    "Modular": ("p,n", "modular maximal-cyclic group of order p^n, n >= 3", (int, int), modular),
+    "Extraspecial": ("p,+|-", "extraspecial group of order p^3", (int, str), extraspecial),
+    "DirectProduct": (
+        "spec,spec",
+        "direct product of two family specs",
+        (str, str),
+        lambda a, b, cap: direct_product(builtin(a, cap), builtin(b, cap), cap),
+    ),
+}
+
+FAMILY_HELP = [(f"{head}({params})", desc) for head, (params, desc, _, _) in FAMILIES.items()]
 
 
 def _split_args(body: str) -> list:
@@ -217,52 +222,18 @@ def builtin(spec: str, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     head, body = spec.split("(", 1)
     head = head.strip()
     args = _split_args(body[:-1])
-
-    def ints(k):
-        if len(args) != k:
-            raise UnknownFamily(f"{head} takes {k} argument(s), got {len(args)}")
-        try:
-            return [int(a) for a in args]
-        except ValueError:
-            raise UnknownFamily(f"non-integer argument in {spec!r}") from None
-
-    if head == "Cyclic":
-        p, n = ints(2)
-        return cyclic(p, n, cap)
-    if head == "ElemAbelian":
-        p, n = ints(2)
-        return elem_abelian(p, n, cap)
-    if head == "AbelianProduct":
-        try:
-            orders = [int(a) for a in args]
-        except ValueError:
-            raise UnknownFamily(f"non-integer argument in {spec!r}") from None
-        return abelian_product(orders, cap)
-    if head == "Dihedral":
-        (m,) = ints(1)
-        return dihedral(m, cap)
-    if head == "Quaternion":
-        (m,) = ints(1)
-        return quaternion(m, cap)
-    if head == "Semidihedral":
-        (m,) = ints(1)
-        return semidihedral(m, cap)
-    if head == "Modular":
-        p, n = ints(2)
-        return modular(p, n, cap)
-    if head == "Extraspecial":
-        if len(args) != 2:
-            raise UnknownFamily(f"Extraspecial takes 2 arguments, got {len(args)}")
-        try:
-            p = int(args[0])
-        except ValueError:
-            raise UnknownFamily(f"non-integer prime in {spec!r}") from None
-        return extraspecial(p, args[1], cap)
-    if head == "DirectProduct":
-        if len(args) != 2:
-            raise UnknownFamily(f"DirectProduct takes 2 arguments, got {len(args)}")
-        return direct_product(builtin(args[0], cap), builtin(args[1], cap), cap)
-    raise UnknownFamily(f"unknown family {head!r}")
+    if head not in FAMILIES:
+        raise UnknownFamily(f"unknown family {head!r}")
+    _, _, types, make = FAMILIES[head]
+    if types[-1] is ...:
+        types = types[:1] * len(args)
+    if len(args) != len(types):
+        raise UnknownFamily(f"{head} takes {len(types)} argument(s), got {len(args)}")
+    try:
+        values = [kind(a) for kind, a in zip(types, args)]
+    except ValueError:
+        raise UnknownFamily(f"non-integer argument in {spec!r}") from None
+    return make(*values, cap=cap)
 
 
 # -- sweep catalog -------------------------------------------------------------
