@@ -94,6 +94,12 @@ def test_unknown_family_errors():
         "Cyclic(2,x)",
         "noparens",
         "DirectProduct(Cyclic(2,1))",
+        "DirectProduct(Cyclic(2,1),Nope(2))",
+        "Cyclic(2,1,1)",
+        "AbelianProduct(4,x)",
+        "Extraspecial(x,+)",
+        "Extraspecial(3)",
+        "Cyclic(2,(1)",
     ]:
         with pytest.raises(UnknownFamily):
             fam.builtin(bad)
