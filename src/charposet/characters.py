@@ -68,13 +68,16 @@ A pair of index p in a p-group (every cover pair of the lattice) takes the
 Clifford route: K is normal, so each chi_K is one irreducible or the sum of
 one H-conjugation orbit, found by row lookups with no inner product; one
 orbit split (CharContext._clifford_split) serves these edges and Irr.  All of
-Irr(H) is restricted at once, by one itemgetter over the class map of K into
-H, and looked up in char_index(K) by one map; when every chi_K is
-irreducible (always so for an abelian H) those indices are the edges, and
-only the misses go on to the orbit walk.  Every other pair (the full
-strategy's non-cover pairs, chains checked by related(), groups that are not
-p-groups) is decomposed by inner products; that route is kept as the general
-case and as the oracle of the Clifford route.
+Irr(H) is restricted at once and looked up in char_index(K) by one map; when
+every chi_K is irreducible (always so for an abelian H) those indices are the
+edges, and only the misses go on to the orbit walk.  Every other pair (the
+full strategy's non-cover pairs, chains checked by related(), groups that are
+not p-groups) is decomposed by inner products; that route is kept as the
+general case and as the oracle of the Clifford route.
+
+Restricting all of Irr(H) to K has one form, CharContext._restricted_rows,
+which every edge route, Irr's restriction route and verify's central suite
+read.
 """
 
 from __future__ import annotations
@@ -130,6 +133,8 @@ class ClassFunction:
     __slots__ = ("owner", "classes", "rows", "degree", "wide")
 
     def __init__(self, owner: Subgroup, classes: ConjClasses, values: Sequence[CycInt]):
+        if classes.owner != owner:
+            raise InputError("the classes belong to another subgroup than the owner")
         values = tuple(values)
         if len(values) != classes.count:
             raise InputError(f"{len(values)} values given for {classes.count} classes")
@@ -436,7 +441,13 @@ class CharContext:
 
     def _restricted_rows(self, K: Subgroup, H: Subgroup) -> list:
         """The rows of every chi in Irr(H), in order, restricted to K <= H:
-        one itemgetter over the classes of H that hold K's class reps."""
+        one itemgetter over the classes of H that hold K's class reps.  A K
+        outside H raises InternalCheckError."""
+        if not K.is_subset_of(H):
+            raise InternalCheckError(
+                f"{self.group.name}: K of order {len(K.elems)} is not inside H of order"
+                f" {len(H.elems)}"
+            )
         ccK = self.classes(K)
         class_of_H = self.classes(H).class_of
         pick = itemgetter(*[class_of_H[r] for r in ccK.reps])
@@ -491,15 +502,11 @@ class CharContext:
         each psi in chi_K; the general route and the oracle of the Clifford
         one."""
         irrK = self.irr(K)
-        irrH = self.irr(H)
         ccK = self.classes(K)
-        ccH = self.classes(H)
         index = len(H.elems) // len(K.elems)
         lookup = self.char_index(K)
-        class_map = tuple(ccH.class_of[r] for r in ccK.reps)
         I, J = [], []
-        for j, chi in enumerate(irrH):
-            rrows = tuple(map(chi.rows.__getitem__, class_map))
+        for j, (chi, rrows) in enumerate(zip(self.irr(H), self._restricted_rows(K, H))):
             if chi.degree == 1:
                 I.append(lookup[rrows])
                 J.append(j)
@@ -579,7 +586,6 @@ def _singleton_classes(S: Subgroup) -> ConjClasses:
         reps=S.elems,
         sizes=(1,) * len(S.elems),
         inverse_class=tuple(class_of[G.inverse[x]] for x in S.elems),
-        members=tuple((x,) for x in S.elems),
         identity_class=class_of[G.identity],
     )
 
@@ -810,13 +816,13 @@ def induce(phi: ClassFunction, G_sub: Subgroup) -> ClassFunction:
     class_of_H = phi.classes.class_of
     zero = cyc.zero(ctx.conductor) if phi.wide else 0
     sums = []
-    for ci in range(ccG.count):
+    for members, size in zip(ccG.members, ccG.sizes):
         acc = zero
-        for y in ccG.members[ci]:
+        for y in members:
             c = class_of_H[y]
             if c >= 0:
                 acc += hrows[c]
-        sums.append(acc * (gsize // ccG.sizes[ci]))  # times the centralizer order
+        sums.append(acc * (gsize // size))  # times the centralizer order
     if phi.wide:
         out = ClassFunction(G_sub, ccG, [cyc.exact_div_int(x, hsize) for x in sums])
     else:

@@ -4,6 +4,9 @@ Elements are indices 0..n-1 into a dense Cayley table.  Everything is
 immutable after construction, apart from the memo slot GroupTable.context;
 all operations are pure functions, so results can be shared and memoized
 freely.
+
+A subgroup's conjugacy classes are stored in one form, ConjClasses.class_of
+(ambient element -> class); the members of each class are derived from it.
 """
 
 from __future__ import annotations
@@ -153,12 +156,19 @@ class ConjClasses:
     reps: tuple
     sizes: tuple
     inverse_class: tuple
-    members: tuple
     identity_class: int
 
     @property
     def count(self) -> int:
         return len(self.reps)
+
+    @property
+    def members(self) -> tuple:
+        """The elements of each class, in increasing order, read off class_of."""
+        out = [[] for _ in self.reps]
+        for x in self.owner.elems:
+            out[self.class_of[x]].append(x)
+        return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True)
@@ -415,17 +425,16 @@ def conjugacy_classes(H: Subgroup) -> ConjClasses:
     G = H.ambient
     t, inv = G.table, G.inverse
     class_of = [-1] * G.order
-    reps, sizes, members = [], [], []
+    reps, sizes = [], []
     for x in H.elems:
         if class_of[x] != -1:
             continue
         cid = len(reps)
-        orbit = sorted({t[t[h][x]][inv[h]] for h in H.elems})  # h x h^-1
+        orbit = {t[t[h][x]][inv[h]] for h in H.elems}  # h x h^-1
         for y in orbit:
             class_of[y] = cid
         reps.append(x)
         sizes.append(len(orbit))
-        members.append(tuple(orbit))
     inverse_class = tuple(class_of[G.inverse[r]] for r in reps)
     cc = ConjClasses(
         owner=H,
@@ -433,7 +442,6 @@ def conjugacy_classes(H: Subgroup) -> ConjClasses:
         reps=tuple(reps),
         sizes=tuple(sizes),
         inverse_class=inverse_class,
-        members=tuple(members),
         identity_class=class_of[G.identity],
     )
     if sum(cc.sizes) != len(H.elems):

@@ -17,11 +17,11 @@ over the ids of Irr(G); each level keeps one root per character of G, the
 edges that edge_list() lists.
 
 A node is an integer id: the characters of the poset's subgroups numbered
-consecutively, subgroup by subgroup, from offsets[sid].  The pass and the
-central-map checks never list the nodes: a level's node_to_component is
-built on first access from its roots and the peaks, and the PosetNode list
-(nodes) is built on first access, for export, witness chains and
-build_nodes.
+consecutively, subgroup by subgroup, from offsets[sid].  A level's partition
+has one form, the roots and peaks of ComponentPartition, and the pass and
+the central-map checks never list the nodes: node_to_component is built on
+first access from the roots and the peaks, and the PosetNode list (nodes)
+on first access, for export, witness chains and build_nodes.
 
 Witness chains make connectivity explicit: witness_direct joins two nodes
 through a peak in Irr(G) over both, and witness_sequence joins the nodes it
@@ -70,38 +70,25 @@ class PosetNode:
     char_id: int
 
 
+@dataclass(frozen=True)
 class ComponentPartition:
-    """One level's components: their count, and node_to_component, which
-    labels each node id by component in order of first appearance.
+    """One level's components, stored as their count, roots and peaks.
 
     CharacterPoset.components gives roots, the forest root of each character
     of G at this level, and peaks, one tuple per subgroup of the level in
-    node order; node x lies in the component of roots[peak(x)], and
-    node_to_component is built from them on first access."""
+    node order: node x lies in the component of roots[peak(x)].
+    node_to_component, which labels each node id by component in order of
+    first appearance, is a view built from them on first access."""
 
-    def __init__(
-        self, node_to_component: Optional[tuple], count: int, roots: tuple = (), peaks: tuple = ()
-    ):
-        self.count = count
-        self.roots = roots
-        self.peaks = peaks
-        if node_to_component is not None:
-            self.__dict__["node_to_component"] = node_to_component
+    count: int
+    roots: tuple
+    peaks: tuple
 
     @cached_property
     def node_to_component(self) -> tuple:
         labels: dict = {}
         roots = self.roots
         return tuple(labels.setdefault(roots[w], len(labels)) for pk in self.peaks for w in pk)
-
-    def component_keys(self) -> Sequence[int]:
-        """One key per node id, equal exactly within a component: the labels
-        when they are given or built, else each node's root, not kept."""
-        labels = self.__dict__.get("node_to_component")
-        if labels is not None:
-            return labels
-        roots = self.roots
-        return [roots[w] for pk in self.peaks for w in pk]
 
 
 @dataclass(frozen=True)
@@ -271,7 +258,7 @@ class CharacterPoset:
             if s == 0 or len(subs[s - 1].elems) < len(K.elems):  # K's layer is complete
                 roots = tuple(map(find, range(len(parent))))
                 levels[len(K.elems)] = ComponentPartition(
-                    None, len(set(roots)), roots, tuple(peaks[S.elems] for S in subs[s:])
+                    len(set(roots)), roots, tuple(peaks[S.elems] for S in subs[s:])
                 )
         return levels[self.min_order]
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import errors as error_kinds
@@ -162,25 +161,18 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
     """Central map is constant on components and surjective onto Irr(IZ);
     the central subgroup's own poset has one component per character.
 
-    The map is taken per subgroup S of the poset, on rows: IZ's classes are
-    mapped into S's once, one itemgetter picks each character's values on
-    IZ (|IZ| > 1, so it returns a tuple), and central_index divides them by
-    the character's degree and looks the result up in char_index(IZ), as
-    central_poset_map does for one node.  The restriction edges that
-    built the partition are never read.  Constancy and surjectivity are
-    read off one set of (component, image) pairs."""
+    The map is taken per subgroup S of the poset, on the rows of Irr(S)
+    restricted to IZ by ctx._restricted_rows, which checks IZ <= S;
+    central_index divides them by the degree and looks them up in
+    char_index(IZ), as central_poset_map does for one node.  Each node is
+    keyed by roots[peak], read off the partition subgroup by subgroup.
+    Constancy and surjectivity are read off one set of (root, image) pairs."""
     lookup = ctx.char_index(IZ)
-    comp = partition.component_keys()
-    reps = ctx.classes(IZ).reps
+    roots = partition.roots
     images = set()
-    for S, off in zip(poset.subgroups, poset.offsets):
-        class_of = ctx.classes(S).class_of
-        at = [class_of[z] for z in reps]
-        if min(at) < 0:
-            raise InternalCheckError(f"I n Z(G) is not inside a subgroup of order {len(S.elems)}")
-        pick = itemgetter(*at)
-        for node, chi in enumerate(ctx.irr(S), off):
-            images.add((comp[node], central_index(lookup, pick(chi.rows), chi.degree)))
+    for S, peaks in zip(poset.subgroups, partition.peaks):
+        for w, chi, rows in zip(peaks, ctx.irr(S), ctx._restricted_rows(IZ, S)):
+            images.add((roots[w], central_index(lookup, rows, chi.degree)))
     if len({c for c, _ in images}) != len(images):
         raise CriterionViolation("central map is not constant on a connected component")
     hit = len({idx for _, idx in images})

@@ -35,7 +35,13 @@ from charposet.errors import (
 from charposet.poset import central_poset_map
 from charposet.verify import theorem_report
 
-from conftest import closure_lattice, naive_induced_value, naive_inner_products, relabelled
+from conftest import (
+    brute_classes,
+    closure_lattice,
+    naive_induced_value,
+    naive_inner_products,
+    relabelled,
+)
 
 
 def _sub(G, gens):
@@ -547,6 +553,39 @@ def test_class_function_rejects_values_that_are_not_cycint(c4):
         ClassFunction(W, ctx.classes(W), [1, 1, 1, 1])
 
 
+def test_class_function_rejects_classes_of_another_subgroup(d8):
+    """The classes must be the owner's own: the 4 classes of a subgroup of
+    order 4 on the whole of D8, or classes of an equal element set in
+    another copy of the table, raise InputError instead of building a class
+    function whose inner products zip over the wrong classes."""
+    ctx = get_context(d8)
+    W = ctx.whole
+    V = next(S for S in ctx.lattice() if len(S.elems) == 4)
+    values = irr(V)[0].values
+    with pytest.raises(InputError, match="another subgroup"):
+        ClassFunction(W, ctx.classes(V), values)
+    copy = gr.whole_group(fam.builtin("Dihedral(8)"))
+    with pytest.raises(InputError, match="another subgroup"):
+        ClassFunction(copy, ctx.classes(W), irr(W)[0].values)
+    assert ClassFunction(V, ctx.classes(V), values) == irr(V)[0]
+
+
+def test_restricted_rows_rejects_a_subgroup_outside_the_other(d8):
+    """_restricted_rows(K, H), the one bulk restriction, raises
+    InternalCheckError for K not inside H rather than reading the -1 of
+    K's elements outside H as a class of H."""
+    ctx = get_context(d8)
+    fours = [S for S in ctx.lattice() if len(S.elems) == 4]
+    twos = [S for S in ctx.lattice() if len(S.elems) == 2]
+    K, H = next((K, H) for K in twos for H in fours if not K.is_subset_of(H))
+    with pytest.raises(InternalCheckError, match="is not inside H"):
+        ctx._restricted_rows(K, H)
+    with pytest.raises(InternalCheckError, match="is not inside H"):
+        ctx._inner_product_edges(K, H)
+    inside = next(K for K in twos if K.is_subset_of(H))
+    assert ctx._restricted_rows(inside, H) == [restrict(chi, inside).rows for chi in irr(H)]
+
+
 def test_clifford_edges_match_inner_product_edges():
     """On every index-p cover pair of the sweep catalog and of relabelled
     tables, the Clifford route gives the inner-product route's edge tuple,
@@ -744,10 +783,11 @@ def _abelian_up_cover_oracle(ctx, S):
 
 def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
     """On every subgroup of the catalogs and of relabelled tables,
-    ctx.classes equals conjugacy_classes field for field, and Irr of every
-    abelian subgroup equals the coset walk's.  Exactly the subgroups under an
-    abelian up cover take the singleton classes and the restriction of
-    Irr(U)."""
+    ctx.classes equals conjugacy_classes field for field, the members that
+    both routes derive from class_of are the brute-force conjugation orbits,
+    and Irr of every abelian subgroup equals the coset walk's.  Exactly the
+    subgroups under an abelian up cover take the singleton classes and the
+    restriction of Irr(U)."""
     def spy(seen, fn, at):
         def wrapped(*args):
             seen.append(args[at].elems)
@@ -770,7 +810,10 @@ def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
         restricted.clear()
         expected = {S.elems for S in lattice if _abelian_up_cover_oracle(ctx, S)}
         for S in lattice:
-            assert ctx.classes(S) == gr.conjugacy_classes(S), (G.name, S)
+            cc = gr.conjugacy_classes(S)
+            assert ctx.classes(S) == cc, (G.name, S)
+            orbits = tuple(brute_classes(G, S.elems))
+            assert ctx.classes(S).members == cc.members == orbits, (G.name, S)
         for S in lattice:
             if ctx.classes(S).count == len(S.elems):
                 walk = sorted(

@@ -263,7 +263,7 @@ def test_central_suite_rejects_a_partition_merging_two_central_images(c4):
     partition = poset.components()
     assert len(IZ.elems) == partition.count == 2
     verify._central_suite(ctx, poset, partition, IZ)
-    merged = ComponentPartition(node_to_component=(0,) * poset.node_count, count=1)
+    merged = ComponentPartition(1, (0,) * len(partition.roots), partition.peaks)
     with pytest.raises(CriterionViolation, match="not constant"):
         verify._central_suite(ctx, poset, merged, IZ)
 
@@ -302,6 +302,52 @@ def test_compute_I_rejects_an_intersection_that_is_not_normal(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert "I is not normal in G" in proc.stdout
+    assert "internal check failed" in proc.stderr
+
+
+_CENTRAL_ELSEWHERE = """
+import sys
+from charposet import cli, verify
+from charposet.characters import get_context
+from charposet.errors import InternalCheckError
+
+intersect = verify.intersect_all
+
+def elsewhere(subs):
+    # I n Z(G) swapped for another subgroup of its order: in C4 x C2 at
+    # e = 1 that is an order-2 subgroup outside the cyclic subgroup <(1, 0)>.
+    out = intersect(subs)
+    ctx = get_context(out.ambient)
+    if subs[-1] is not ctx.center:
+        return out
+    return next(S for S in ctx.lattice() if len(S.elems) == len(out.elems) and S != out)
+
+verify.intersect_all = elsewhere
+G = verify.builtin("AbelianProduct(4,2)")
+try:
+    verify.theorem_report(G, 2, 1)
+except InternalCheckError as err:
+    print(err)
+else:
+    sys.exit("the central suite took a subgroup outside a poset subgroup")
+code = cli.main(["verify", "--group", "AbelianProduct(4,2)", "--e", "1"])
+sys.exit(0 if code == 5 else "verify did not exit 5")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_central_subgroup_outside_a_poset_subgroup_exits_5(flags):
+    """The central suite restricts through _restricted_rows, which checks
+    containment: with I n Z(G) swapped for a subgroup outside a member of
+    the poset, it raises InternalCheckError, and verify exits 5, under plain
+    Python and under python -O."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _CENTRAL_ELSEWHERE],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "K of order 2 is not inside H of order 4" in proc.stdout
     assert "internal check failed" in proc.stderr
 
 
