@@ -307,7 +307,7 @@ def test_compute_I_rejects_an_intersection_that_is_not_normal(flags):
 
 _CENTRAL_ELSEWHERE = """
 import sys
-from charposet import cli, verify
+from charposet import cli, families, verify
 from charposet.characters import get_context
 from charposet.errors import InternalCheckError
 
@@ -323,7 +323,7 @@ def elsewhere(subs):
     return next(S for S in ctx.lattice() if len(S.elems) == len(out.elems) and S != out)
 
 verify.intersect_all = elsewhere
-G = verify.builtin("AbelianProduct(4,2)")
+G = families.builtin("AbelianProduct(4,2)")
 try:
     verify.theorem_report(G, 2, 1)
 except InternalCheckError as err:
