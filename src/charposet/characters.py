@@ -263,6 +263,9 @@ class CharContext:
         # subgroup passed so far, and the merge forest over Irr(G) ids.
         self.peaks: dict = {}
         self.forest: list = []
+        # (A.elems, S.elems) -> the central map's image index in Irr(A) of
+        # each character of S, for A central in S (verify's central suite)
+        self.central_images: dict = {}
 
     # -- lattice ---------------------------------------------------------
 

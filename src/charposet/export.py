@@ -8,9 +8,12 @@ list of plain ints is one join, strings go through json's C escaper, and
 the text of each dict or list is kept per (object, indentation), so an
 object met again at the same depth is written once.
 
-irr_json builds one value dict {"n", "coeffs"} per distinct packed class
-value, unpacking it once, and shares it across the document, so the writer
-emits each distinct value once per depth.
+irr_json shares at three levels: one value dict {"n", "coeffs"} per
+distinct packed class value, unpacked once; one character dict {"degree",
+"values"} per distinct row tuple; and one "characters" list per distinct
+tuple of a table's rows.  Each kind sits at one depth of the document, so
+the writer emits each distinct object once and looks it up after that.  The
+document is read-only.
 """
 
 from __future__ import annotations
@@ -125,9 +128,12 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 # -- character tables -----------------------------------------------------------
 
 
-def char_table_dict(ctx: CharContext, S: Subgroup, values: dict) -> dict:
-    """The table of S; values maps each packed class value met so far to its
-    shared value dict."""
+def char_table_dict(ctx: CharContext, S: Subgroup, shared: tuple) -> dict:
+    """The table of S.  shared is (values, chars, tables), the objects met
+    so far in one irr_json call: the value dict of each packed class value,
+    the character dict of each row tuple (the identity value fixes the
+    degree), and the characters list of each tuple of a table's rows."""
+    values, chars, tables = shared
     cc = ctx.classes(S)
     G = ctx.group
     n, width, digits = ctx.conductor, ctx.width, ctx.digits
@@ -138,34 +144,43 @@ def char_table_dict(ctx: CharContext, S: Subgroup, values: dict) -> dict:
             v = values[x] = {"n": n, "coeffs": list(unpack(x, width, digits))}
         return v
 
+    def char_of(ch) -> dict:
+        c = chars.get(ch.rows)
+        if c is None:
+            c = chars[ch.rows] = {"degree": ch.degree, "values": [value_of(x) for x in ch.rows]}
+        return c
+
+    irr = ctx.irr(S)
+    key = tuple(ch.rows for ch in irr)
+    characters = tables.get(key)
+    if characters is None:
+        characters = tables[key] = [char_of(ch) for ch in irr]
     return {
         "order": len(S.elems),
         "elements": list(S.elems),
         "class_sizes": list(cc.sizes),
         "class_rep_orders": [G.elem_order[r] for r in cc.reps],
         "class_reps": list(cc.reps),
-        "characters": [
-            {"degree": ch.degree, "values": [value_of(x) for x in ch.rows]}
-            for ch in ctx.irr(S)
-        ],
+        "characters": characters,
     }
 
 
 def irr_json(G: GroupTable, include_subgroups: bool = False) -> dict:
     """The character tables of G, or of every subgroup.  Each class value is
-    {"n": conductor, "coeffs": power-basis coordinates}, and equal values
-    share one dict, so treat the document as read-only."""
+    {"n": conductor, "coeffs": power-basis coordinates}.  Equal values,
+    characters with equal rows and tables with equal rows share one object
+    each, so treat the document as read-only."""
     ctx = get_context(G)
     if include_subgroups:
         subs = ctx.lattice()
     else:
         subs = [ctx.whole]
-    values: dict = {}
+    shared: tuple = ({}, {}, {})
     return {
         "group": G.name,
         "order": G.order,
         "exponent": G.exponent,
-        "tables": [char_table_dict(ctx, S, values) for S in subs],
+        "tables": [char_table_dict(ctx, S, shared) for S in subs],
     }
 
 

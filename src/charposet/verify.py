@@ -164,15 +164,24 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
     The map is taken per subgroup S of the poset, on the rows of Irr(S)
     restricted to IZ by ctx._restricted_rows, which checks IZ <= S;
     central_index divides them by the degree and looks them up in
-    char_index(IZ), as central_poset_map does for one node.  Each node is
-    keyed by roots[peak], read off the partition subgroup by subgroup.
-    Constancy and surjectivity are read off one set of (root, image) pairs."""
-    lookup = ctx.char_index(IZ)
+    char_index(IZ), as central_poset_map does for one node.  The images do
+    not depend on e, so each S's tuple of them is computed once and kept in
+    ctx.central_images under (IZ.elems, S.elems).  Each node is keyed by
+    roots[peak], read off the partition subgroup by subgroup.  Constancy and
+    surjectivity are read off one set of (root, image) pairs."""
+    kept = ctx.central_images
     roots = partition.roots
     images = set()
     for S, peaks in zip(poset.subgroups, partition.peaks):
-        for w, chi, rows in zip(peaks, ctx.irr(S), ctx._restricted_rows(IZ, S)):
-            images.add((roots[w], central_index(lookup, rows, chi.degree)))
+        key = (IZ.elems, S.elems)
+        hit = kept.get(key)
+        if hit is None:
+            lookup = ctx.char_index(IZ)
+            hit = kept[key] = tuple(
+                central_index(lookup, rows, chi.degree)
+                for chi, rows in zip(ctx.irr(S), ctx._restricted_rows(IZ, S))
+            )
+        images.update(zip(map(roots.__getitem__, peaks), hit))
     if len({c for c, _ in images}) != len(images):
         raise CriterionViolation("central map is not constant on a connected component")
     hit = len({idx for _, idx in images})

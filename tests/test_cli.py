@@ -14,6 +14,10 @@ import pytest
 from charposet.characters import CharContext
 from charposet.cli import main
 from charposet.errors import IncompleteIrr
+from charposet.export import canonical_json, irr_json
+from charposet.families import builtin
+
+from test_export import _IRR_DIGESTS
 
 
 def run(capsys, *argv):
@@ -62,6 +66,16 @@ def test_irr_subgroups_flag(capsys):
     code, out, _ = run(capsys, "irr", "--group", "Quaternion(8)", "--subgroups")
     doc = json.loads(out)
     assert len(doc["tables"]) == 6
+
+
+def test_irr_subgroups_out_file_is_the_canonical_text_and_a_newline(tmp_path, capsys):
+    spec = "DirectProduct(Dihedral(8),Dihedral(8))"
+    path = tmp_path / "irr.json"
+    code, out, _ = run(capsys, "irr", "--group", spec, "--subgroups", "--out", str(path))
+    assert code == 0 and out == ""
+    data = path.read_bytes()
+    assert data == (canonical_json(irr_json(builtin(spec), True)) + "\n").encode()
+    assert hashlib.sha256(data[:-1]).hexdigest() == _IRR_DIGESTS[spec]
 
 
 def test_irr_malformed_file(tmp_path, capsys):

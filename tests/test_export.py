@@ -36,6 +36,15 @@ scalars = (
 any_keys = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 
 
+def nested_sharing(c):
+    """A shared list holding a shared object, as irr_json's characters lists
+    hold character dicts that hold value dicts: value thrice in row, row
+    twice at one depth and once more below."""
+    value = {"v": c}
+    row = [value, value, value]
+    return [row, row, [row, [value]]]
+
+
 def containers(children):
     return (
         st.lists(children, max_size=5)
@@ -46,6 +55,9 @@ def containers(children):
         | st.dictionaries(any_keys, children, max_size=3)
         # one object at two depths and twice at one depth
         | children.map(lambda c: [c, [c], {"a": c, "b": c}])
+        # one object four times at one depth
+        | children.map(lambda c: [c, c, c, c])
+        | children.map(nested_sharing)
     )
 
 
@@ -132,6 +144,24 @@ def test_irr_artifacts_are_pinned():
             for S in ctx.lattice()
         ]
         assert [t["characters"] for t in doc["tables"]] == via_cycint, key
+
+
+def test_irr_json_shares_one_object_per_distinct_row_and_table():
+    G = families.builtin("DirectProduct(Dihedral(8),Dihedral(8))")
+    ctx = get_context(G)
+    doc = irr_json(G, True)
+    tables = doc["tables"]
+    keys = [tuple(ch.rows for ch in ctx.irr(S)) for S in ctx.lattice()]
+    chars = [c for t in tables for c in t["characters"]]
+    rows = {r for key in keys for r in key}
+    assert len({id(c) for c in chars}) == len(rows) < len(chars)
+    values = [v for c in chars for v in c["values"]]
+    assert len({id(v) for v in values}) == len({x for r in rows for x in r})
+    characters_of = {}
+    for t, key in zip(tables, keys):
+        assert characters_of.setdefault(key, t["characters"]) is t["characters"]
+    assert len(characters_of) < len(tables)
+    assert canonical_json(doc) == stdlib(doc)
 
 
 # sha256 of canonical_json(irr_json(G)) for the whole groups of the widest
