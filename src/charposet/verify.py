@@ -169,19 +169,19 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
     ctx.central_images under (IZ.elems, S.elems).  Each node is keyed by
     roots[peak], read off the partition subgroup by subgroup.  Constancy and
     surjectivity are read off one set of (root, image) pairs."""
+    lookup = ctx.char_index(IZ)
     kept = ctx.central_images
     roots = partition.roots
     images = set()
     for S, peaks in zip(poset.subgroups, partition.peaks):
         key = (IZ.elems, S.elems)
-        hit = kept.get(key)
-        if hit is None:
-            lookup = ctx.char_index(IZ)
-            hit = kept[key] = tuple(
+        central = kept.get(key)
+        if central is None:
+            central = kept[key] = tuple(
                 central_index(lookup, rows, chi.degree)
                 for chi, rows in zip(ctx.irr(S), ctx._restricted_rows(IZ, S))
             )
-        images.update(zip(map(roots.__getitem__, peaks), hit))
+        images.update(zip(map(roots.__getitem__, peaks), central))
     if len({c for c, _ in images}) != len(images):
         raise CriterionViolation("central map is not constant on a connected component")
     hit = len({idx for _, idx in images})
