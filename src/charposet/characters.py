@@ -59,6 +59,16 @@ component partitions of the poset levels; everything it stores is
 immutable, except the state of the component pass (the peaks so far and
 the merge forest over Irr(G)), which the next lower level resumes.
 
+Irr(S) is stored once, as a tuple of rows and a tuple of degrees sorted by
+(degree, rows).  Each route sets the degrees it knows (1 on the two
+abelian routes), and the edges, Irr's own routes, union-find, verify and
+export read the rows and degrees (irr_rows, degrees).  irr(S) is a view: a
+tuple of ClassFunction objects built from them on first read and kept, for
+the public API, the witness endpoints and the monomial search.  The cover
+relation is stored once too, as each subgroup's maximal subgroups sorted
+by elements: maximal_pairs() is derived from it on each call, and
+up_cover[K] is the cover of K with the least elements.
+
 The restriction edges of a pair K < H are stored once per pair, in
 CharContext._edges, as two flat int tuples (I, J) in (j, i) order: edge k
 says that psi_I[k] in Irr(K) is a constituent of chi_J[k] in Irr(H).
@@ -85,7 +95,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cache
 from math import isqrt
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 from . import cyclotomic as cyc
@@ -95,6 +105,7 @@ from .errors import (
     IncompleteIrr,
     InputError,
     InternalCheckError,
+    LatticeTooLarge,
     NotASubgroup,
     NotDivisible,
     NotMonomial,
@@ -107,6 +118,7 @@ from .groups import (
     Subgroup,
     all_subgroups,
     center,
+    class_map,
     conjugacy_classes,
     conjugate_subgroup,
     derived_subgroup,
@@ -154,24 +166,34 @@ class ClassFunction:
                 f" {owner.ambient.name}'s class values"
             )
         rows = tuple(cyc.pack(v.coeffs, ctx.width) for v in values)
-        self._fill(owner, classes, rows, top > ctx.value_bound)
+        self._fill(owner, classes, rows, top > ctx.value_bound, None)
 
     @classmethod
     def _from_rows(
-        cls, owner: Subgroup, classes: ConjClasses, rows: tuple, wide: bool = False
+        cls,
+        owner: Subgroup,
+        classes: ConjClasses,
+        rows: tuple,
+        wide: bool = False,
+        degree: Optional[int] = None,
     ) -> "ClassFunction":
-        """The hot-path constructor: rows already packed at the context's width."""
+        """The constructor from rows already packed at the context's width,
+        with the degree when the caller knows it."""
         self = cls.__new__(cls)
-        self._fill(owner, classes, rows, wide)
+        self._fill(owner, classes, rows, wide, degree)
         return self
 
-    def _fill(self, owner: Subgroup, classes: ConjClasses, rows: tuple, wide: bool) -> None:
+    def _fill(
+        self, owner: Subgroup, classes: ConjClasses, rows: tuple, wide: bool, degree: Optional[int]
+    ) -> None:
         self.owner = owner
         self.classes = classes
         self.rows = rows
         self.wide = wide
-        ctx = owner.ambient.context
-        self.degree = cyc.unpack_integer(rows[classes.identity_class], ctx.width, ctx.digits)
+        if degree is None:
+            ctx = owner.ambient.context
+            degree = cyc.unpack_integer(rows[classes.identity_class], ctx.width, ctx.digits)
+        self.degree = degree
 
     @property
     def values(self) -> tuple:
@@ -215,6 +237,13 @@ def _first_ints(n: int) -> tuple:
     return tuple(range(n))
 
 
+@cache
+def _ones(n: int) -> tuple:
+    """(1,) * n, one shared instance per n: the degrees of n linear
+    characters, and the class sizes of an abelian subgroup of order n."""
+    return (1,) * n
+
+
 def get_context(G: GroupTable, order_cap: Optional[int] = None) -> "CharContext":
     """The group's CharContext, built on first use and kept on G itself.  An
     order cap given here is stored on it for lattice(); None keeps the stored
@@ -228,7 +257,13 @@ def get_context(G: GroupTable, order_cap: Optional[int] = None) -> "CharContext"
 
 class CharContext:
     """Per-group memo of Z(G), lattice and covers, classes, characters and
-    restriction data."""
+    restriction data.
+
+    Irr(S) is stored once, in _irr, as a tuple of rows and a tuple of
+    degrees sorted by (degree, rows); irr_rows and degrees read it, and
+    irr(S) is a ClassFunction view of it, built on first read.  The cover
+    relation is stored once, as _maximal: maximal_pairs() and up_cover are
+    read off it.  A lattice over the cap is kept as its error message."""
 
     def __init__(self, G: GroupTable, order_cap: int):
         self.group = G
@@ -245,13 +280,14 @@ class CharContext:
         self.zeta_rows = tuple(cyc.pack(z.coeffs, self.width) for z in cyc.zeta_table(n))
         self.zeta_exponent = {row: k for k, row in enumerate(self.zeta_rows)}
         self._lattice: Optional[list] = None
+        self._lattice_error: Optional[str] = None  # the LatticeTooLarge message, once raised
         self.generators: tuple = ()  # a generating set of G, read off the lattice
-        self._covers: list = []
-        self._maximal: dict = {}  # H.elems -> H's maximal subgroups, in maximal_pairs() order
+        self._maximal: dict = {}  # H.elems -> H's maximal subgroups, sorted by elements
         self.up_cover: dict = {}  # K.elems -> K's first cover in maximal_pairs() order
         self._by_elems: dict = {}
         self._classes: dict = {}
-        self._irr: dict = {}
+        self._irr: dict = {}  # S.elems -> (rows, degrees), sorted by (degree, rows)
+        self._irr_views: dict = {}  # S.elems -> irr(S), the ClassFunction view of _irr
         self._char_index: dict = {}
         self._edges: dict = {}  # (K.elems, H.elems) -> (I, J), see restriction_edges
         self._masks: dict = {}  # constituent_masks, a view of _edges
@@ -270,20 +306,31 @@ class CharContext:
     # -- lattice ---------------------------------------------------------
 
     def lattice(self) -> list:
+        """All subgroups, sorted by (order, elements).  A lattice over the
+        cap raises LatticeTooLarge, and so does every later call, from the
+        kept message, with no second enumeration."""
         if self._lattice is None:
+            if self._lattice_error is not None:
+                raise LatticeTooLarge(self._lattice_error)
             covers: list = []
             gens: list = []
-            self._lattice = all_subgroups(
-                self.group, self.order_cap, DEFAULT_LATTICE_CAP, covers, gens
-            )
+            try:
+                self._lattice = all_subgroups(
+                    self.group, self.order_cap, DEFAULT_LATTICE_CAP, covers, gens
+                )
+            except LatticeTooLarge as err:
+                self._lattice_error = str(err)
+                raise
             self.generators = tuple(gens)
             self._by_elems = {S.elems: S for S in self._lattice}
-            # Order by upper subgroup, then lower, as lattice positions.
-            covers.sort(key=lambda kh: (len(kh[1].elems), kh[1].elems, kh[0].elems))
-            self._covers = covers
+            maximal, up = self._maximal, self.up_cover
             for K, H in covers:
-                self._maximal.setdefault(H.elems, []).append(K)
-                self.up_cover.setdefault(K.elems, H)
+                maximal.setdefault(H.elems, []).append(K)
+                U = up.get(K.elems)
+                if U is None or H.elems < U.elems:
+                    up[K.elems] = H
+            for below in maximal.values():
+                below.sort(key=attrgetter("elems"))
         return self._lattice
 
     def canonical(self, S: Subgroup) -> Subgroup:
@@ -296,9 +343,10 @@ class CharContext:
 
     def maximal_pairs(self) -> list:
         """All pairs (K, H) with K maximal in H, i.e. of index p, ordered by
-        the lattice positions of H and then K."""
-        self.lattice()
-        return self._covers
+        the lattice positions of H and then K; derived from _maximal on each
+        call."""
+        maximal = self._maximal
+        return [(K, H) for H in self.lattice() for K in maximal.get(H.elems, ())]
 
     # -- classes and characters -------------------------------------------
 
@@ -325,21 +373,40 @@ class CharContext:
 
     def linear(self, S: Subgroup) -> tuple:
         """The degree-1 front of irr(S)."""
-        chars = self.irr(S)
-        return chars[: bisect_right(chars, 1, key=lambda ch: ch.degree)]
+        return self.irr(S)[: bisect_right(self.degrees(S), 1)]
 
     def irr(self, S: Subgroup) -> tuple:
+        """Irr(S) as ClassFunction objects: a view of the stored rows and
+        degrees, built on first read and kept."""
+        hit = self._irr_views.get(S.elems)
+        if hit is None:
+            rows, degrees = self._stored_irr(S)
+            cc = self.classes(S)
+            hit = tuple(
+                ClassFunction._from_rows(S, cc, r, degree=d) for r, d in zip(rows, degrees)
+            )
+            self._irr_views[S.elems] = hit
+        return hit
+
+    def irr_rows(self, S: Subgroup) -> tuple:
+        """The rows of each character of Irr(S), in the order of irr(S)."""
+        return self._stored_irr(S)[0]
+
+    def degrees(self, S: Subgroup) -> tuple:
+        """The degree of each character of Irr(S), in the order of irr(S)."""
+        return self._stored_irr(S)[1]
+
+    def _stored_irr(self, S: Subgroup) -> tuple:
         hit = self._irr.get(S.elems)
         if hit is None:
-            hit = _compute_irr(self, S)
-            self._irr[S.elems] = hit
+            hit = self._irr[S.elems] = _compute_irr(self, S)
         return hit
 
     def char_index(self, S: Subgroup) -> dict:
         """Map rows -> index in irr(S)."""
         hit = self._char_index.get(S.elems)
         if hit is None:
-            hit = {ch.rows: i for i, ch in enumerate(self.irr(S))}
+            hit = {rows: i for i, rows in enumerate(self.irr_rows(S))}
             self._char_index[S.elems] = hit
         return hit
 
@@ -390,9 +457,9 @@ class CharContext:
         hit = self._masks.get(key)
         if hit is None:
             if K.elems == H.elems:
-                hit = tuple(1 << j for j in range(len(self.irr(H))))
+                hit = tuple(1 << j for j in range(len(self.irr_rows(H))))
             else:
-                masks = [0] * len(self.irr(H))
+                masks = [0] * len(self.irr_rows(H))
                 for i, j in zip(*self.restriction_edges(K, H)):
                     masks[j] |= 1 << i
                 hit = tuple(masks)
@@ -412,17 +479,16 @@ class CharContext:
         one missed chi_K, every missed chi_K must be such a sum, and every psi
         must lie in an edge.  Exact row equality plus the asserted
         completeness of Irr(K) certifies the decomposition."""
-        irrK = self.irr(K)
-        irrH = self.irr(H)
+        count = len(self.irr_rows(K))
         restricted = self._restricted_rows(K, H)
         idx = list(map(self.char_index(K).get, restricted))
         if None not in idx:
-            if len(set(idx)) != len(irrK):
+            if len(set(idx)) != count:
                 raise IncompleteIrr(
-                    f"{len(irrK) - len(set(idx))} characters of Irr(K) lie under no irreducible"
+                    f"{count - len(set(idx))} characters of Irr(K) lie under no irreducible"
                     " restriction"
                 )
-            return tuple(idx), _first_ints(len(irrH))
+            return tuple(idx), _first_ints(len(idx))
         edges = [(i, j) for j, i in enumerate(idx) if i is not None]
         split = {rows: j for j, (rows, i) in enumerate(zip(restricted, idx)) if i is None}
         for orbit, total in self._clifford_split(K, H)[1]:
@@ -436,7 +502,7 @@ class CharContext:
             raise IncompleteIrr(
                 f"{len(split)} restrictions are neither irreducible nor an orbit sum"
             )
-        if len({i for i, _ in edges}) != len(irrK):
+        if len({i for i, _ in edges}) != count:
             raise IncompleteIrr("a character of Irr(K) lies under no restriction")
         edges.sort(key=itemgetter(1, 0))
         I, J = zip(*edges)
@@ -454,7 +520,7 @@ class CharContext:
         ccK = self.classes(K)
         class_of_H = self.classes(H).class_of
         pick = itemgetter(*[class_of_H[r] for r in ccK.reps])
-        rows = list(map(pick, [chi.rows for chi in self.irr(H)]))
+        rows = list(map(pick, self.irr_rows(H)))
         if ccK.count == 1:  # itemgetter of one index returns the bare row
             return [(row,) for row in rows]
         return rows
@@ -469,7 +535,7 @@ class CharContext:
         conjugate missing from Irr(K) raises IncompleteIrr."""
         G, p = self.group, self._prime
         ccK = self.classes(K)
-        irrK = self.irr(K)
+        irrK = self.irr_rows(K)
         lookup = self.char_index(K)
         x = next(h for h in H.elems if not K.contains(h))
         perm = tuple(ccK.class_of[G.conj(r, x)] for r in ccK.reps)
@@ -477,10 +543,10 @@ class CharContext:
             raise InternalCheckError("K is not normal in H")
         orbits = []
         seen = set()
-        for i, psi in enumerate(irrK):
+        for i, rows in enumerate(irrK):
             if i in seen:
                 continue
-            orbit, rows = [i], psi.rows
+            orbit = [i]
             for _ in range(p):
                 rows = tuple(map(rows.__getitem__, perm))
                 k = lookup.get(rows)
@@ -496,7 +562,7 @@ class CharContext:
             seen.update(orbit)
             total = None
             if len(orbit) > 1:
-                total = tuple(map(sum, zip(*(irrK[k].rows for k in orbit))))
+                total = tuple(map(sum, zip(*(irrK[k] for k in orbit))))
             orbits.append((orbit, total))
         return x, orbits
 
@@ -504,43 +570,41 @@ class CharContext:
         """Restriction edges (I, J) of any pair K < H, by the multiplicity of
         each psi in chi_K; the general route and the oracle of the Clifford
         one."""
-        irrK = self.irr(K)
+        irrK = list(zip(self.irr_rows(K), self.degrees(K)))
         ccK = self.classes(K)
         index = len(H.elems) // len(K.elems)
         lookup = self.char_index(K)
         I, J = [], []
-        for j, (chi, rrows) in enumerate(zip(self.irr(H), self._restricted_rows(K, H))):
-            if chi.degree == 1:
+        for j, (d, rrows) in enumerate(zip(self.degrees(H), self._restricted_rows(K, H))):
+            if d == 1:
                 I.append(lookup[rrows])
                 J.append(j)
                 continue
-            remaining = chi.degree
-            for i, psi in enumerate(irrK):
-                if psi.degree > chi.degree or psi.degree * index < chi.degree:
+            remaining = d
+            for i, (rows, e) in enumerate(irrK):
+                if e > d or e * index < d:
                     continue
-                m = self.inner_raw(ccK, rrows, psi.rows)
+                m = self.inner_raw(ccK, rrows, rows)
                 if m:
                     I.append(i)
                     J.append(j)
-                    remaining -= m * psi.degree
+                    remaining -= m * e
                     if remaining == 0:
                         break
             if remaining:
-                raise IncompleteIrr(
-                    f"restriction of a degree-{chi.degree} character did not decompose"
-                )
+                raise IncompleteIrr(f"restriction of a degree-{d} character did not decompose")
         return tuple(I), tuple(J)
 
 
 # -- spec operations -----------------------------------------------------------
 
 
-def _linear_characters(ctx: CharContext, H: Subgroup, kernel: Sequence[int]) -> tuple:
-    """All |H/H'| degree-1 characters of H as exponent maps lam: H -> Z/n,
-    grown from lam = 0 on kernel (the elements of H', or of the trivial
-    subgroup when H is abelian) inside the ambient table: for x outside S,
-    with x^k the first power of x in S, each lam on S extends to S<x> in
-    exactly k ways, x -> a with k*a = lam(x^k) mod n and
+def _linear_characters(ctx: CharContext, H: Subgroup, kernel: Sequence[int]) -> list:
+    """The rows of all |H/H'| degree-1 characters of H, found as exponent
+    maps lam: H -> Z/n grown from lam = 0 on kernel (the elements of H', or
+    of the trivial subgroup when H is abelian) inside the ambient table: for
+    x outside S, with x^k the first power of x in S, each lam on S extends
+    to S<x> in exactly k ways, x -> a with k*a = lam(x^k) mod n and
     s*x^i -> lam(s) + i*a."""
     G, n = H.ambient, ctx.conductor
     elems = kernel
@@ -566,10 +630,10 @@ def _linear_characters(ctx: CharContext, H: Subgroup, kernel: Sequence[int]) -> 
     cc = ctx.classes(H)
     zrows = ctx.zeta_rows
     at_reps = [pos[r] for r in cc.reps]
-    out = [ClassFunction._from_rows(H, cc, tuple(zrows[lam[j]] for j in at_reps)) for lam in maps]
-    if len({ch.rows for ch in out}) != len(out):
+    out = [tuple(zrows[lam[j]] for j in at_reps) for lam in maps]
+    if len(set(out)) != len(out):
         raise IncompleteIrr("two linear characters share their values")
-    return tuple(out)
+    return out
 
 
 def linear_characters(H: Subgroup) -> tuple:
@@ -585,19 +649,19 @@ def _singleton_classes(S: Subgroup) -> ConjClasses:
         class_of[x] = c
     return ConjClasses(
         owner=S,
-        class_of=tuple(class_of),
+        class_of=class_map(class_of),
         reps=S.elems,
-        sizes=(1,) * len(S.elems),
+        sizes=_ones(len(S.elems)),
         inverse_class=tuple(class_of[G.inverse[x]] for x in S.elems),
         identity_class=class_of[G.identity],
     )
 
 
-def _restricted_irr(ctx: CharContext, S: Subgroup, U: Subgroup) -> list:
-    """Irr(S) for S under an abelian up cover U: every linear character of S
-    extends to U, so Irr(S) is the set of restrictions of Irr(U)
-    (CharContext._restricted_rows).  There must be exactly |S| distinct ones;
-    anything else raises IncompleteIrr."""
+def _restricted_irr(ctx: CharContext, S: Subgroup, U: Subgroup) -> set:
+    """The rows of Irr(S) for S under an abelian up cover U: every linear
+    character of S extends to U, so Irr(S) is the set of restrictions of
+    Irr(U) (CharContext._restricted_rows).  There must be exactly |S|
+    distinct ones; anything else raises IncompleteIrr."""
     cc = ctx.classes(S)
     found = set(ctx._restricted_rows(S, U))
     if len(found) != cc.count:
@@ -605,11 +669,12 @@ def _restricted_irr(ctx: CharContext, S: Subgroup, U: Subgroup) -> list:
             f"{S.ambient.name}: Irr of an abelian cover of order {len(U.elems)} restricts "
             f"to {len(found)} distinct characters of a subgroup of order {cc.count}"
         )
-    return [ClassFunction._from_rows(S, cc, rows) for rows in found]
+    return found
 
 
 def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
-    """Irr(H), canonically sorted, by one of four routes.
+    """Irr(H) as (rows, degrees), sorted by (degree, rows), by one of four
+    routes, each of which knows the degrees it gives.
 
     An abelian proper subgroup of a p-group whose up cover U is abelian
     restricts Irr(U) (_restricted_irr), the pair whose edges union-find reads
@@ -626,18 +691,21 @@ def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
     if cc.count == len(H.elems):
         U = ctx._abelian_up(H)
         if U is None:
-            chars = _linear_characters(ctx, H, (H.ambient.identity,))
+            rows = _linear_characters(ctx, H, (H.ambient.identity,))
         else:
-            chars = _restricted_irr(ctx, H, U)
-    elif ctx._prime is not None:
-        chars = [ClassFunction._from_rows(H, cc, rows) for rows in _clifford_irr(ctx, H)]
+            rows = _restricted_irr(ctx, H, U)
+        return tuple(sorted(rows)), _ones(len(rows))
+    if ctx._prime is not None:
+        rows, degrees = _clifford_irr(ctx, H)
+        pairs = zip(degrees, rows)
     else:
-        chars = _monomial_irr(ctx, H)
-    return tuple(sorted(chars, key=ClassFunction.sort_key))
+        pairs = ((ch.degree, ch.rows) for ch in _monomial_irr(ctx, H))
+    degrees, rows = zip(*sorted(pairs))
+    return rows, degrees
 
 
-def _clifford_irr(ctx: CharContext, H: Subgroup) -> list:
-    """The rows of Irr(H) for a nonabelian subgroup H of a p-group, by
+def _clifford_irr(ctx: CharContext, H: Subgroup) -> tuple:
+    """(rows, degrees) of Irr(H) for a nonabelian subgroup H of a p-group, by
     Clifford theory at prime index over H's maximal subgroups, each normal of
     index p (Isaacs, Character Theory of Finite Groups, Cor. 6.19 and 11.22).
     For each maximal M, Irr(M) splits into H-conjugation orbits of length p
@@ -667,7 +735,6 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> list:
     ctx.lattice()
     maximal = ctx._maximal[H.elems]
     K = maximal[0]
-    irrK = ctx.irr(K)
     ccK = ctx.classes(K)
     ccH = ctx.classes(H)
     x, orbits = ctx._clifford_split(K, H)
@@ -683,10 +750,10 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> list:
         at_reps.append((i, ccK.class_of[k]))
     xp_class = ccK.class_of[G.power(x, p)]
     found: dict = {}
+    rowsK, degreesK = ctx.irr_rows(K), ctx.degrees(K)
     for orbit, total in orbits:
-        psi = irrK[orbit[0]]
-        if total is None and psi.degree == 1:
-            exps = [ctx.zeta_exponent[row] for row in psi.rows]
+        if total is None and degreesK[orbit[0]] == 1:
+            exps = [ctx.zeta_exponent[row] for row in rowsK[orbit[0]]]
             b = exps[xp_class]
             if b % p:
                 raise IncompleteIrr(f"the exponent of x^{p} is not divisible by {p}")
@@ -702,16 +769,15 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> list:
             if total is not None:
                 found[tuple(0 if c < 0 else total[c] for c in at)] = None
     out = list(found)
-    _check_complete(ccH, out)
-    return out
+    return out, _check_complete(ccH, out)
 
 
-def _check_complete(cc: ConjClasses, out: list) -> None:
-    """Raise IncompleteIrr unless the distinct rows out are all of Irr of
+def _check_complete(cc: ConjClasses, out: list) -> list:
+    """The degrees of the distinct rows out, which must be all of Irr of
     cc's owner H: as many as classes, sum of squared degrees |H|, and sum of
-    chi(1) * chi the regular character (|H| at 1, 0 elsewhere).  The last
-    sum is taken per degree d, as d times the column sums of the rows of
-    that degree."""
+    chi(1) * chi the regular character (|H| at 1, 0 elsewhere); else raise
+    IncompleteIrr.  The last sum is taken per degree d, as d times the
+    column sums of the rows of that degree."""
     H = cc.owner
     order = len(H.elems)
     ctx = H.ambient.context
@@ -734,6 +800,7 @@ def _check_complete(cc: ConjClasses, out: list) -> None:
             f"{H.ambient.name}: sum of chi(1) * chi is not the regular character of "
             f"|H| = {order}"
         )
+    return degrees
 
 
 def _monomial_irr(ctx: CharContext, H: Subgroup) -> list:
@@ -747,7 +814,10 @@ def _monomial_irr(ctx: CharContext, H: Subgroup) -> list:
     is."""
     cc = ctx.classes(H)
     order = len(H.elems)
-    found = {ch.rows: ch for ch in _linear_characters(ctx, H, derived_subgroup(H).elems)}
+    found = {
+        rows: ClassFunction._from_rows(H, cc, rows, degree=1)
+        for rows in _linear_characters(ctx, H, derived_subgroup(H).elems)
+    }
     total = len(found)
     if len(found) < cc.count:
         bound = isqrt(order)

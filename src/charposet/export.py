@@ -144,17 +144,16 @@ def char_table_dict(ctx: CharContext, S: Subgroup, shared: tuple) -> dict:
             v = values[x] = {"n": n, "coeffs": list(unpack(x, width, digits))}
         return v
 
-    def char_of(ch) -> dict:
-        c = chars.get(ch.rows)
+    def char_of(rows: tuple, degree: int) -> dict:
+        c = chars.get(rows)
         if c is None:
-            c = chars[ch.rows] = {"degree": ch.degree, "values": [value_of(x) for x in ch.rows]}
+            c = chars[rows] = {"degree": degree, "values": [value_of(x) for x in rows]}
         return c
 
-    irr = ctx.irr(S)
-    key = tuple(ch.rows for ch in irr)
+    key = ctx.irr_rows(S)
     characters = tables.get(key)
     if characters is None:
-        characters = tables[key] = [char_of(ch) for ch in irr]
+        characters = tables[key] = list(map(char_of, key, ctx.degrees(S)))
     return {
         "order": len(S.elems),
         "elements": list(S.elems),
@@ -203,7 +202,7 @@ def poset_json(poset: CharacterPoset, partition: ComponentPartition) -> dict:
                 "id": poset.node_id(n),
                 "subgroup": n.subgroup_id,
                 "char": n.char_id,
-                "degree": poset.char_of(n).degree,
+                "degree": ctx.degrees(poset.subgroup_of(n))[n.char_id],
             }
             for n in poset.nodes
         ],
@@ -233,7 +232,7 @@ def poset_dot(poset: CharacterPoset, partition: ComponentPartition) -> str:
         comp = partition.node_to_component[nid]
         color = _PALETTE[comp % len(_PALETTE)]
         S = poset.subgroup_of(n)
-        deg = poset.char_of(n).degree
+        deg = poset.ctx.degrees(S)[n.char_id]
         label = f"H{n.subgroup_id}:χ{n.char_id} (|H|={len(S.elems)}, deg={deg})"
         lines.append(f'  n{nid} [label="{label}", fillcolor="{color}"];')
     for a, b in poset.edge_list():

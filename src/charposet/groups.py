@@ -6,12 +6,14 @@ all operations are pure functions, so results can be shared and memoized
 freely.
 
 A subgroup's conjugacy classes are stored in one form, ConjClasses.class_of
-(ambient element -> class); the members of each class are derived from it.
+(ambient element -> class, a compact int array, class_map); the members of
+each class are derived from it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -147,12 +149,14 @@ def _validate_subgroup(H: Subgroup) -> None:
 class ConjClasses:
     """Conjugacy classes of a subgroup acting on itself.
 
-    class_of is indexed by ambient element index (-1 outside the owner);
+    class_of is indexed by ambient element index (-1 outside the owner), an
+    int array (class_map) rather than a tuple, as every subgroup holds one
+    of length |G|, so a ConjClasses compares by value but is not hashable;
     reps are the minimal element index per class, in increasing order.
     """
 
     owner: Subgroup
-    class_of: tuple
+    class_of: array
     reps: tuple
     sizes: tuple
     inverse_class: tuple
@@ -420,6 +424,11 @@ def normalised_by(N: Subgroup, gens: Iterable[int]) -> bool:
     return all(mask >> t[t[x][n]][inv[x]] & 1 for x in gens for n in N.elems)
 
 
+def class_map(class_of: list) -> array:
+    """class_of as a compact int array: 2 bytes an entry below 2^15 elements."""
+    return array("h" if len(class_of) < 1 << 15 else "i", class_of)
+
+
 def conjugacy_classes(H: Subgroup) -> ConjClasses:
     """Orbits of H acting on itself by conjugation; reps are minimal indices."""
     G = H.ambient
@@ -438,7 +447,7 @@ def conjugacy_classes(H: Subgroup) -> ConjClasses:
     inverse_class = tuple(class_of[G.inverse[r]] for r in reps)
     cc = ConjClasses(
         owner=H,
-        class_of=tuple(class_of),
+        class_of=class_map(class_of),
         reps=tuple(reps),
         sizes=tuple(sizes),
         inverse_class=inverse_class,

@@ -133,7 +133,7 @@ class CharacterPoset:
         self.min_order = p ** (e + 1)
         lattice = ctx.lattice()  # sorted by order, so the level is a suffix
         self.subgroups = lattice[bisect_left(lattice, self.min_order, key=_order) :]
-        self.offsets = list(accumulate((len(ctx.irr(S)) for S in self.subgroups), initial=0))
+        self.offsets = list(accumulate((len(ctx.irr_rows(S)) for S in self.subgroups), initial=0))
         self.node_count = self.offsets.pop()
 
     @cached_property
@@ -144,11 +144,11 @@ class CharacterPoset:
     @cached_property
     def nodes(self) -> list:
         """One PosetNode per node id, built on first access."""
-        irr = self.ctx.irr
+        irr_rows = self.ctx.irr_rows
         return [
             PosetNode(sid, cid)
             for sid, S in enumerate(self.subgroups)
-            for cid in range(len(irr(S)))
+            for cid in range(len(irr_rows(S)))
         ]
 
     # -- node helpers -------------------------------------------------------
@@ -231,16 +231,16 @@ class CharacterPoset:
             return x
 
         subs = self.subgroups
-        up, edges, irr = ctx.up_cover, ctx.restriction_edges, ctx.irr
+        up, edges, irr_rows = ctx.up_cover, ctx.restriction_edges, ctx.irr_rows
         for s in range(len(subs) - 1 - len(peaks), -1, -1):
             K = subs[s]
             H = up.get(K.elems)
             if H is None:  # K is G: each omega is its own peak
-                peaks[K.elems] = tuple(range(len(irr(K))))
+                peaks[K.elems] = tuple(range(len(irr_rows(K))))
                 parent.extend(peaks[K.elems])
             else:
                 over = peaks[H.elems]
-                peak = [None] * len(irr(K))
+                peak = [None] * len(irr_rows(K))
                 for i, j in zip(*edges(K, H)):
                     a, b = peak[i], over[j]
                     if a is None:
@@ -269,7 +269,7 @@ class CharacterPoset:
             raise InputError(f"subgroup of order {len(H.elems)} is not in S_(p,e)")
         reps: dict = {}
         off = self.offsets[sid]
-        for cid in range(len(self.ctx.irr(self.subgroups[sid]))):
+        for cid in range(len(self.ctx.irr_rows(self.subgroups[sid]))):
             comp = partition.node_to_component[off + cid]
             reps.setdefault(comp, PosetNode(sid, cid))
         if len(reps) != partition.count:

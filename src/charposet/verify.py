@@ -118,7 +118,7 @@ def theorem_report(G: GroupTable, p: Optional[int], e: int) -> TheoremReport:
     ctx = get_context(G)
     I = compute_I(G, p, e)
     IZ = intersect_all([I, ctx.center])
-    irr_I = len(ctx.irr(I))
+    irr_I = len(ctx.irr_rows(I))
     timings["structure"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -178,8 +178,8 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
         central = kept.get(key)
         if central is None:
             central = kept[key] = tuple(
-                central_index(lookup, rows, chi.degree)
-                for chi, rows in zip(ctx.irr(S), ctx._restricted_rows(IZ, S))
+                central_index(lookup, rows, d)
+                for d, rows in zip(ctx.degrees(S), ctx._restricted_rows(IZ, S))
             )
         images.update(zip(map(roots.__getitem__, peaks), central))
     if len({c for c, _ in images}) != len(images):
@@ -189,7 +189,7 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
         raise CriterionViolation(f"central map hits {hit} of {len(IZ.elems)} linear characters")
     # At its top level the poset of IZ is the one subgroup IZ with no edges,
     # so its components are the characters of IZ.
-    if len(ctx.irr(IZ)) != len(IZ.elems):
+    if len(ctx.irr_rows(IZ)) != len(IZ.elems):
         raise CriterionViolation(
             "standalone central poset does not have one component per character"
         )

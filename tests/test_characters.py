@@ -7,6 +7,7 @@ import pytest
 
 from charposet import characters
 from charposet import cyclotomic as cyc
+from charposet import export
 from charposet import families as fam
 from charposet import groups as gr
 from charposet.characters import (
@@ -33,7 +34,7 @@ from charposet.errors import (
     OrderCapExceeded,
 )
 from charposet.poset import central_poset_map
-from charposet.verify import theorem_report
+from charposet.verify import theorem_report, valid_exponents
 
 from conftest import (
     brute_classes,
@@ -355,6 +356,25 @@ def test_maximal_pairs_match_rescan():
         assert ctx.maximal_pairs() == _rescan_covers(ctx), G.name
 
 
+def test_up_cover_is_the_first_cover_in_maximal_pairs():
+    """The cover relation is stored once, as each subgroup's sorted list of
+    maximal subgroups; up_cover[K] is the first H over K in maximal_pairs()
+    derived from it, and every K below G has one."""
+    specs = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 81)
+    groups = [fam.builtin(spec) for spec in specs]
+    groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+        ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)"]
+    )]
+    for G in groups:
+        ctx = get_context(G)
+        first = {}
+        for K, H in ctx.maximal_pairs():
+            first.setdefault(K.elems, H)
+        assert len(first) == len(ctx.lattice()) - 1, G.name
+        assert ctx.up_cover.keys() == first.keys(), G.name
+        assert all(ctx.up_cover[k] is H for k, H in first.items()), G.name
+
+
 def test_cyclic_extension_matches_closure_oracle():
     """all_subgroups' cyclic extension route gives the closure loop's sorted
     lattice, its cover pairs (each met once) and so its maximal_pairs()."""
@@ -617,6 +637,33 @@ def test_non_normal_prime_index_pairs_keep_inner_products():
         assert ctx.restriction_edges(K, ctx.whole) == ((0, 1, 0, 1), (0, 1, 2, 2))
 
 
+def _as_stored(chars) -> tuple:
+    """ClassFunctions of one subgroup as the context stores Irr: (rows, degrees)."""
+    return tuple(ch.rows for ch in chars), tuple(ch.degree for ch in chars)
+
+
+def _store(ctx, S, chars) -> None:
+    """Make chars the stored Irr(S), dropping the view of the old one."""
+    ctx._irr[S.elems] = _as_stored(chars)
+    ctx._irr_views.pop(S.elems, None)
+
+
+def _tamper_compute_irr(monkeypatch, tampered, hit) -> None:
+    """Let _compute_irr apply tampered, a map of ClassFunction tuples, to
+    Irr(S) for every S with hit(ctx, S)."""
+    compute_irr = characters._compute_irr
+
+    def tampered_irr(ctx, S):
+        rows, degrees = compute_irr(ctx, S)
+        if not hit(ctx, S):
+            return rows, degrees
+        cc = ctx.classes(S)
+        chars = tuple(ClassFunction._from_rows(S, cc, r, degree=d) for r, d in zip(rows, degrees))
+        return _as_stored(tampered(chars))
+
+    monkeypatch.setattr(characters, "_compute_irr", tampered_irr)
+
+
 @pytest.mark.parametrize("tamper", ["drop", "spurious"])
 def test_bulk_clifford_edges_certify_irr_of_the_smaller_subgroup(tamper, capsys, monkeypatch):
     """On an abelian cover pair every chi_K is irreducible, so the bulk
@@ -635,18 +682,12 @@ def test_bulk_clifford_edges_certify_irr_of_the_smaller_subgroup(tamper, capsys,
     assert (len(K.elems), len(H.elems)) == (2, 4)
     assert ctx.restriction_edges(K, H) == ((1, 0, 0, 1), (0, 1, 2, 3))
     ctx._edges.clear()
-    ctx._irr[K.elems] = tampered(ctx.irr(K))
+    _store(ctx, K, tampered(ctx.irr(K)))
     ctx._char_index.pop(K.elems, None)
     with pytest.raises(IncompleteIrr):
         ctx.restriction_edges(K, H)
 
-    compute_irr = characters._compute_irr
-
-    def tampered_irr(ctx, S):
-        chars = compute_irr(ctx, S)
-        return tampered(chars) if len(S.elems) == 2 else chars
-
-    monkeypatch.setattr(characters, "_compute_irr", tampered_irr)
+    _tamper_compute_irr(monkeypatch, tampered, lambda ctx, S: len(S.elems) == 2)
     assert main(["poset", "--group", "Cyclic(2,2)", "--e", "0"]) == 5
     assert "internal check failed" in capsys.readouterr().err
 
@@ -669,7 +710,7 @@ def test_clifford_orbit_walk_certifies_irr_of_the_smaller_subgroup(tamper):
     else:
         chars += (ClassFunction(K, psi.classes, [2 * v for v in psi.values]),)
     ctx._edges.clear()
-    ctx._irr[K.elems] = chars
+    _store(ctx, K, chars)
     ctx._char_index.pop(K.elems, None)
     with pytest.raises(IncompleteIrr):
         ctx.restriction_edges(K, H)
@@ -758,6 +799,7 @@ def test_clifford_irr_with_only_the_first_maximal_subgroup_is_incomplete(monkeyp
     assert len(ctx._maximal[H.elems]) > 1
     ctx._maximal[H.elems] = ctx._maximal[H.elems][:1]
     del ctx._irr[H.elems]
+    ctx._irr_views.pop(H.elems, None)
     with pytest.raises(IncompleteIrr):
         ctx.irr(H)
 
@@ -816,10 +858,8 @@ def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
             assert ctx.classes(S).members == cc.members == orbits, (G.name, S)
         for S in lattice:
             if ctx.classes(S).count == len(S.elems):
-                walk = sorted(
-                    characters._linear_characters(ctx, S, (G.identity,)), key=ClassFunction.sort_key
-                )
-                assert [ch.rows for ch in ctx.irr(S)] == [ch.rows for ch in walk], (G.name, S)
+                walk = sorted(characters._linear_characters(ctx, S, (G.identity,)))
+                assert list(ctx.irr_rows(S)) == walk, (G.name, S)
         assert sorted(singleton) == sorted(expected), G.name
         assert sorted(restricted) == sorted(expected), G.name
         under_abelian += len(expected)
@@ -861,19 +901,60 @@ def test_restricted_irr_certifies_irr_of_the_abelian_cover(capsys, monkeypatch):
     S = ctx.lattice()[1]
     U = ctx.up_cover[S.elems]
     assert (len(S.elems), len(U.elems)) == (3, 9)
-    ctx._irr[U.elems] = tampered(ctx.irr(U))
+    _store(ctx, U, tampered(ctx.irr(U)))
     with pytest.raises(IncompleteIrr):
         ctx.irr(S)
 
-    compute_irr = characters._compute_irr
-
-    def tampered_irr(ctx, S):
-        chars = compute_irr(ctx, S)
-        return tampered(chars) if len(S.elems) == ctx.group.order else chars
-
-    monkeypatch.setattr(characters, "_compute_irr", tampered_irr)
+    _tamper_compute_irr(monkeypatch, tampered, lambda ctx, S: len(S.elems) == ctx.group.order)
     assert main(["irr", "--group", "Cyclic(2,3)", "--subgroups"]) == 5
     assert "internal check failed" in capsys.readouterr().err
+
+
+def test_stored_irr_is_rows_and_degrees_in_canonical_order():
+    """On every subgroup of the small catalogs and of S4, whose nonabelian
+    subgroups take the monomial search: each stored degree is the identity
+    value, the order is (degree, rows) with no repeats, and irr(S) and
+    linear(S) are views of the stored rows and degrees."""
+    specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27) + fam.builtin_catalog(5, 25)
+    groups = [fam.builtin(spec) for spec in specs]
+    groups.append(gr.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4"))
+    for G in groups:
+        ctx = get_context(G)
+        for S in ctx.lattice():
+            rows, degrees = ctx.irr_rows(S), ctx.degrees(S)
+            ident = ctx.classes(S).identity_class
+            assert list(degrees) == [
+                cyc.unpack_integer(r[ident], ctx.width, ctx.digits) for r in rows
+            ], (G.name, S)
+            keys = list(zip(degrees, rows))
+            assert keys == sorted(set(keys)), (G.name, S)
+            chars = ctx.irr(S)
+            assert ctx.irr(S) is chars
+            assert tuple(ch.rows for ch in chars) == rows, (G.name, S)
+            assert tuple(ch.degree for ch in chars) == degrees, (G.name, S)
+            assert ctx.linear(S) == tuple(ch for ch in chars if ch.degree == 1), (G.name, S)
+
+
+def test_verification_and_export_build_no_class_function(monkeypatch):
+    """theorem_report at every level of D8 x D8 and of (C2)^6, and
+    irr_json over every subgroup, read Irr as stored rows and degrees: no
+    ClassFunction is built until irr() is read."""
+    built = []
+    fill = ClassFunction._fill
+
+    def spy(self, owner, *args):
+        built.append(owner.elems)
+        fill(self, owner, *args)
+
+    monkeypatch.setattr(ClassFunction, "_fill", spy)
+    for spec in (_D8xD8, "ElemAbelian(2,6)"):
+        G = fam.builtin(spec)
+        for e in valid_exponents(G):
+            theorem_report(G, None, e)
+        export.irr_json(fam.builtin(spec), True)
+    assert built == []
+    ctx = get_context(G)
+    assert len(ctx.irr(ctx.whole)) == len(built) == 64
 
 
 @pytest.mark.parametrize("spec", ["Dihedral(8)", "Quaternion(16)", "Extraspecial(3,+)"])

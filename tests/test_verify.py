@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charposet import characters
 from charposet import families as fam
 from charposet import groups as gr
 from charposet import verify
@@ -144,6 +145,31 @@ def test_sweep_frees_each_context_without_a_collection(monkeypatch):
         assert made and all(ref() is None for ref in made)
     finally:
         gc.enable()
+
+
+def test_a_lattice_over_the_cap_is_enumerated_once(monkeypatch):
+    """(C2)^7 has more subgroups than the lattice cap.  Its context keeps
+    the failure, so the sweep's seven levels give seven identical
+    LatticeTooLarge errors from one enumeration."""
+    calls = []
+
+    def spy(G, *args):
+        calls.append(G.name)
+        return gr.all_subgroups(G, *args)
+
+    monkeypatch.setattr(characters, "all_subgroups", spy)
+    res = sweep(["ElemAbelian(2,7)"], cap=256)
+    assert len(calls) == 1
+    assert res.reports == []
+    assert res.errors == [
+        {
+            "spec": "ElemAbelian(2,7)",
+            "e": e,
+            "kind": "LatticeTooLarge",
+            "message": f"more than {gr.DEFAULT_LATTICE_CAP} subgroups",
+        }
+        for e in range(7)
+    ]
 
 
 def test_levels_are_suffixes_of_the_lattice():
