@@ -170,12 +170,7 @@ class ClassFunction:
 
     @classmethod
     def _from_rows(
-        cls,
-        owner: Subgroup,
-        classes: ConjClasses,
-        rows: tuple,
-        wide: bool = False,
-        degree: Optional[int] = None,
+        cls, owner: Subgroup, classes: ConjClasses, rows: tuple, wide=False, degree=None
     ) -> "ClassFunction":
         """The constructor from rows already packed at the context's width,
         with the degree when the caller knows it."""
@@ -183,9 +178,7 @@ class ClassFunction:
         self._fill(owner, classes, rows, wide, degree)
         return self
 
-    def _fill(
-        self, owner: Subgroup, classes: ConjClasses, rows: tuple, wide: bool, degree: Optional[int]
-    ) -> None:
+    def _fill(self, owner: Subgroup, classes: ConjClasses, rows: tuple, wide: bool, degree) -> None:
         self.owner = owner
         self.classes = classes
         self.rows = rows
@@ -257,13 +250,9 @@ def get_context(G: GroupTable, order_cap: Optional[int] = None) -> "CharContext"
 
 class CharContext:
     """Per-group memo of Z(G), lattice and covers, classes, characters and
-    restriction data.
-
-    Irr(S) is stored once, in _irr, as a tuple of rows and a tuple of
-    degrees sorted by (degree, rows); irr_rows and degrees read it, and
-    irr(S) is a ClassFunction view of it, built on first read.  The cover
-    relation is stored once, as _maximal: maximal_pairs() and up_cover are
-    read off it.  A lattice over the cap is kept as its error message."""
+    restriction data.  Irr(S) is stored once, as rows and degrees (irr_rows,
+    degrees), of which irr(S) is a view; the cover relation once, as
+    _maximal."""
 
     def __init__(self, G: GroupTable, order_cap: int):
         self.group = G

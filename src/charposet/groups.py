@@ -149,10 +149,10 @@ def _validate_subgroup(H: Subgroup) -> None:
 class ConjClasses:
     """Conjugacy classes of a subgroup acting on itself.
 
-    class_of is indexed by ambient element index (-1 outside the owner), an
-    int array (class_map) rather than a tuple, as every subgroup holds one
-    of length |G|, so a ConjClasses compares by value but is not hashable;
-    reps are the minimal element index per class, in increasing order.
+    class_of is indexed by ambient element index (-1 outside the owner).
+    It is an int array (class_map), as every subgroup holds one of length
+    |G|, so a ConjClasses compares by value but is not hashable.  reps are
+    the minimal element index per class, in increasing order.
     """
 
     owner: Subgroup
