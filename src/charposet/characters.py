@@ -54,7 +54,7 @@ distinct value once.
 A per-group CharContext is the one home of each structural fact of the
 group: Z(G), the subgroup lattice with its index-p cover relation and a
 generating set of G, conjugacy classes, character sets with their row
-index, restriction decompositions with their constituent bitmasks, and the
+index, restriction decompositions as constituent bitmasks, and the
 component partitions of the poset levels; everything it stores is
 immutable, except the state of the component pass (the peaks so far and
 the merge forest over Irr(G)), which the next lower level resumes.
@@ -69,21 +69,22 @@ relation is stored once too, as each subgroup's maximal subgroups sorted
 by elements: maximal_pairs() is derived from it on each call, and
 up_cover[K] is the cover of K with the least elements.
 
-The restriction edges of a pair K < H are stored once per pair, in
-CharContext._edges, as two flat int tuples (I, J) in (j, i) order: edge k
-says that psi_I[k] in Irr(K) is a constituent of chi_J[k] in Irr(H).
-Consumers zip the two tuples; constituent_masks is a view of them.
+The restriction data of a pair K <= H is stored once per pair, in
+CharContext._edges, as one constituent bitmask per character of H: bit i of
+entry j says that psi_i in Irr(K) is a constituent of chi_j restricted to K
+(1 << j when K = H).  Union-find, edge export and witness chains all read
+these masks (restriction_edges).
 
 A pair of index p in a p-group (every cover pair of the lattice) takes the
 Clifford route: K is normal, so each chi_K is one irreducible or the sum of
 one H-conjugation orbit, found by row lookups with no inner product; one
-orbit split (CharContext._clifford_split) serves these edges and Irr.  All of
-Irr(H) is restricted at once and looked up in char_index(K) by one map; when
-every chi_K is irreducible (always so for an abelian H) those indices are the
-edges, and only the misses go on to the orbit walk.  Every other pair (the
-full strategy's non-cover pairs, chains checked by related(), groups that are
-not p-groups) is decomposed by inner products; that route is kept as the
-general case and as the oracle of the Clifford route.
+orbit split (CharContext._clifford_split) serves these masks and Irr.  All
+of Irr(H) is restricted at once and looked up in char_index(K) by one map;
+when every chi_K is irreducible (always so for an abelian H) those indices
+are the masks' single bits, and only the misses go on to the orbit walk.
+Every other pair (the full strategy's non-cover pairs, witness chains,
+groups that are not p-groups) is decomposed by inner products; that route is
+kept as the general case and as the oracle of the Clifford route.
 
 Restricting all of Irr(H) to K has one form, CharContext._restricted_rows,
 which every edge route, Irr's restriction route and verify's central suite
@@ -93,9 +94,9 @@ read.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cache
+from functools import cache, reduce
 from math import isqrt
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, or_
 from typing import Optional, Sequence
 
 from . import cyclotomic as cyc
@@ -224,13 +225,6 @@ class ClassFunction:
 
 
 @cache
-def _first_ints(n: int) -> tuple:
-    """tuple(range(n)), one shared instance per n: the J of every pair whose
-    restrictions are all irreducible."""
-    return tuple(range(n))
-
-
-@cache
 def _ones(n: int) -> tuple:
     """(1,) * n, one shared instance per n: the degrees of n linear
     characters, and the class sizes of an abelian subgroup of order n."""
@@ -252,7 +246,7 @@ class CharContext:
     """Per-group memo of Z(G), lattice and covers, classes, characters and
     restriction data.  Irr(S) is stored once, as rows and degrees (irr_rows,
     degrees), of which irr(S) is a view; the cover relation once, as
-    _maximal."""
+    _maximal; the restriction data once, as constituent masks (_edges)."""
 
     def __init__(self, G: GroupTable, order_cap: int):
         self.group = G
@@ -278,8 +272,7 @@ class CharContext:
         self._irr: dict = {}  # S.elems -> (rows, degrees), sorted by (degree, rows)
         self._irr_views: dict = {}  # S.elems -> irr(S), the ClassFunction view of _irr
         self._char_index: dict = {}
-        self._edges: dict = {}  # (K.elems, H.elems) -> (I, J), see restriction_edges
-        self._masks: dict = {}  # constituent_masks, a view of _edges
+        self._edges: dict = {}  # (K.elems, H.elems) -> masks, see restriction_edges
         # least subgroup order of a level -> its ComponentPartition, which
         # holds one forest root per character of G (CharacterPoset.components)
         self.partitions: dict = {}
@@ -420,9 +413,9 @@ class CharContext:
         return q
 
     def restriction_edges(self, K: Subgroup, H: Subgroup) -> tuple:
-        """The pairs (i, j) with psi_i a constituent of chi_j restricted to K,
-        for K a proper subgroup of H, as two flat tuples (I, J) sorted by
-        (j, i): pair k is (I[k], J[k]).
+        """For K <= H, one int bitmask per chi_j in Irr(H): bit i of entry j
+        is set when psi_i in Irr(K) is a constituent of chi_j restricted to
+        K.  Entry j is 1 << j when K = H.
 
         In a p-group a subgroup of index p is normal, so those pairs take the
         Clifford route (_clifford_edges).  Every other pair takes the
@@ -431,42 +424,27 @@ class CharContext:
         key = (K.elems, H.elems)
         hit = self._edges.get(key)
         if hit is None:
-            if self._prime is not None and len(H.elems) == self._prime * len(K.elems):
+            if K.elems == H.elems:
+                hit = tuple(1 << j for j in range(len(self.irr_rows(H))))
+            elif self._prime is not None and len(H.elems) == self._prime * len(K.elems):
                 hit = self._clifford_edges(K, H)
             else:
                 hit = self._inner_product_edges(K, H)
             self._edges[key] = hit
         return hit
 
-    def constituent_masks(self, K: Subgroup, H: Subgroup) -> tuple:
-        """For K <= H: entry j is the int bitmask of the i such that psi_i in
-        Irr(K) is a constituent of chi_j restricted to K; a view of
-        restriction_edges(K, H), and 1 << j when K = H."""
-        key = (K.elems, H.elems)
-        hit = self._masks.get(key)
-        if hit is None:
-            if K.elems == H.elems:
-                hit = tuple(1 << j for j in range(len(self.irr_rows(H))))
-            else:
-                masks = [0] * len(self.irr_rows(H))
-                for i, j in zip(*self.restriction_edges(K, H)):
-                    masks[j] |= 1 << i
-                hit = tuple(masks)
-            self._masks[key] = hit
-        return hit
-
     def _clifford_edges(self, K: Subgroup, H: Subgroup) -> tuple:
-        """Restriction edges (I, J) for K normal of prime index p in H, on
-        rows only.
+        """Constituent masks for K normal of prime index p in H, on rows
+        only.
 
         By Clifford's theorem at prime index (Isaacs, Cor. 6.19), chi_K is
         either irreducible or the sum of the p distinct H-conjugates of one
         psi in Irr(K).  All of Irr(H) is restricted by one itemgetter and
         looked up in char_index(K) at once.  When every chi_K is irreducible
-        the lookups are the edges, certified by every psi being hit.
+        the lookups are the masks, certified by every psi being hit.
         Otherwise each orbit of length p (_clifford_split) must sum to exactly
         one missed chi_K, every missed chi_K must be such a sum, and every psi
-        must lie in an edge.  Exact row equality plus the asserted
+        must lie under some chi.  Exact row equality plus the asserted
         completeness of Irr(K) certifies the decomposition."""
         count = len(self.irr_rows(K))
         restricted = self._restricted_rows(K, H)
@@ -477,8 +455,8 @@ class CharContext:
                     f"{count - len(set(idx))} characters of Irr(K) lie under no irreducible"
                     " restriction"
                 )
-            return tuple(idx), _first_ints(len(idx))
-        edges = [(i, j) for j, i in enumerate(idx) if i is not None]
+            return tuple(map((1).__lshift__, idx))
+        masks = [0 if i is None else 1 << i for i in idx]
         split = {rows: j for j, (rows, i) in enumerate(zip(restricted, idx)) if i is None}
         for orbit, total in self._clifford_split(K, H)[1]:
             if total is None:
@@ -486,16 +464,14 @@ class CharContext:
             j = split.pop(total, None)
             if j is None:
                 raise IncompleteIrr("a conjugation orbit does not sum to one restriction")
-            edges.extend((k, j) for k in orbit)
+            masks[j] = sum(1 << k for k in orbit)
         if split:
             raise IncompleteIrr(
                 f"{len(split)} restrictions are neither irreducible nor an orbit sum"
             )
-        if len({i for i, _ in edges}) != count:
+        if reduce(or_, masks) != (1 << count) - 1:
             raise IncompleteIrr("a character of Irr(K) lies under no restriction")
-        edges.sort(key=itemgetter(1, 0))
-        I, J = zip(*edges)
-        return I, J
+        return tuple(masks)
 
     def _restricted_rows(self, K: Subgroup, H: Subgroup) -> list:
         """The rows of every chi in Irr(H), in order, restricted to K <= H:
@@ -556,33 +532,32 @@ class CharContext:
         return x, orbits
 
     def _inner_product_edges(self, K: Subgroup, H: Subgroup) -> tuple:
-        """Restriction edges (I, J) of any pair K < H, by the multiplicity of
-        each psi in chi_K; the general route and the oracle of the Clifford
+        """Constituent masks of any pair K < H, by the multiplicity of each
+        psi in chi_K; the general route and the oracle of the Clifford
         one."""
         irrK = list(zip(self.irr_rows(K), self.degrees(K)))
         ccK = self.classes(K)
         index = len(H.elems) // len(K.elems)
         lookup = self.char_index(K)
-        I, J = [], []
-        for j, (d, rrows) in enumerate(zip(self.degrees(H), self._restricted_rows(K, H))):
+        masks = []
+        for d, rrows in zip(self.degrees(H), self._restricted_rows(K, H)):
             if d == 1:
-                I.append(lookup[rrows])
-                J.append(j)
+                masks.append(1 << lookup[rrows])
                 continue
-            remaining = d
+            remaining, mask = d, 0
             for i, (rows, e) in enumerate(irrK):
                 if e > d or e * index < d:
                     continue
                 m = self.inner_raw(ccK, rrows, rows)
                 if m:
-                    I.append(i)
-                    J.append(j)
+                    mask |= 1 << i
                     remaining -= m * e
                     if remaining == 0:
                         break
             if remaining:
                 raise IncompleteIrr(f"restriction of a degree-{d} character did not decompose")
-        return tuple(I), tuple(J)
+            masks.append(mask)
+        return tuple(masks)
 
 
 # -- spec operations -----------------------------------------------------------

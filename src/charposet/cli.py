@@ -56,10 +56,15 @@ def _load_group(args: argparse.Namespace) -> GroupTable:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Print text, or write it with a final newline to the path out; a path
+    that cannot be written raises InputError."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.write("\n")
+        except OSError as err:
+            raise InputError(f"cannot write {out}: {err.strerror}") from None
     else:
         print(text)
 
@@ -185,7 +190,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     pieces = []
     for i, node in enumerate(chain.nodes):
         S = poset.subgroup_of(node)
-        deg = poset.char_of(node).degree
+        deg = poset.ctx.degrees(S)[node.char_id]
         pieces.append(f"(H{node.subgroup_id}:chi{node.char_id} |H|={len(S.elems)} deg={deg})")
         if i < len(chain.directions):
             pieces.append(f"--{chain.directions[i]}-->")

@@ -107,6 +107,8 @@ def load_group_json(data: dict, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         if not isinstance(gens, list) or not gens:
             raise InputError("'perm_gens' must be a nonempty list of permutations")
         if degree is not None:
+            if not isinstance(degree, int) or isinstance(degree, bool):
+                raise InputError(f"'degree' must be an integer, got {degree!r}")
             for i, g in enumerate(gens):
                 if isinstance(g, list) and len(g) != degree:
                     raise InputError(f"perm_gens[{i}] has length {len(g)}, expected degree {degree}")
@@ -120,7 +122,7 @@ def load_group_file(path: str, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
             data = json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise InputError(f"malformed JSON in {path}: {err}") from None
     return load_group_json(data, cap)
 
@@ -248,7 +250,7 @@ def chain_json(poset: CharacterPoset, chain: WitnessChain, verified: bool) -> di
                 "subgroup": n.subgroup_id,
                 "char": n.char_id,
                 "subgroup_order": len(poset.subgroup_of(n).elems),
-                "degree": poset.char_of(n).degree,
+                "degree": poset.ctx.degrees(poset.subgroup_of(n))[n.char_id],
             }
             for n in chain.nodes
         ],

@@ -26,11 +26,15 @@ on first access, for export, witness chains and build_nodes.
 Witness chains make connectivity explicit: witness_direct joins two nodes
 through a peak in Irr(G) over both, and witness_sequence joins the nodes it
 chooses on a list of subgroups whose successive intersections carry a
-common constituent.  Both work on character indices and the constituent
-bitmasks of CharContext.constituent_masks, a view of the cached restriction
-edges: by Frobenius reciprocity [alpha^G, omega] = [alpha, omega_H], so an
-induced character's constituents are read off restrictions, and two
-restrictions have a nonzero inner product exactly when their masks meet.
+common constituent.
+
+Every reader of the order works on character indices and the constituent
+bitmasks of CharContext.restriction_edges, the one stored form of the
+restriction data: bit i of mask j of (K, H) says psi_i <= chi_j.  The pass
+and edge_list() read each mask's bits in increasing i, within increasing j.
+By Frobenius reciprocity [alpha^G, omega] = [alpha, omega_H], so an induced
+character's constituents are read off restrictions, and two restrictions
+have a nonzero inner product exactly when their masks meet.
 """
 
 from __future__ import annotations
@@ -181,7 +185,7 @@ class CharacterPoset:
         Sb = self.subgroups[b.subgroup_id]
         if Sa.elems == Sb.elems:
             return Ordering.INCOMPARABLE  # distinct irreducibles are orthogonal
-        masks = self.ctx.constituent_masks
+        masks = self.ctx.restriction_edges
         if Sa.is_subset_of(Sb):
             if masks(Sa, Sb)[b.char_id] >> a.char_id & 1:
                 return Ordering.LE
@@ -205,7 +209,11 @@ class CharacterPoset:
         out = []
         for K, H in pairs:
             koff, hoff = off[sid[K.elems]], off[sid[H.elems]]
-            out += [(koff + i, hoff + j) for i, j in zip(*self.ctx.restriction_edges(K, H))]
+            for j, m in enumerate(self.ctx.restriction_edges(K, H), hoff):
+                while m:  # the set bits i of m, increasing
+                    low = m & -m
+                    m ^= low
+                    out.append((koff + low.bit_length() - 1, j))
         return out
 
     # -- components ------------------------------------------------------------
@@ -215,11 +223,11 @@ class CharacterPoset:
 
         On a miss the pass resumes from G down, a layer of subgroups at a
         time, and gives each character psi of K != G a peak: the peak of the
-        first chi over psi in the (j, i)-sorted edges of (K, up(K)).  Every
-        further edge unions the peaks of its ends on the forest over Irr(G),
-        and each finished layer stores its level's roots.  Peaks and forest
-        do not depend on the level, so they stay on the context.  A psi
-        under no chi raises InternalCheckError."""
+        first chi over psi in the masks of (K, up(K)), read in (j, i) order.
+        Every further edge unions the peaks of its ends on the forest over
+        Irr(G), and each finished layer stores its level's roots.  Peaks and
+        forest do not depend on the level, so they stay on the context.  A
+        psi under no chi raises InternalCheckError."""
         ctx = self.ctx
         levels, peaks, parent = ctx.partitions, ctx.peaks, ctx.forest
         if self.min_order in levels:
@@ -241,14 +249,18 @@ class CharacterPoset:
             else:
                 over = peaks[H.elems]
                 peak = [None] * len(irr_rows(K))
-                for i, j in zip(*edges(K, H)):
-                    a, b = peak[i], over[j]
-                    if a is None:
-                        peak[i] = b
-                    elif a != b:
-                        a, b = find(a), find(b)
-                        if a != b:
-                            parent[max(a, b)] = min(a, b)
+                for b, m in zip(over, edges(K, H)):
+                    while m:  # the set bits i of m, increasing
+                        low = m & -m
+                        m ^= low
+                        i = low.bit_length() - 1
+                        a = peak[i]
+                        if a is None:
+                            peak[i] = b
+                        elif a != b:
+                            ra, rb = find(a), find(b)
+                            if ra != rb:
+                                parent[max(ra, rb)] = min(ra, rb)
                 if None in peak:
                     raise InternalCheckError(
                         f"{self.group.name}: a character of a subgroup of order {len(K.elems)} "
@@ -365,7 +377,7 @@ class CharacterPoset:
             raise PreconditionFailed(
                 "restrictions to the full intersection share no constituent"
             )
-        masks = ctx.constituent_masks
+        masks = ctx.restriction_edges
         chosen = [b]  # the character on L[k], for k from len(L) - 1 down
         for k in range(len(L) - 1, 1, -1):
             # common: the constituents on prefix[k] of alpha and of chosen[-1]
@@ -402,14 +414,14 @@ class CharacterPoset:
     def _common(self, M: Subgroup, H: Subgroup, a: int, K: Subgroup, b: int) -> int:
         """The mask of the common constituents on M <= H n K of chi_a in
         Irr(H) and chi_b in Irr(K)."""
-        masks = self.ctx.constituent_masks
+        masks = self.ctx.restriction_edges
         return masks(M, H)[a] & masks(M, K)[b]
 
     def _peak_steps(self, H: Subgroup, a: int, K: Subgroup, b: int) -> list:
         """The steps up from (H, a) to the first omega in Irr(G) over it and
         over (K, b), and down to (K, b)."""
         whole = self.ctx.whole
-        masks = self.ctx.constituent_masks
+        masks = self.ctx.restriction_edges
         for w, (mh, mk) in enumerate(zip(masks(H, whole), masks(K, whole))):
             if mh >> a & 1 and mk >> b & 1:
                 return [

@@ -266,10 +266,12 @@ def union_find_levels(poset):
         H = ctx.up_cover.get(K.elems)
         if H is not None:
             koff, hoff = off[s], off[sid[H.elems]]
-            for i, j in zip(*ctx.restriction_edges(K, H)):
-                a, b = find(koff + i), find(hoff + j)
-                if a != b:
-                    parent[min(a, b)] = max(a, b)
+            for j, m in enumerate(ctx.restriction_edges(K, H)):
+                for i in range(m.bit_length()):
+                    if m >> i & 1:
+                        a, b = find(koff + i), find(hoff + j)
+                        if a != b:
+                            parent[min(a, b)] = max(a, b)
         if s == 0 or len(subs[s - 1].elems) < len(K.elems):  # K's layer is complete
             labels = {}
             out = tuple(labels.setdefault(find(x), len(labels)) for x in range(off[s], n))

@@ -2,6 +2,8 @@ import gc
 import itertools
 import random
 import weakref
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -33,7 +35,7 @@ from charposet.errors import (
     NotASubgroup,
     OrderCapExceeded,
 )
-from charposet.poset import central_poset_map
+from charposet.poset import build_poset, central_poset_map
 from charposet.verify import theorem_report, valid_exponents
 
 from conftest import (
@@ -608,8 +610,8 @@ def test_restricted_rows_rejects_a_subgroup_outside_the_other(d8):
 
 def test_clifford_edges_match_inner_product_edges():
     """On every index-p cover pair of the sweep catalog and of relabelled
-    tables, the Clifford route gives the inner-product route's edge tuple,
-    in the same order, and restriction_edges returns it."""
+    tables, the Clifford route gives the inner-product route's mask tuple,
+    and restriction_edges returns it."""
     specs = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 64) + fam.builtin_catalog(5, 64)
     groups = [fam.builtin(spec) for spec in specs]
     groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
@@ -626,6 +628,39 @@ def test_clifford_edges_match_inner_product_edges():
     assert pairs > 54_000
 
 
+def test_non_cover_masks_are_cover_masks_composed_down_a_chain():
+    """Every comparable pair K < H of index at least p^2 in the catalogs p = 2
+    up to 32 and p = 3 up to 27 takes the inner-product route; its masks
+    equal the Clifford masks of the covers of one chain H > M > ... > K,
+    composed from the top: the constituents of chi_K are those of psi_K
+    over the constituents psi of chi_M, and nothing cancels."""
+    specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27)
+    pairs = 0
+    for G in map(fam.builtin, specs):
+        ctx = get_context(G)
+        p = gr.require_p_group(G)
+        subs = ctx.lattice()
+        for H in subs:
+            for K in subs:
+                if len(H.elems) < p * p * len(K.elems) or not K.is_subset_of(H):
+                    continue
+                top, composed = H, None
+                while top.elems != K.elems:
+                    M = next(M for M in ctx._maximal[top.elems] if K.is_subset_of(M))
+                    cover = ctx._clifford_edges(M, top)
+                    if composed is None:
+                        composed = cover
+                    else:
+                        composed = tuple(
+                            reduce(or_, (m for i, m in enumerate(cover) if c >> i & 1))
+                            for c in composed
+                        )
+                    top = M
+                assert ctx.restriction_edges(K, H) == composed, (G.name, K, H)
+                pairs += 1
+    assert pairs == 8063
+
+
 def test_non_normal_prime_index_pairs_keep_inner_products():
     """In S3 each C2 has prime index 3 but is not normal: its restriction
     edges must come from inner products, not from the Clifford route."""
@@ -634,7 +669,7 @@ def test_non_normal_prime_index_pairs_keep_inner_products():
     twos = [K for K in ctx.lattice() if len(K.elems) == 2]
     assert len(twos) == 3 and ctx.maximal_pairs() == []
     for K in twos:
-        assert ctx.restriction_edges(K, ctx.whole) == ((0, 1, 0, 1), (0, 1, 2, 2))
+        assert ctx.restriction_edges(K, ctx.whole) == (0b01, 0b10, 0b11)
 
 
 def _as_stored(chars) -> tuple:
@@ -680,7 +715,7 @@ def test_bulk_clifford_edges_certify_irr_of_the_smaller_subgroup(tamper, capsys,
     ctx = get_context(fam.builtin("Cyclic(2,2)"))
     K, H = ctx.maximal_pairs()[-1]
     assert (len(K.elems), len(H.elems)) == (2, 4)
-    assert ctx.restriction_edges(K, H) == ((1, 0, 0, 1), (0, 1, 2, 3))
+    assert ctx.restriction_edges(K, H) == (0b10, 0b01, 0b01, 0b10)
     ctx._edges.clear()
     _store(ctx, K, tampered(ctx.irr(K)))
     ctx._char_index.pop(K.elems, None)
@@ -701,10 +736,11 @@ def test_clifford_orbit_walk_certifies_irr_of_the_smaller_subgroup(tamper):
     Both raise IncompleteIrr."""
     ctx = get_context(fam.builtin("Quaternion(8)"))
     K, H = ctx.maximal_pairs()[-1]
-    I, J = ctx.restriction_edges(K, H)
-    assert (len(K.elems), len(H.elems), len(I)) == (4, 8, 6)
+    masks = ctx.restriction_edges(K, H)
+    edges = sum(m.bit_count() for m in masks)
+    assert (len(K.elems), len(H.elems), edges) == (4, 8, 6)
     chars = ctx.irr(K)
-    psi = chars[I[0]]
+    psi = chars[(masks[0] & -masks[0]).bit_length() - 1]
     if tamper == "drop":
         chars = tuple(ch for ch in chars if ch is not psi)
     else:
@@ -955,6 +991,31 @@ def test_verification_and_export_build_no_class_function(monkeypatch):
     assert built == []
     ctx = get_context(G)
     assert len(ctx.irr(ctx.whole)) == len(built) == 64
+
+
+def test_chain_export_builds_no_class_function(monkeypatch):
+    """chain_json reads each node's degree from the stored degrees: a chain
+    of Q8 at e = 1 from a character of one subgroup of order 4 up to a peak
+    in Irr(G) and down to another builds no ClassFunction, not even the
+    view of Irr(G)."""
+    poset = build_poset(fam.builtin("Quaternion(8)"), None, 1)
+    ctx = poset.ctx
+    H, K = poset.subgroups[1], poset.subgroups[0]
+    chain = poset.witness_direct(ctx.irr(H)[0], ctx.irr(K)[2])
+    assert poset.subgroup_of(chain.nodes[1]).elems == ctx.whole.elems
+    assert ctx.whole.elems not in ctx._irr_views
+    built = []
+    fill = ClassFunction._fill
+
+    def spy(self, owner, *args):
+        built.append(owner.elems)
+        fill(self, owner, *args)
+
+    monkeypatch.setattr(ClassFunction, "_fill", spy)
+    doc = export.chain_json(poset, chain, True)
+    assert built == []
+    assert [n["degree"] for n in doc["nodes"]] == [poset.char_of(n).degree for n in chain.nodes]
+    assert doc["nodes"][1]["degree"] == 2
 
 
 @pytest.mark.parametrize("spec", ["Dihedral(8)", "Quaternion(16)", "Extraspecial(3,+)"])

@@ -97,6 +97,26 @@ def test_irr_malformed_file(tmp_path, capsys):
         code, _, err = run(capsys, "irr", "--group", f"@{path}")
         assert code == 2, doc
         assert "error" in err
+    for data, needle in (
+        (b'{"name": "\xff", "cayley": [[0]]}', "malformed JSON"),
+        (json.dumps({"perm_gens": [[1, 0]], "degree": "2"}).encode(), "'degree' must be an integer"),
+    ):
+        path.write_bytes(data)
+        code, _, err = run(capsys, "irr", "--group", f"@{path}")
+        assert code == 2, data
+        assert err.startswith("error:") and needle in err, data
+
+
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    """--out into a missing directory, or onto a directory, is an input
+    error (exit 2) that names the path, not a traceback."""
+    missing = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, "irr", "--group", "Cyclic(2,1)", "--out", str(missing))
+    assert code == 2
+    assert err.startswith("error: cannot write") and str(missing) in err
+    code, _, err = run(capsys, "verify", "--group", "Cyclic(2,1)", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: cannot write") and str(tmp_path) in err
 
 
 def test_irr_unknown_family(capsys):
