@@ -55,7 +55,8 @@ A per-group CharContext is the one home of each structural fact of the
 group: Z(G), the subgroup lattice with its index-p cover relation and a
 generating set of G, conjugacy classes, character sets with their row
 index, restriction decompositions as constituent bitmasks, and the
-component partitions of the poset levels; everything it stores is
+component partitions of the poset levels, each keyed S.mask -> fact (a
+pair K <= H: (K.mask, H.mask) -> fact); everything it stores is
 immutable, except the state of the component pass (the peaks so far and
 the merge forest over Irr(G)), which the next lower level resumes.
 
@@ -244,9 +245,10 @@ def get_context(G: GroupTable, order_cap: Optional[int] = None) -> "CharContext"
 
 class CharContext:
     """Per-group memo of Z(G), lattice and covers, classes, characters and
-    restriction data.  Irr(S) is stored once, as rows and degrees (irr_rows,
-    degrees), of which irr(S) is a view; the cover relation once, as
-    _maximal; the restriction data once, as constituent masks (_edges)."""
+    restriction data, each keyed S.mask -> (a pair K <= H: (K.mask, H.mask)).
+    Irr(S) is stored once, as rows and degrees (irr_rows, degrees), of which
+    irr(S) is a view; the cover relation once, as _maximal; the restriction
+    data once, as constituent masks (_edges)."""
 
     def __init__(self, G: GroupTable, order_cap: int):
         self.group = G
@@ -265,23 +267,23 @@ class CharContext:
         self._lattice: Optional[list] = None
         self._lattice_error: Optional[str] = None  # the LatticeTooLarge message, once raised
         self.generators: tuple = ()  # a generating set of G, read off the lattice
-        self._maximal: dict = {}  # H.elems -> H's maximal subgroups, sorted by elements
-        self.up_cover: dict = {}  # K.elems -> K's first cover in maximal_pairs() order
-        self._by_elems: dict = {}
-        self._classes: dict = {}
-        self._irr: dict = {}  # S.elems -> (rows, degrees), sorted by (degree, rows)
-        self._irr_views: dict = {}  # S.elems -> irr(S), the ClassFunction view of _irr
-        self._char_index: dict = {}
-        self._edges: dict = {}  # (K.elems, H.elems) -> masks, see restriction_edges
+        self._maximal: dict = {}  # H.mask -> H's maximal subgroups, sorted by elements
+        self.up_cover: dict = {}  # K.mask -> K's first cover in maximal_pairs() order
+        self._by_mask: dict = {}  # S.mask -> the lattice's own instance of S
+        self._classes: dict = {}  # S.mask -> S's conjugacy classes
+        self._irr: dict = {}  # S.mask -> (rows, degrees), sorted by (degree, rows)
+        self._irr_views: dict = {}  # S.mask -> irr(S), the ClassFunction view of _irr
+        self._char_index: dict = {}  # S.mask -> rows -> index in irr(S)
+        self._edges: dict = {}  # (K.mask, H.mask) -> masks, see restriction_edges
         # least subgroup order of a level -> its ComponentPartition, which
         # holds one forest root per character of G (CharacterPoset.components)
         self.partitions: dict = {}
         # The state of that pass from G down, which a lower level resumes:
-        # K.elems -> the peak in Irr(G) of each character of K, for every
+        # K.mask -> the peak in Irr(G) of each character of K, for every
         # subgroup passed so far, and the merge forest over Irr(G) ids.
         self.peaks: dict = {}
         self.forest: list = []
-        # (A.elems, S.elems) -> the central map's image index in Irr(A) of
+        # (A.mask, S.mask) -> the central map's image index in Irr(A) of
         # each character of S, for A central in S (verify's central suite)
         self.central_images: dict = {}
 
@@ -304,23 +306,27 @@ class CharContext:
                 self._lattice_error = str(err)
                 raise
             self.generators = tuple(gens)
-            self._by_elems = {S.elems: S for S in self._lattice}
+            self._by_mask = {S.mask: S for S in self._lattice}
             maximal, up = self._maximal, self.up_cover
             for K, H in covers:
-                maximal.setdefault(H.elems, []).append(K)
-                U = up.get(K.elems)
-                if U is None or H.elems < U.elems:
-                    up[K.elems] = H
+                maximal.setdefault(H.mask, []).append(K)
+                U = up.get(K.mask)
+                if U is None or H.elems < U.elems:  # element order, not mask order
+                    up[K.mask] = H
             for below in maximal.values():
                 below.sort(key=attrgetter("elems"))
         return self._lattice
 
     def canonical(self, S: Subgroup) -> Subgroup:
-        """The lattice's own instance for this element set."""
+        """The lattice's own instance for this element set of G."""
+        return self.meet(S, S)
+
+    def meet(self, A: Subgroup, B: Subgroup) -> Subgroup:
+        """The lattice's own instance of A n B, for subgroups A and B of G."""
         self.lattice()
-        hit = self._by_elems.get(S.elems)
-        if hit is None:
-            raise NotASubgroup(f"{S!r} is not in the subgroup lattice")
+        hit = self._by_mask.get(A.mask & B.mask)
+        if hit is None or A.ambient is not self.group or B.ambient is not self.group:
+            raise NotASubgroup(f"the meet of {A!r} and {B!r} is not in this table's lattice")
         return hit
 
     def maximal_pairs(self) -> list:
@@ -328,27 +334,27 @@ class CharContext:
         the lattice positions of H and then K; derived from _maximal on each
         call."""
         maximal = self._maximal
-        return [(K, H) for H in self.lattice() for K in maximal.get(H.elems, ())]
+        return [(K, H) for H in self.lattice() for K in maximal.get(H.mask, ())]
 
     # -- classes and characters -------------------------------------------
 
     def classes(self, S: Subgroup) -> ConjClasses:
         """S's conjugacy classes: singletons, with no conjugation, when S lies
         under an abelian up cover; conjugacy_classes(S) otherwise."""
-        hit = self._classes.get(S.elems)
+        hit = self._classes.get(S.mask)
         if hit is None:
             if self._abelian_up(S) is None:
                 hit = conjugacy_classes(S)
             else:
                 hit = _singleton_classes(S)
-            self._classes[S.elems] = hit
+            self._classes[S.mask] = hit
         return hit
 
     def _abelian_up(self, S: Subgroup) -> Optional[Subgroup]:
         """S's first cover up_cover[S] when the lattice is built and that
         cover is abelian, else None.  Only reads up_cover: it never builds
         the lattice."""
-        U = self.up_cover.get(S.elems)
+        U = self.up_cover.get(S.mask)
         if U is not None and self.classes(U).count == len(U.elems):
             return U
         return None
@@ -360,14 +366,14 @@ class CharContext:
     def irr(self, S: Subgroup) -> tuple:
         """Irr(S) as ClassFunction objects: a view of the stored rows and
         degrees, built on first read and kept."""
-        hit = self._irr_views.get(S.elems)
+        hit = self._irr_views.get(S.mask)
         if hit is None:
             rows, degrees = self._stored_irr(S)
             cc = self.classes(S)
             hit = tuple(
                 ClassFunction._from_rows(S, cc, r, degree=d) for r, d in zip(rows, degrees)
             )
-            self._irr_views[S.elems] = hit
+            self._irr_views[S.mask] = hit
         return hit
 
     def irr_rows(self, S: Subgroup) -> tuple:
@@ -379,17 +385,17 @@ class CharContext:
         return self._stored_irr(S)[1]
 
     def _stored_irr(self, S: Subgroup) -> tuple:
-        hit = self._irr.get(S.elems)
+        hit = self._irr.get(S.mask)
         if hit is None:
-            hit = self._irr[S.elems] = _compute_irr(self, S)
+            hit = self._irr[S.mask] = _compute_irr(self, S)
         return hit
 
     def char_index(self, S: Subgroup) -> dict:
         """Map rows -> index in irr(S)."""
-        hit = self._char_index.get(S.elems)
+        hit = self._char_index.get(S.mask)
         if hit is None:
             hit = {rows: i for i, rows in enumerate(self.irr_rows(S))}
-            self._char_index[S.elems] = hit
+            self._char_index[S.mask] = hit
         return hit
 
     # -- restriction decomposition -----------------------------------------
@@ -421,10 +427,10 @@ class CharContext:
         Clifford route (_clifford_edges).  Every other pair takes the
         inner-product route (_inner_product_edges), which is kept as the
         general case and as the oracle of the Clifford route."""
-        key = (K.elems, H.elems)
+        key = (K.mask, H.mask)
         hit = self._edges.get(key)
         if hit is None:
-            if K.elems == H.elems:
+            if K.mask == H.mask:
                 hit = tuple(1 << j for j in range(len(self.irr_rows(H))))
             elif self._prime is not None and len(H.elems) == self._prime * len(K.elems):
                 hit = self._clifford_edges(K, H)
@@ -697,7 +703,7 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> tuple:
     G, p, n = ctx.group, ctx._prime, ctx.conductor
     t = G.table
     ctx.lattice()
-    maximal = ctx._maximal[H.elems]
+    maximal = ctx._maximal[H.mask]
     K = maximal[0]
     ccK = ctx.classes(K)
     ccH = ctx.classes(H)

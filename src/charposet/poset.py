@@ -26,7 +26,7 @@ on first access, for export, witness chains and build_nodes.
 Witness chains make connectivity explicit: witness_direct joins two nodes
 through a peak in Irr(G) over both, and witness_sequence joins the nodes it
 chooses on a list of subgroups whose successive intersections carry a
-common constituent.
+common constituent.  Their meets are lattice instances (CharContext.meet).
 
 Every reader of the order works on character indices and the constituent
 bitmasks of CharContext.restriction_edges, the one stored form of the
@@ -58,7 +58,7 @@ from .errors import (
     NotMultipleOfLinear,
     PreconditionFailed,
 )
-from .groups import GroupTable, Subgroup, intersect_all, require_p_group
+from .groups import GroupTable, Subgroup, require_p_group
 
 
 class Ordering(Enum):
@@ -142,8 +142,8 @@ class CharacterPoset:
 
     @cached_property
     def _sid(self) -> dict:
-        """Subgroup elements -> position in subgroups, built on first use."""
-        return {S.elems: i for i, S in enumerate(self.subgroups)}
+        """S.mask -> position in subgroups, built on first use."""
+        return {S.mask: i for i, S in enumerate(self.subgroups)}
 
     @cached_property
     def nodes(self) -> list:
@@ -168,7 +168,7 @@ class CharacterPoset:
 
     def locate(self, S: Subgroup, chi: ClassFunction) -> PosetNode:
         """The PosetNode for an irreducible character chi of S."""
-        sid = self._sid.get(S.elems)
+        sid = self._sid.get(S.mask)
         if sid is None:
             raise PreconditionFailed(
                 f"subgroup of order {len(S.elems)} is not in S_(p,e): "
@@ -183,7 +183,7 @@ class CharacterPoset:
             return Ordering.EQUAL
         Sa = self.subgroups[a.subgroup_id]
         Sb = self.subgroups[b.subgroup_id]
-        if Sa.elems == Sb.elems:
+        if Sa is Sb:
             return Ordering.INCOMPARABLE  # distinct irreducibles are orthogonal
         masks = self.ctx.restriction_edges
         if Sa.is_subset_of(Sb):
@@ -202,13 +202,13 @@ class CharacterPoset:
         containment (full), by lattice positions of H, then K."""
         sid, off = self._sid, self.offsets
         if self.strategy == "maximal":
-            pairs = [(K, H) for K, H in self.ctx.maximal_pairs() if K.elems in sid]
+            pairs = [(K, H) for K, H in self.ctx.maximal_pairs() if K.mask in sid]
         else:  # distinct subgroups in lattice order: K <= H is proper containment
             subs = self.subgroups
             pairs = [(K, H) for h, H in enumerate(subs) for K in subs[:h] if K.is_subset_of(H)]
         out = []
         for K, H in pairs:
-            koff, hoff = off[sid[K.elems]], off[sid[H.elems]]
+            koff, hoff = off[sid[K.mask]], off[sid[H.mask]]
             for j, m in enumerate(self.ctx.restriction_edges(K, H), hoff):
                 while m:  # the set bits i of m, increasing
                     low = m & -m
@@ -242,12 +242,12 @@ class CharacterPoset:
         up, edges, irr_rows = ctx.up_cover, ctx.restriction_edges, ctx.irr_rows
         for s in range(len(subs) - 1 - len(peaks), -1, -1):
             K = subs[s]
-            H = up.get(K.elems)
+            H = up.get(K.mask)
             if H is None:  # K is G: each omega is its own peak
-                peaks[K.elems] = tuple(range(len(irr_rows(K))))
-                parent.extend(peaks[K.elems])
+                peaks[K.mask] = tuple(range(len(irr_rows(K))))
+                parent.extend(peaks[K.mask])
             else:
-                over = peaks[H.elems]
+                over = peaks[H.mask]
                 peak = [None] * len(irr_rows(K))
                 for b, m in zip(over, edges(K, H)):
                     while m:  # the set bits i of m, increasing
@@ -266,17 +266,17 @@ class CharacterPoset:
                         f"{self.group.name}: a character of a subgroup of order {len(K.elems)} "
                         "lies under no character of its up cover"
                     )
-                peaks[K.elems] = tuple(peak)
+                peaks[K.mask] = tuple(peak)
             if s == 0 or len(subs[s - 1].elems) < len(K.elems):  # K's layer is complete
                 roots = tuple(map(find, range(len(parent))))
                 levels[len(K.elems)] = ComponentPartition(
-                    len(set(roots)), roots, tuple(peaks[S.elems] for S in subs[s:])
+                    len(set(roots)), roots, tuple(peaks[S.mask] for S in subs[s:])
                 )
         return levels[self.min_order]
 
     def component_representatives(self, partition: ComponentPartition, H: Subgroup) -> dict:
         """One node (H, chi) per component; every component must contain one."""
-        sid = self._sid.get(H.elems)
+        sid = self._sid.get(H.mask)
         if sid is None:
             raise InputError(f"subgroup of order {len(H.elems)} is not in S_(p,e)")
         reps: dict = {}
@@ -333,7 +333,7 @@ class CharacterPoset:
         start = self.locate(H, alpha)
         end = self.locate(K, beta)
         a, b = start.char_id, end.char_id
-        if not self._common(intersect_all([H, K]), H, a, K, b):
+        if not self._common(ctx.meet(H, K), H, a, K, b):
             raise PreconditionFailed(
                 "restrictions to the intersection share no constituent"
             )
@@ -353,9 +353,9 @@ class CharacterPoset:
         character on L[k-1].  Consecutive chosen nodes are then joined by
         direct witnesses.  Every test is a constituent-mask operation (by
         Frobenius reciprocity, [eta^(L[k-1]), chi] = [eta, chi_A]), and each
-        prefix intersection is computed once.  alpha and beta must be
-        irreducibles of the endpoint subgroups, or InputError is raised
-        before the precondition test."""
+        prefix intersection is read once from the lattice.  alpha and beta
+        must be irreducibles of the endpoint subgroups, or InputError is
+        raised before the precondition test."""
         ctx = self.ctx
         L = [ctx.canonical(S) for S in L]
         if not L:
@@ -365,13 +365,11 @@ class CharacterPoset:
                 raise PreconditionFailed(
                     f"sequence member of order {len(S.elems)} is not in S_(p,e)"
                 )
-        if alpha.owner.elems != L[0].elems or beta.owner.elems != L[-1].elems:
+        if ctx.canonical(alpha.owner) is not L[0] or ctx.canonical(beta.owner) is not L[-1]:
             raise InputError("endpoint characters must live on the endpoint subgroups")
         a = self._char_id(L[0], alpha)
         b = self._char_id(L[-1], beta)
-        prefix = [L[0]]  # prefix[k] = L[0] n ... n L[k]
-        for S in L[1:]:
-            prefix.append(intersect_all([prefix[-1], S]))
+        prefix = list(accumulate(L, ctx.meet))  # prefix[k] = L[0] n ... n L[k]
         common = self._common(prefix[-1], L[0], a, L[-1], b)
         if not common:
             raise PreconditionFailed(
@@ -382,7 +380,7 @@ class CharacterPoset:
         for k in range(len(L) - 1, 1, -1):
             # common: the constituents on prefix[k] of alpha and of chosen[-1]
             gamma = (common & -common).bit_length() - 1
-            A = intersect_all([L[k - 1], L[k]])
+            A = ctx.meet(L[k - 1], L[k])
             under = masks(A, L[k])[chosen[-1]]
             eta = next(
                 (h for h, m in enumerate(masks(prefix[k], A)) if under >> h & 1 and m >> gamma & 1),
@@ -400,7 +398,7 @@ class CharacterPoset:
             chosen.append(mid)
         chosen.append(a)
         chosen.reverse()
-        steps = [(None, PosetNode(self._sid[L[0].elems], a))]
+        steps = [(None, PosetNode(self._sid[L[0].mask], a))]
         for k in range(1, len(L)):
             steps += self._peak_steps(L[k - 1], chosen[k - 1], L[k], chosen[k])
         return self._chain(steps)
@@ -425,8 +423,8 @@ class CharacterPoset:
         for w, (mh, mk) in enumerate(zip(masks(H, whole), masks(K, whole))):
             if mh >> a & 1 and mk >> b & 1:
                 return [
-                    ("up", PosetNode(self._sid[whole.elems], w)),
-                    ("down", PosetNode(self._sid[K.elems], b)),
+                    ("up", PosetNode(self._sid[whole.mask], w)),
+                    ("down", PosetNode(self._sid[K.mask], b)),
                 ]
         raise NoConstituent("no constituent of the induced character lies over beta")
 

@@ -166,7 +166,7 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
     central_index divides them by the degree and looks them up in
     char_index(IZ), as central_poset_map does for one node.  The images do
     not depend on e, so each S's tuple of them is computed once and kept in
-    ctx.central_images under (IZ.elems, S.elems).  Each node is keyed by
+    ctx.central_images under (IZ.mask, S.mask).  Each node is keyed by
     roots[peak], read off the partition subgroup by subgroup.  Constancy and
     surjectivity are read off one set of (root, image) pairs."""
     lookup = ctx.char_index(IZ)
@@ -174,7 +174,7 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
     roots = partition.roots
     images = set()
     for S, peaks in zip(poset.subgroups, partition.peaks):
-        key = (IZ.elems, S.elems)
+        key = (IZ.mask, S.mask)
         central = kept.get(key)
         if central is None:
             central = kept[key] = tuple(

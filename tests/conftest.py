@@ -258,14 +258,14 @@ def union_find_levels(poset):
         return x
 
     subs, off = poset.subgroups, poset.offsets
-    sid = {S.elems: s for s, S in enumerate(subs)}
+    sid = {S.mask: s for s, S in enumerate(subs)}
     ctx = poset.ctx
     levels = {}
     for s in range(len(subs) - 1, -1, -1):
         K = subs[s]
-        H = ctx.up_cover.get(K.elems)
+        H = ctx.up_cover.get(K.mask)
         if H is not None:
-            koff, hoff = off[s], off[sid[H.elems]]
+            koff, hoff = off[s], off[sid[H.mask]]
             for j, m in enumerate(ctx.restriction_edges(K, H)):
                 for i in range(m.bit_length()):
                     if m >> i & 1:

@@ -371,7 +371,7 @@ def test_up_cover_is_the_first_cover_in_maximal_pairs():
         ctx = get_context(G)
         first = {}
         for K, H in ctx.maximal_pairs():
-            first.setdefault(K.elems, H)
+            first.setdefault(K.mask, H)
         assert len(first) == len(ctx.lattice()) - 1, G.name
         assert ctx.up_cover.keys() == first.keys(), G.name
         assert all(ctx.up_cover[k] is H for k, H in first.items()), G.name
@@ -646,7 +646,7 @@ def test_non_cover_masks_are_cover_masks_composed_down_a_chain():
                     continue
                 top, composed = H, None
                 while top.elems != K.elems:
-                    M = next(M for M in ctx._maximal[top.elems] if K.is_subset_of(M))
+                    M = next(M for M in ctx._maximal[top.mask] if K.is_subset_of(M))
                     cover = ctx._clifford_edges(M, top)
                     if composed is None:
                         composed = cover
@@ -659,6 +659,23 @@ def test_non_cover_masks_are_cover_masks_composed_down_a_chain():
                 assert ctx.restriction_edges(K, H) == composed, (G.name, K, H)
                 pairs += 1
     assert pairs == 8063
+
+
+def test_meet_is_the_lattice_instance_of_the_intersection():
+    """For every ordered pair of subgroups of the catalogs p = 2 up to 32 and
+    p = 3 up to 27, ctx.meet(A, B) is the lattice's own instance with the
+    elements of intersect_all([A, B])."""
+    specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27)
+    pairs = 0
+    for G in map(fam.builtin, specs):
+        ctx = get_context(G)
+        subs = ctx.lattice()
+        for A in subs:
+            for B in subs:
+                M, want = ctx.meet(A, B), gr.intersect_all([A, B])
+                assert M is ctx.canonical(want) and M.elems == want.elems, (G.name, A, B)
+        pairs += len(subs) ** 2
+    assert pairs == 218515
 
 
 def test_non_normal_prime_index_pairs_keep_inner_products():
@@ -679,8 +696,8 @@ def _as_stored(chars) -> tuple:
 
 def _store(ctx, S, chars) -> None:
     """Make chars the stored Irr(S), dropping the view of the old one."""
-    ctx._irr[S.elems] = _as_stored(chars)
-    ctx._irr_views.pop(S.elems, None)
+    ctx._irr[S.mask] = _as_stored(chars)
+    ctx._irr_views.pop(S.mask, None)
 
 
 def _tamper_compute_irr(monkeypatch, tampered, hit) -> None:
@@ -718,7 +735,7 @@ def test_bulk_clifford_edges_certify_irr_of_the_smaller_subgroup(tamper, capsys,
     assert ctx.restriction_edges(K, H) == (0b10, 0b01, 0b01, 0b10)
     ctx._edges.clear()
     _store(ctx, K, tampered(ctx.irr(K)))
-    ctx._char_index.pop(K.elems, None)
+    ctx._char_index.pop(K.mask, None)
     with pytest.raises(IncompleteIrr):
         ctx.restriction_edges(K, H)
 
@@ -747,7 +764,7 @@ def test_clifford_orbit_walk_certifies_irr_of_the_smaller_subgroup(tamper):
         chars += (ClassFunction(K, psi.classes, [2 * v for v in psi.values]),)
     ctx._edges.clear()
     _store(ctx, K, chars)
-    ctx._char_index.pop(K.elems, None)
+    ctx._char_index.pop(K.mask, None)
     with pytest.raises(IncompleteIrr):
         ctx.restriction_edges(K, H)
 
@@ -800,7 +817,7 @@ def _invariant_nonlinear_subgroups(ctx) -> list:
     for H in ctx.lattice():
         if ctx.classes(H).count == len(H.elems):
             continue
-        K = ctx._maximal[H.elems][0]
+        K = ctx._maximal[H.mask][0]
         x = next(h for h in H.elems if not K.contains(h))
         if any(
             psi.degree > 1 and conjugate_character(psi, x).rows == psi.rows
@@ -832,10 +849,10 @@ def test_clifford_irr_with_only_the_first_maximal_subgroup_is_incomplete(monkeyp
     and exit 5 from charposet irr --subgroups."""
     ctx = get_context(fam.builtin(_D8xD8))
     H = _invariant_nonlinear_subgroups(ctx)[0]
-    assert len(ctx._maximal[H.elems]) > 1
-    ctx._maximal[H.elems] = ctx._maximal[H.elems][:1]
-    del ctx._irr[H.elems]
-    ctx._irr_views.pop(H.elems, None)
+    assert len(ctx._maximal[H.mask]) > 1
+    ctx._maximal[H.mask] = ctx._maximal[H.mask][:1]
+    del ctx._irr[H.mask]
+    ctx._irr_views.pop(H.mask, None)
     with pytest.raises(IncompleteIrr):
         ctx.irr(H)
 
@@ -843,8 +860,8 @@ def test_clifford_irr_with_only_the_first_maximal_subgroup_is_incomplete(monkeyp
 
     def withheld(self):
         out = lattice(self)
-        if H.elems in self._maximal:
-            self._maximal[H.elems] = self._maximal[H.elems][:1]
+        if H.mask in self._maximal:
+            self._maximal[H.mask] = self._maximal[H.mask][:1]
         return out
 
     monkeypatch.setattr(characters.CharContext, "lattice", withheld)
@@ -855,7 +872,7 @@ def test_clifford_irr_with_only_the_first_maximal_subgroup_is_incomplete(monkeyp
 
 def _abelian_up_cover_oracle(ctx, S):
     """Whether S's first cover is abelian, by conjugacy_classes itself."""
-    U = ctx.up_cover.get(S.elems)
+    U = ctx.up_cover.get(S.mask)
     return U is not None and gr.conjugacy_classes(U).count == len(U.elems)
 
 
@@ -935,7 +952,7 @@ def test_restricted_irr_certifies_irr_of_the_abelian_cover(capsys, monkeypatch):
 
     ctx = get_context(fam.builtin("ElemAbelian(3,2)"))
     S = ctx.lattice()[1]
-    U = ctx.up_cover[S.elems]
+    U = ctx.up_cover[S.mask]
     assert (len(S.elems), len(U.elems)) == (3, 9)
     _store(ctx, U, tampered(ctx.irr(U)))
     with pytest.raises(IncompleteIrr):
@@ -1003,7 +1020,7 @@ def test_chain_export_builds_no_class_function(monkeypatch):
     H, K = poset.subgroups[1], poset.subgroups[0]
     chain = poset.witness_direct(ctx.irr(H)[0], ctx.irr(K)[2])
     assert poset.subgroup_of(chain.nodes[1]).elems == ctx.whole.elems
-    assert ctx.whole.elems not in ctx._irr_views
+    assert ctx.whole.mask not in ctx._irr_views
     built = []
     fill = ClassFunction._fill
 

@@ -17,6 +17,7 @@ from charposet.errors import (
     InputError,
     InvalidExponent,
     NotAbelian,
+    NotASubgroup,
     NotPGroup,
     PreconditionFailed,
     WitnessError,
@@ -217,9 +218,9 @@ def test_components_read_one_upward_cover_per_subgroup(spec, edges):
     ctx = get_context(G)
     first = {}
     for K, H in ctx.maximal_pairs():
-        first.setdefault(K.elems, H.elems)
+        first.setdefault(K.mask, H.mask)
     p = gr.require_p_group(G)
-    below = [S.elems for S in ctx.lattice() if p <= len(S.elems) < G.order]
+    below = [S.mask for S in ctx.lattice() if p <= len(S.elems) < G.order]
     assert sorted(ctx._edges) == sorted((K, first[K]) for K in below)
     assert sum(m.bit_count() for masks in ctx._edges.values() for m in masks) == edges
 
@@ -449,6 +450,53 @@ def test_witness_chains_match_inner_product_oracle():
     assert seen == {"direct", "sequence", PreconditionFailed}
 
 
+def test_witness_queries_build_no_subgroup(monkeypatch):
+    """Every meet a witness chain takes is the lattice's own instance: on
+    D8xD8 at e = 3 a query with a direct witness, and one that falls back to
+    witness_sequence through the level subgroups, construct no Subgroup."""
+    poset = build_poset(fam.builtin("DirectProduct(Dihedral(8),Dihedral(8))"), None, 3)
+    built = []
+    init = gr.Subgroup.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(len(built))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gr.Subgroup, "__init__", spy)
+    outcomes = [
+        _witness_outcome(
+            poset, a, b, CharacterPoset.witness_direct, CharacterPoset.witness_sequence
+        )[0]
+        for a, b in ((864, 394), (776, 911))
+    ]
+    assert outcomes == ["direct", "sequence"]
+    assert built == []
+
+
+def test_witness_rejects_characters_of_a_second_equal_table():
+    """Two builds of Dihedral(16) are equal tables but two groups, each with
+    its own context.  inner_product takes no pair across them, and neither
+    do canonical, meet and the witness routes: each raises NotASubgroup."""
+    G, other = fam.builtin("Dihedral(16)"), fam.builtin("Dihedral(16)")
+    assert G is not other and G.table == other.table
+    poset = build_poset(G, None, 1)
+    ctx, octx = poset.ctx, get_context(other)
+    W, stranger_W = ctx.whole, octx.whole
+    alpha, stranger = ctx.irr(W)[0], octx.irr(stranger_W)[0]
+    with pytest.raises(InputError):
+        inner_product(alpha, stranger)
+    for call in (
+        lambda: ctx.canonical(stranger_W),
+        lambda: ctx.meet(W, stranger_W),
+        lambda: ctx.meet(stranger_W, W),
+        lambda: poset.witness_direct(stranger, alpha),
+        lambda: poset.witness_direct(alpha, stranger),
+        lambda: poset.witness_sequence([W, W], alpha, stranger),
+    ):
+        with pytest.raises(NotASubgroup):
+            call()
+
+
 def test_central_poset_map_linear(c4xc2):
     ctx = get_context(c4xc2)
     W = ctx.whole
@@ -615,8 +663,8 @@ def dropped(masks):
 
 ctx = get_context(families.builtin("Dihedral(8)"))
 K = next(S for S in ctx.lattice() if len(S.elems) == 2)
-key = (K.elems, ctx.up_cover[K.elems].elems)
-ctx._edges[key] = dropped(ctx.restriction_edges(K, ctx.up_cover[K.elems]))
+key = (K.mask, ctx.up_cover[K.mask].mask)
+ctx._edges[key] = dropped(ctx.restriction_edges(K, ctx.up_cover[K.mask]))
 try:
     CharacterPoset(ctx, 2, 0).components()
 except InternalCheckError as err:
@@ -628,7 +676,7 @@ clifford_edges = characters.CharContext._clifford_edges
 
 def tampered(self, K, H):
     masks = clifford_edges(self, K, H)
-    return dropped(masks) if (K.elems, H.elems) == key else masks
+    return dropped(masks) if (K.mask, H.mask) == key else masks
 
 characters.CharContext._clifford_edges = tampered
 sys.exit(0 if cli.main(["verify", "--group", "Dihedral(8)"]) == 5 else "verify did not exit 5")

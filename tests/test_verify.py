@@ -183,7 +183,7 @@ def test_levels_are_suffixes_of_the_lattice():
         assert "_sid" not in poset.__dict__
         poset.components()
         assert "_sid" not in poset.__dict__
-        assert all(poset._sid[S.elems] == i for i, S in enumerate(poset.subgroups))
+        assert all(poset._sid[S.mask] == i for i, S in enumerate(poset.subgroups))
 
 
 def _reports(G):
