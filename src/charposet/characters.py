@@ -548,7 +548,10 @@ class CharContext:
         masks = []
         for d, rrows in zip(self.degrees(H), self._restricted_rows(K, H)):
             if d == 1:
-                masks.append(1 << lookup[rrows])
+                try:
+                    masks.append(1 << lookup[rrows])
+                except KeyError:
+                    raise IncompleteIrr("a linear character restricts to no row of Irr(K)") from None
                 continue
             remaining, mask = d, 0
             for i, (rows, e) in enumerate(irrK):
@@ -723,7 +726,12 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> tuple:
     rowsK, degreesK = ctx.irr_rows(K), ctx.degrees(K)
     for orbit, total in orbits:
         if total is None and degreesK[orbit[0]] == 1:
-            exps = [ctx.zeta_exponent[row] for row in rowsK[orbit[0]]]
+            try:
+                exps = [ctx.zeta_exponent[row] for row in rowsK[orbit[0]]]
+            except KeyError:
+                raise IncompleteIrr(
+                    "a value of a linear character of K is not a root of unity"
+                ) from None
             b = exps[xp_class]
             if b % p:
                 raise IncompleteIrr(f"the exponent of x^{p} is not divisible by {p}")

@@ -23,10 +23,11 @@ the central-map checks never list the nodes: node_to_component is built on
 first access from the roots and the peaks, and the PosetNode list (nodes)
 on first access, for export, witness chains and build_nodes.
 
-Witness chains make connectivity explicit: witness_direct joins two nodes
-through a peak in Irr(G) over both, and witness_sequence joins the nodes it
+Witness chains make connectivity explicit: witness_sequence joins nodes it
 chooses on a list of subgroups whose successive intersections carry a
-common constituent.  Their meets are lattice instances (CharContext.meet).
+common constituent, each consecutive pair through a peak in Irr(G) over
+both.  A direct witness is the two-subgroup sequence [H, K], which makes no
+choice.  Their meets are lattice instances (CharContext.meet).
 
 Every reader of the order works on character indices and the constituent
 bitmasks of CharContext.restriction_edges, the one stored form of the
@@ -167,8 +168,9 @@ class CharacterPoset:
         return self.ctx.irr(self.subgroups[node.subgroup_id])[node.char_id]
 
     def locate(self, S: Subgroup, chi: ClassFunction) -> PosetNode:
-        """The PosetNode for an irreducible character chi of S."""
-        sid = self._sid.get(S.mask)
+        """The PosetNode for an irreducible character chi of S, a subgroup
+        of this table (CharContext.canonical, else NotASubgroup)."""
+        sid = self._sid.get(self.ctx.canonical(S).mask)
         if sid is None:
             raise PreconditionFailed(
                 f"subgroup of order {len(S.elems)} is not in S_(p,e): "
@@ -275,8 +277,9 @@ class CharacterPoset:
         return levels[self.min_order]
 
     def component_representatives(self, partition: ComponentPartition, H: Subgroup) -> dict:
-        """One node (H, chi) per component; every component must contain one."""
-        sid = self._sid.get(H.mask)
+        """One node (H, chi) per component; every component must contain one.
+        H must be a subgroup of this table (CharContext.canonical)."""
+        sid = self._sid.get(self.ctx.canonical(H).mask)
         if sid is None:
             raise InputError(f"subgroup of order {len(H.elems)} is not in S_(p,e)")
         reps: dict = {}
@@ -319,25 +322,11 @@ class CharacterPoset:
         return WitnessChain(nodes=tuple(nodes), directions=tuple(directions))
 
     def witness_direct(self, alpha: ClassFunction, beta: ClassFunction) -> WitnessChain:
-        """Join (H, alpha) and (K, beta) through a peak omega in Irr(G) with
-        (H, alpha) <= (G, omega) >= (K, beta).
-
-        Requires a common constituent of the two restrictions to H n K.  By
-        Frobenius reciprocity [alpha^G, omega] = [alpha, omega_H], so omega
-        is the first irreducible of G whose constituent masks hold alpha on H
-        and beta on K.  alpha and beta must be irreducibles of their
-        subgroups, or InputError is raised before the precondition test."""
-        ctx = self.ctx
-        H = ctx.canonical(alpha.owner)
-        K = ctx.canonical(beta.owner)
-        start = self.locate(H, alpha)
-        end = self.locate(K, beta)
-        a, b = start.char_id, end.char_id
-        if not self._common(ctx.meet(H, K), H, a, K, b):
-            raise PreconditionFailed(
-                "restrictions to the intersection share no constituent"
-            )
-        return self._chain([(None, start)] + self._peak_steps(H, a, K, b))
+        """Join (H, alpha) <= (G, omega) >= (K, beta), omega the first peak
+        in Irr(G) over both: the two-subgroup sequence
+        witness_sequence([H, K], alpha, beta), which makes no choice and
+        requires a common constituent of the restrictions to H n K."""
+        return self.witness_sequence([alpha.owner, beta.owner], alpha, beta)
 
     def witness_sequence(
         self, L: Sequence[Subgroup], alpha: ClassFunction, beta: ClassFunction
@@ -350,12 +339,13 @@ class CharacterPoset:
         L[0] n ... n L[k]; eta on L[k-1] n L[k] over gamma and under c; and
         mid, the first constituent of eta induced to L[k-1] whose restriction
         to L[0] n ... n L[k-1] shares a constituent with alpha's.  mid is the
-        character on L[k-1].  Consecutive chosen nodes are then joined by
-        direct witnesses.  Every test is a constituent-mask operation (by
-        Frobenius reciprocity, [eta^(L[k-1]), chi] = [eta, chi_A]), and each
-        prefix intersection is read once from the lattice.  alpha and beta
-        must be irreducibles of the endpoint subgroups, or InputError is
-        raised before the precondition test."""
+        character on L[k-1].  Consecutive chosen nodes are then joined
+        through the first peak in Irr(G) over both (_peak_steps); for
+        L = [H, K] that is the whole chain.  Every test is a constituent-mask
+        operation (by Frobenius reciprocity, [eta^(L[k-1]), chi] =
+        [eta, chi_A]), and each prefix intersection is read once from the
+        lattice.  alpha and beta must be irreducibles of the endpoint
+        subgroups, or InputError is raised before the precondition test."""
         ctx = self.ctx
         L = [ctx.canonical(S) for S in L]
         if not L:
@@ -369,13 +359,13 @@ class CharacterPoset:
             raise InputError("endpoint characters must live on the endpoint subgroups")
         a = self._char_id(L[0], alpha)
         b = self._char_id(L[-1], beta)
+        masks = ctx.restriction_edges
         prefix = list(accumulate(L, ctx.meet))  # prefix[k] = L[0] n ... n L[k]
-        common = self._common(prefix[-1], L[0], a, L[-1], b)
+        common = masks(prefix[-1], L[0])[a] & masks(prefix[-1], L[-1])[b]
         if not common:
             raise PreconditionFailed(
                 "restrictions to the full intersection share no constituent"
             )
-        masks = ctx.restriction_edges
         chosen = [b]  # the character on L[k], for k from len(L) - 1 down
         for k in range(len(L) - 1, 1, -1):
             # common: the constituents on prefix[k] of alpha and of chosen[-1]
@@ -408,12 +398,6 @@ class CharacterPoset:
         if cid is None:
             raise InputError("character is not an irreducible of the subgroup")
         return cid
-
-    def _common(self, M: Subgroup, H: Subgroup, a: int, K: Subgroup, b: int) -> int:
-        """The mask of the common constituents on M <= H n K of chi_a in
-        Irr(H) and chi_b in Irr(K)."""
-        masks = self.ctx.restriction_edges
-        return masks(M, H)[a] & masks(M, K)[b]
 
     def _peak_steps(self, H: Subgroup, a: int, K: Subgroup, b: int) -> list:
         """The steps up from (H, a) to the first omega in Irr(G) over it and

@@ -112,6 +112,7 @@ def test_criterion_2_specific_counts():
     _ok(f"criterion 2: {len(EXPECTED_COUNTS)} specific component counts match the brute-force oracle")
 
 
+@pytest.mark.slow
 def test_criterion_3_character_suite(population):
     checked = 0
     for p, spec, G in population:

@@ -377,6 +377,7 @@ def test_up_cover_is_the_first_cover_in_maximal_pairs():
         assert all(ctx.up_cover[k] is H for k, H in first.items()), G.name
 
 
+@pytest.mark.slow
 def test_cyclic_extension_matches_closure_oracle():
     """all_subgroups' cyclic extension route gives the closure loop's sorted
     lattice, its cover pairs (each met once) and so its maximal_pairs()."""
@@ -530,6 +531,7 @@ def test_invariant_checks_raise_named_errors(call, error):
         call()
 
 
+@pytest.mark.slow
 def test_inner_product_matches_cycint_oracle():
     specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27) + fam.builtin_catalog(5, 25)
     groups = [fam.builtin(spec) for spec in specs] + [
@@ -767,6 +769,44 @@ def test_clifford_orbit_walk_certifies_irr_of_the_smaller_subgroup(tamper):
     ctx._char_index.pop(K.mask, None)
     with pytest.raises(IncompleteIrr):
         ctx.restriction_edges(K, H)
+
+
+def _tripled(ch) -> ClassFunction:
+    """ch with every row tripled and its degree kept: a row that is neither
+    a restriction of a linear character nor a root of unity."""
+    return ClassFunction._from_rows(
+        ch.owner, ch.classes, tuple(3 * r for r in ch.rows), degree=ch.degree
+    )
+
+
+def test_inner_product_edges_certify_the_linear_rows_of_irr_of_the_smaller_subgroup():
+    """A subgroup K of order 2 in D8 has index 4, so its edges under D8 come
+    from inner products, where a linear chi_K is looked up among the rows of
+    Irr(K).  With Irr(K)'s second row tripled, that lookup misses: it must
+    raise IncompleteIrr, not KeyError."""
+    ctx = get_context(fam.builtin("Dihedral(8)"))
+    K = next(S for S in ctx.lattice() if len(S.elems) == 2)
+    chars = ctx.irr(K)
+    _store(ctx, K, (chars[0], _tripled(chars[1])))
+    ctx._char_index.pop(K.mask, None)
+    assert (K.mask, ctx.whole.mask) not in ctx._edges
+    with pytest.raises(IncompleteIrr):
+        ctx.restriction_edges(K, ctx.whole)
+
+
+def test_clifford_irr_certifies_the_linear_rows_of_irr_of_the_first_maximal_subgroup():
+    """_clifford_irr extends each invariant linear psi of K, the first
+    maximal subgroup of D8, by the root-of-unity exponents of its values.
+    With Irr(K)'s first row tripled (degree kept), a value is no root of
+    unity: Irr(D8) must raise IncompleteIrr, not KeyError."""
+    ctx = get_context(fam.builtin("Dihedral(8)"))
+    ctx.lattice()
+    K = ctx._maximal[ctx.whole.mask][0]
+    chars = ctx.irr(K)
+    _store(ctx, K, (_tripled(chars[0]),) + chars[1:])
+    assert ctx.whole.mask not in ctx._irr
+    with pytest.raises(IncompleteIrr):
+        ctx.irr_rows(ctx.whole)
 
 
 def test_clifford_irr_matches_monomial_oracle():

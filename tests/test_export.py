@@ -64,6 +64,7 @@ def containers(children):
 documents = st.recursive(scalars, containers, max_leaves=40)
 
 
+@pytest.mark.slow
 @settings(max_examples=400, deadline=None)
 @given(documents)
 def test_canonical_json_matches_stdlib(doc):

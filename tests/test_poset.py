@@ -300,11 +300,15 @@ def test_witness_direct_precondition_failure(q8):
 
 
 def test_witness_direct_rejects_small_subgroup(q8):
+    """Also with a reducible alpha on a level subgroup: witness_direct is
+    witness_sequence on [H, K], whose order check comes first."""
     ctx = get_context(q8)
     poset = _poset(q8, 1)
     Z, sign = _sign_char_on_center(q8)
     with pytest.raises(PreconditionFailed):
         poset.witness_direct(sign, sign)
+    with pytest.raises(PreconditionFailed):
+        poset.witness_direct(_zero_function(poset.subgroups[0]), sign)
 
 
 def test_witness_sequence_two_subgroups_delegates(q8):
@@ -413,6 +417,7 @@ def _witness_outcome(poset, a, b, direct, sequence):
     return outcome, chain.nodes, chain.directions
 
 
+@pytest.mark.slow
 def test_witness_chains_match_inner_product_oracle():
     """The constituent-mask route makes every choice the induce and
     inner-product route makes: the same outcome, nodes and directions.  Every
@@ -476,7 +481,8 @@ def test_witness_queries_build_no_subgroup(monkeypatch):
 def test_witness_rejects_characters_of_a_second_equal_table():
     """Two builds of Dihedral(16) are equal tables but two groups, each with
     its own context.  inner_product takes no pair across them, and neither
-    do canonical, meet and the witness routes: each raises NotASubgroup."""
+    do canonical, meet, the witness routes, locate and
+    component_representatives: each raises NotASubgroup."""
     G, other = fam.builtin("Dihedral(16)"), fam.builtin("Dihedral(16)")
     assert G is not other and G.table == other.table
     poset = build_poset(G, None, 1)
@@ -492,6 +498,8 @@ def test_witness_rejects_characters_of_a_second_equal_table():
         lambda: poset.witness_direct(stranger, alpha),
         lambda: poset.witness_direct(alpha, stranger),
         lambda: poset.witness_sequence([W, W], alpha, stranger),
+        lambda: poset.locate(stranger_W, stranger),
+        lambda: poset.component_representatives(poset.components(), stranger_W),
     ):
         with pytest.raises(NotASubgroup):
             call()
