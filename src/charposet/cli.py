@@ -29,10 +29,6 @@ from .verify import sweep as run_sweep
 from .verify import theorem_report, valid_exponents
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_DOMAIN = 3
-EXIT_WITNESS = 4
-EXIT_INTERNAL = 5
 
 
 def _default_cap() -> int:
@@ -198,7 +194,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     print(f"links: {len(chain.directions)}, verified: {str(verified).lower()}")
     if args.out:
         _emit(export.canonical_json(export.chain_json(poset, chain, verified)), args.out)
-    return EXIT_OK if verified else EXIT_INTERNAL
+    return EXIT_OK if verified else InternalCheckError.exit_code
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -215,7 +211,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     specs = []
-    for p in args.p or (2, 3, 5):
+    for p in dict.fromkeys(args.p or (2, 3, 5)):
         specs.extend(builtin_catalog(p, args.max_order))
     result = run_sweep(specs, cap=args.cap)
     if args.fmt == "csv":
@@ -223,9 +219,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         _emit(export.canonical_json(export.reports_json(result.reports, result.errors)), args.out)
     if result.violations:
-        return EXIT_INTERNAL
+        return InternalCheckError.exit_code
     if result.errors:
-        return EXIT_DOMAIN
+        return DomainError.exit_code
     return EXIT_OK
 
 
@@ -235,21 +231,9 @@ def main(argv: Optional[list] = None) -> int:
         if hasattr(args, "cap") and args.cap is None:
             args.cap = _default_cap()
         return args.run(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except WitnessError as err:
-        print(f"witness precondition failed: {err}", file=sys.stderr)
-        return EXIT_WITNESS
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except InternalCheckError as err:
-        print(f"internal check failed: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
     except CharposetError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        print(f"{err.label}: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -33,8 +33,6 @@ from typing import Sequence
 
 from .errors import ConductorMismatch, InternalCheckError, NotDivisible, NotRationalInteger
 
-_PHI_CACHE: dict[int, tuple[int, ...]] = {}
-
 
 def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
     """Exact long division by a monic integer polynomial."""
@@ -54,29 +52,23 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], lis
     return quot, num
 
 
+@cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, low degree first, computed by dividing x^n - 1
     by all Phi_d for proper divisors d."""
     if n < 1:
         raise ValueError(f"conductor must be positive, got {n}")
-    cached = _PHI_CACHE.get(n)
-    if cached is not None:
-        return cached
     if n == 1:
-        poly = (-1, 1)
-    else:
-        num = [0] * (n + 1)
-        num[0] = -1
-        num[n] = 1
-        rem = num
-        for d in range(1, n):
-            if n % d == 0:
-                rem, r = _poly_divmod(rem, cyclotomic_polynomial(d))
-                if r != [0]:
-                    raise InternalCheckError(f"Phi_{d} does not divide the cofactor of x^{n} - 1")
-        poly = tuple(rem)
-    _PHI_CACHE[n] = poly
-    return poly
+        return (-1, 1)
+    rem = [0] * (n + 1)
+    rem[0] = -1
+    rem[n] = 1
+    for d in range(1, n):
+        if n % d == 0:
+            rem, r = _poly_divmod(rem, cyclotomic_polynomial(d))
+            if r != [0]:
+                raise InternalCheckError(f"Phi_{d} does not divide the cofactor of x^{n} - 1")
+    return tuple(rem)
 
 
 def euler_phi(n: int) -> int:

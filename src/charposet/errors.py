@@ -1,15 +1,22 @@
 """Exception hierarchy.
 
-Four buckets matter to the CLI exit-code mapping: input errors (bad tables,
-unknown families, malformed files), domain precondition errors (valid input,
-invalid request), witness precondition errors, and internal-check errors that
-signal a bug in the exact arithmetic or in an existence argument and should
-never fire on correct code.
+Four buckets fix the CLI's failure policy: input errors (bad tables, unknown
+families, malformed files), domain precondition errors (valid input, invalid
+request), witness precondition errors, and internal-check errors that signal
+a bug in the exact arithmetic or in an existence argument and should never
+fire on correct code.  Each bucket class carries its exit code and the label
+of its stderr line as the class attributes ``exit_code`` and ``label``;
+InputError inherits CharposetError's 2 and "error".  The CLI reads both from
+the exception it catches, so a subclass defined in any module exits as its
+bucket does.
 """
 
 
 class CharposetError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 2
+    label = "error"
 
 
 class InputError(CharposetError):
@@ -19,13 +26,21 @@ class InputError(CharposetError):
 class DomainError(CharposetError):
     """Valid object, but the requested operation is not defined for it."""
 
+    exit_code = 3
+
 
 class WitnessError(CharposetError):
     """A connectivity-witness construction cannot start from these endpoints."""
 
+    exit_code = 4
+    label = "witness precondition failed"
+
 
 class InternalCheckError(CharposetError):
     """An invariant that must hold mathematically failed: implementation bug."""
+
+    exit_code = 5
+    label = "internal check failed"
 
 
 # -- input ------------------------------------------------------------------

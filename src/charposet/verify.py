@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import errors as error_kinds
 from .characters import get_context
 from .errors import (
     BoundViolation,
@@ -77,22 +76,18 @@ class TheoremReport:
         }
 
 
-def _is_internal(kind: str) -> bool:
-    """Whether an error kind names an InternalCheckError subclass."""
-    cls = getattr(error_kinds, kind, None)
-    return isinstance(cls, type) and issubclass(cls, InternalCheckError)
-
-
 @dataclass
 class SweepResult:
+    """reports and the recorded errors entries; internal holds the entries
+    whose exception was an InternalCheckError, flagged where it was caught."""
+
     reports: list
     errors: list
+    internal: list = field(default_factory=list)
 
     @property
     def violations(self) -> list:
-        return [r for r in self.reports if not r.ok] + [
-            err for err in self.errors if _is_internal(err["kind"])
-        ]
+        return [r for r in self.reports if not r.ok] + self.internal
 
 
 def compute_I(G: GroupTable, p: Optional[int], e: int) -> Subgroup:
@@ -214,26 +209,30 @@ def sweep(
     the sweep continues.  Reports come back sorted by (order, name, e)."""
     reports = []
     errors = []
+    internal = []
+
+    def record(spec: str, e: Optional[int], err: CharposetError) -> None:
+        entry = {"spec": spec, "e": e, "kind": type(err).__name__, "message": str(err)}
+        errors.append(entry)
+        if isinstance(err, InternalCheckError):
+            internal.append(entry)
+
     for spec in specs:
         try:
             G = builtin(spec, cap)
             get_context(G, order_cap=cap)
             p = require_p_group(G)
         except CharposetError as err:
-            errors.append(
-                {"spec": spec, "e": None, "kind": type(err).__name__, "message": str(err)}
-            )
+            record(spec, None, err)
             continue
         levels = valid_exponents(G, p) if es is None else es
         for e in levels:
             try:
                 reports.append(theorem_report(G, p, e))
             except CharposetError as err:
-                errors.append(
-                    {"spec": spec, "e": e, "kind": type(err).__name__, "message": str(err)}
-                )
+                record(spec, e, err)
         # G and its context refer to each other; break the cycle so the
         # context goes when the group does, not at a full collection.
         G.context = None
     reports.sort(key=lambda r: (r.order, r.group, r.e))
-    return SweepResult(reports=reports, errors=errors)
+    return SweepResult(reports=reports, errors=errors, internal=internal)

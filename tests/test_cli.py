@@ -11,9 +11,17 @@ from pathlib import Path
 
 import pytest
 
+from charposet import cli, verify
 from charposet.characters import CharContext
 from charposet.cli import main
-from charposet.errors import IncompleteIrr
+from charposet.errors import (
+    CharposetError,
+    DomainError,
+    IncompleteIrr,
+    InputError,
+    InternalCheckError,
+    WitnessError,
+)
 from charposet.export import canonical_json, irr_json
 from charposet.families import builtin
 
@@ -429,6 +437,78 @@ def test_sweep_internal_check_failure_exits_5(monkeypatch, capsys):
     assert doc["errors"] and {err["kind"] for err in doc["errors"]} == {"IncompleteIrr"}
     code, _, err = run(capsys, "verify", "--group", "Quaternion(8)")
     assert code == 5 and "internal check failed" in err
+
+
+class LocalInput(InputError):
+    pass
+
+
+class LocalDomain(DomainError):
+    pass
+
+
+class LocalWitness(WitnessError):
+    pass
+
+
+class LocalCheck(InternalCheckError):
+    """An internal check defined outside charposet.errors."""
+
+
+class LocalError(CharposetError):
+    pass
+
+
+def test_sweep_flags_an_internal_check_defined_outside_errors(monkeypatch, capsys):
+    """A recorded InternalCheckError exits 5 by its class, wherever the class
+    is defined, and its errors entry keeps its kind."""
+    real = verify.theorem_report
+
+    def failing(G, p, e):
+        if e == 0:
+            raise LocalCheck(f"{G.name} e=0: local check")
+        return real(G, p, e)
+
+    monkeypatch.setattr(verify, "theorem_report", failing)
+    code, out, _ = run(capsys, "sweep", "--p", "2", "--max-order", "8")
+    assert code == 5
+    doc = json.loads(out)
+    assert doc["reports"] and all(r["e"] > 0 and r["ok"] for r in doc["reports"])
+    assert doc["errors"] and all(
+        err["kind"] == "LocalCheck" and err["e"] == 0 for err in doc["errors"]
+    )
+
+
+@pytest.mark.parametrize(
+    "cls, want, prefix",
+    [
+        (InputError, 2, "error"),
+        (DomainError, 3, "error"),
+        (WitnessError, 4, "witness precondition failed"),
+        (InternalCheckError, 5, "internal check failed"),
+        (CharposetError, 2, "error"),
+        (LocalInput, 2, "error"),
+        (LocalDomain, 3, "error"),
+        (LocalWitness, 4, "witness precondition failed"),
+        (LocalCheck, 5, "internal check failed"),
+        (LocalError, 2, "error"),
+    ],
+)
+def test_exit_code_and_stderr_label_of_each_bucket(monkeypatch, capsys, cls, want, prefix):
+    """main maps an error raised by any command to its bucket's exit code and
+    stderr line, for the bucket classes and for subclasses defined here."""
+
+    def stub(args):
+        raise cls("stub failure")
+
+    monkeypatch.setattr(cli, "cmd_groups", stub)
+    assert run(capsys, "groups") == (want, "", f"{prefix}: stub failure\n")
+
+
+def test_sweep_takes_each_repeated_prime_once(capsys):
+    once = run(capsys, "sweep", "--p", "2", "--max-order", "4")
+    assert once[0] == 0 and len(json.loads(once[1])["reports"]) == 5
+    assert run(capsys, "sweep", "--p", "2", "--p", "2", "--max-order", "4") == once
 
 
 def test_sweep_csv(capsys):

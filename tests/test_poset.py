@@ -311,16 +311,31 @@ def test_witness_direct_rejects_small_subgroup(q8):
         poset.witness_direct(_zero_function(poset.subgroups[0]), sign)
 
 
-def test_witness_sequence_two_subgroups_delegates(q8):
-    ctx = get_context(q8)
-    poset = _poset(q8, 1)
-    Z, sign = _sign_char_on_center(q8)
-    A, B = poset.subgroups[0], poset.subgroups[1]
-    al = [c for c in ctx.irr(A) if inner_product(restrict(c, Z), sign)][0]
-    be = [c for c in ctx.irr(B) if inner_product(restrict(c, Z), sign)][0]
-    direct = poset.witness_direct(al, be)
-    seq = poset.witness_sequence([A, B], al, be)
-    assert seq == direct
+def test_witness_direct_matches_inner_product_oracle():
+    """Every ordered endpoint pair of Q8 and D8 at e = 0 and e = 1 (1,668
+    pairs): witness_direct gives the chain, nodes and directions, that
+    induction and inner products give, or raises the same WitnessError."""
+
+    def outcome(poset, a, b, direct):
+        alpha, beta = poset.char_of(poset.nodes[a]), poset.char_of(poset.nodes[b])
+        try:
+            chain = direct(poset, alpha, beta)
+        except WitnessError as err:
+            return type(err)
+        return chain.nodes, chain.directions
+
+    seen = set()
+    for spec in ("Quaternion(8)", "Dihedral(8)"):
+        for e in (0, 1):
+            poset = build_poset(fam.builtin(spec), None, e)
+            n = len(poset.nodes)
+            for a in range(n):
+                for b in range(n):
+                    got = outcome(poset, a, b, CharacterPoset.witness_direct)
+                    want = outcome(poset, a, b, witness_direct_oracle)
+                    assert got == want, (spec, e, a, b)
+                    seen.add(got if isinstance(got, type) else "chain")
+    assert seen == {"chain", PreconditionFailed}
 
 
 def test_witness_sequence_three_c4s(q8):
