@@ -47,11 +47,9 @@ from .characters import (
 from .poset import (
     CharacterPoset,
     ComponentPartition,
-    Ordering,
     PosetNode,
     WitnessChain,
     abelian_component_count,
-    build_nodes,
     build_poset,
     central_poset_map,
     components,
@@ -69,7 +67,6 @@ __all__ = [
     "ConjClasses",
     "CycInt",
     "GroupTable",
-    "Ordering",
     "PosetNode",
     "Subgroup",
     "TheoremReport",
@@ -79,7 +76,6 @@ __all__ = [
     "all_subgroups",
     "arith",
     "as_integer",
-    "build_nodes",
     "build_poset",
     "builtin",
     "builtin_catalog",

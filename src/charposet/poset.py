@@ -21,13 +21,14 @@ consecutively, subgroup by subgroup, from offsets[sid].  A level's partition
 has one form, the roots and peaks of ComponentPartition, and the pass and
 the central-map checks never list the nodes: node_to_component is built on
 first access from the roots and the peaks, and the PosetNode list (nodes)
-on first access, for export, witness chains and build_nodes.
+on first access, for export and witness chains.
 
 Witness chains make connectivity explicit: witness_sequence joins nodes it
 chooses on a list of subgroups whose successive intersections carry a
 common constituent, each consecutive pair through a peak in Irr(G) over
 both.  A direct witness is the two-subgroup sequence [H, K], which makes no
-choice.  Their meets are lattice instances (CharContext.meet).
+choice.  Their meets are lattice instances (CharContext.meet).  The chain check
+(validate_chain) reads one mask bit per link.
 
 Every reader of the order works on character indices and the constituent
 bitmasks of CharContext.restriction_edges, the one stored form of the
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -60,13 +60,6 @@ from .errors import (
     PreconditionFailed,
 )
 from .groups import GroupTable, Subgroup, require_p_group
-
-
-class Ordering(Enum):
-    LE = "a<=b"
-    GE = "b<=a"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True)
@@ -178,25 +171,7 @@ class CharacterPoset:
             )
         return PosetNode(sid, self._char_id(self.subgroups[sid], chi))
 
-    # -- relation and edges --------------------------------------------------
-
-    def related(self, a: PosetNode, b: PosetNode) -> Ordering:
-        if a == b:
-            return Ordering.EQUAL
-        Sa = self.subgroups[a.subgroup_id]
-        Sb = self.subgroups[b.subgroup_id]
-        if Sa is Sb:
-            return Ordering.INCOMPARABLE  # distinct irreducibles are orthogonal
-        masks = self.ctx.restriction_edges
-        if Sa.is_subset_of(Sb):
-            if masks(Sa, Sb)[b.char_id] >> a.char_id & 1:
-                return Ordering.LE
-            return Ordering.INCOMPARABLE
-        if Sb.is_subset_of(Sa):
-            if masks(Sb, Sa)[a.char_id] >> b.char_id & 1:
-                return Ordering.GE
-            return Ordering.INCOMPARABLE
-        return Ordering.INCOMPARABLE
+    # -- edges ---------------------------------------------------------------
 
     def edge_list(self) -> list:
         """Comparable node pairs (ids), listed for export: the restriction
@@ -297,15 +272,19 @@ class CharacterPoset:
     # -- witness chains ------------------------------------------------------------
 
     def validate_chain(self, chain: WitnessChain) -> bool:
-        if len(chain.nodes) != len(chain.directions) + 1:
+        """Test each link on the masks: an 'up' link (K, psi) -> (H, chi)
+        needs K < H and bit psi set in mask chi of ctx.restriction_edges(K, H),
+        and a 'down' link is the same test with its nodes swapped.  Any other
+        direction, or a length mismatch, gives False."""
+        nodes, subs, masks = chain.nodes, self.subgroups, self.ctx.restriction_edges
+        if len(nodes) != len(chain.directions) + 1:
             return False
-        for k, d in enumerate(chain.directions):
-            rel = self.related(chain.nodes[k], chain.nodes[k + 1])
-            if d == "up" and rel is not Ordering.LE:
-                return False
-            if d == "down" and rel is not Ordering.GE:
-                return False
+        for d, a, b in zip(chain.directions, nodes, nodes[1:]):
             if d not in ("up", "down"):
+                return False
+            lo, hi = (a, b) if d == "up" else (b, a)
+            K, H = subs[lo.subgroup_id], subs[hi.subgroup_id]
+            if K is H or not K.is_subset_of(H) or not masks(K, H)[hi.char_id] >> lo.char_id & 1:
                 return False
         return True
 

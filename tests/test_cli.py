@@ -24,6 +24,7 @@ from charposet.errors import (
 )
 from charposet.export import canonical_json, irr_json
 from charposet.families import builtin
+from charposet.poset import CharacterPoset
 
 from test_export import _IRR_DIGESTS
 
@@ -283,6 +284,24 @@ def test_witness_identical_endpoints(capsys):
     assert "links: 0" in out
 
 
+def test_witness_with_swapped_directions_is_not_verified(monkeypatch, capsys):
+    """A chain whose links point the wrong way fails validate_chain: the
+    witness command prints verified: false and exits 5."""
+    peak_steps = CharacterPoset._peak_steps
+
+    def swapped(self, H, a, K, b):
+        flip = {"up": "down", "down": "up"}
+        return [(flip[d], node) for d, node in peak_steps(self, H, a, K, b)]
+
+    monkeypatch.setattr(CharacterPoset, "_peak_steps", swapped)
+    code, out, _ = run(
+        capsys, "witness", "--group", "Quaternion(8)", "--e", "1",
+        "--endpoints", "0:0,3:0",
+    )
+    assert code == 5
+    assert "verified: false" in out
+
+
 def test_witness_bad_endpoints(capsys):
     code, _, err = run(
         capsys, "witness", "--group", "Quaternion(8)", "--e", "1",
@@ -509,6 +528,19 @@ def test_sweep_takes_each_repeated_prime_once(capsys):
     once = run(capsys, "sweep", "--p", "2", "--max-order", "4")
     assert once[0] == 0 and len(json.loads(once[1])["reports"]) == 5
     assert run(capsys, "sweep", "--p", "2", "--p", "2", "--max-order", "4") == once
+
+
+def test_input_errors_exit_3_in_a_sweep_and_2_in_verify(capsys):
+    """A sweep exits 3 when some group could not be verified, whatever the
+    bucket of its error; verify exits with the bucket's own code."""
+    code, out, _ = run(capsys, "sweep", "--p", "2", "--max-order", "16", "--cap", "8")
+    assert code == 3
+    doc = json.loads(out)
+    assert len(doc["reports"]) == 20 and all(r["ok"] for r in doc["reports"])
+    assert len(doc["errors"]) == 11
+    assert {err["kind"] for err in doc["errors"]} == {"OrderCapExceeded"}
+    code, out, err = run(capsys, "verify", "--group", "Dihedral(16)", "--cap", "8")
+    assert (code, out, err) == (2, "", "error: order 16 exceeds cap 8\n")
 
 
 def test_sweep_csv(capsys):

@@ -24,10 +24,9 @@ from charposet.errors import (
 )
 from charposet.poset import (
     CharacterPoset,
-    Ordering,
     PosetNode,
+    WitnessChain,
     abelian_component_count,
-    build_nodes,
     build_poset,
     central_poset_map,
     components,
@@ -53,27 +52,34 @@ def _sign_char_on_center(G):
     return Z, [ch for ch in ctx.irr(Z) if ch.values[1].coeffs[0] == -1][0]
 
 
+def _link(a, direction, b):
+    """The one-link chain from node a to node b."""
+    return WitnessChain((a, b), (direction,))
+
+
 def test_build_nodes_c4(c4):
-    subs, nodes = build_nodes(c4, 2, 1)
+    poset = build_poset(c4, 2, 1)
+    subs, nodes = poset.subgroups, poset.nodes
     assert len(subs) == 1 and len(subs[0]) == 4
     assert len(nodes) == 4
 
 
 def test_build_nodes_q8(q8):
-    subs, nodes = build_nodes(q8, 2, 1)
+    poset = build_poset(q8, 2, 1)
+    subs, nodes = poset.subgroups, poset.nodes
     assert [len(S) for S in subs] == [4, 4, 4, 8]
     assert len(nodes) == 3 * 4 + 5
 
 
 def test_build_nodes_d8_e0(d8):
-    subs, nodes = build_nodes(d8, 2, 0)
+    subs = build_poset(d8, 2, 0).subgroups
     assert [len(S) for S in subs] == [2, 2, 2, 2, 2, 4, 4, 4, 8]
 
 
 def test_nodes_are_built_on_demand_with_unchanged_ids():
     """A poset keeps offsets and a node count; its PosetNode list is built on
-    first access, in node-id order, and build_nodes output over every level
-    of five groups matches a pinned sha256."""
+    first access, in node-id order, and the subgroups and nodes of a fresh
+    poset over every level of five groups match a pinned sha256."""
     digest = hashlib.sha256()
     total = 0
     for spec in ["Quaternion(8)", "Dihedral(16)", "Extraspecial(3,+)",
@@ -90,7 +96,8 @@ def test_nodes_are_built_on_demand_with_unchanged_ids():
                 for cid in range(len(ctx.irr(S)))
             ]
             assert [poset.node_id(n) for n in poset.nodes] == list(range(poset.node_count))
-            subs, nodes = build_nodes(G, None, e)
+            fresh = build_poset(G, None, e)
+            subs, nodes = fresh.subgroups, fresh.nodes
             doc = [[list(S.elems) for S in subs], [[n.subgroup_id, n.char_id] for n in nodes]]
             digest.update(json.dumps(doc).encode())
             total += len(nodes)
@@ -100,39 +107,71 @@ def test_nodes_are_built_on_demand_with_unchanged_ids():
 
 def test_build_nodes_errors(q8, d8):
     with pytest.raises(InvalidExponent):
-        build_nodes(q8, 2, 3)
+        build_poset(q8, 2, 3)
     with pytest.raises(NotPGroup):
-        build_nodes(q8, 3, 0)
+        build_poset(q8, 3, 0)
     S3 = gr.from_permutations([(1, 0, 2), (1, 2, 0)], name="S3")
     with pytest.raises(NotPGroup):
-        build_nodes(S3, None, 0)
+        build_poset(S3, None, 0)
+
+
+def _q8_nodes(q8):
+    """Nodes of Q8 at e = 0: (Z, sign) and the two-dimensional (Q8, chi)
+    over it, Q8's trivial character, two characters of <1> and one of <4>."""
+    poset = build_poset(q8, None, 0)
+    ctx = get_context(q8)
+    Z, sign = _sign_char_on_center(q8)
+    A = ctx.canonical(gr.generated_subgroup(q8, [1]))
+    B = ctx.canonical(gr.generated_subgroup(q8, [4]))
+    return poset, {
+        "sign": poset.locate(Z, sign),
+        "two": poset.locate(ctx.whole, ctx.irr(ctx.whole)[-1]),
+        "trivial": poset.locate(ctx.whole, ctx.irr(ctx.whole)[0]),
+        "a": poset.locate(A, ctx.irr(A)[3]),
+        "c": poset.locate(A, ctx.irr(A)[0]),
+        "b": poset.locate(B, ctx.irr(B)[0]),
+    }
 
 
 def test_related_equal_and_examples(q8):
+    """One-link chains through validate_chain: a node is not a step from
+    itself, (Z, sign) lies under the two-dimensional character of Q8, and
+    nodes on incomparable subgroups or on one subgroup are incomparable."""
     poset = _poset(q8, 1)
     n0 = poset.nodes[0]
-    assert poset.related(n0, n0) is Ordering.EQUAL
+    assert not poset.validate_chain(_link(n0, "up", n0))
+    assert not poset.validate_chain(_link(n0, "down", n0))
 
     # (Z, sign) vs (Q8, two-dim) needs e=0 so Z is a node
-    poset0 = _poset(q8, 0)
-    Z, sign = _sign_char_on_center(q8)
-    a = poset0.locate(Z, sign)
-    ctx = get_context(q8)
-    two = ctx.irr(ctx.whole)[-1]
-    b = poset0.locate(ctx.whole, two)
-    assert poset0.related(a, b) is Ordering.LE
-    assert poset0.related(b, a) is Ordering.GE
+    poset0, n = _q8_nodes(q8)
+    assert poset0.validate_chain(_link(n["sign"], "up", n["two"]))
+    assert poset0.validate_chain(_link(n["two"], "down", n["sign"]))
 
-    # incomparable subgroups
-    A = gr.generated_subgroup(q8, [1])
-    B = gr.generated_subgroup(q8, [4])
-    na = poset0.locate(ctx.canonical(A), ctx.irr(ctx.canonical(A))[3])
-    nb = poset0.locate(ctx.canonical(B), ctx.irr(ctx.canonical(B))[0])
-    assert poset0.related(na, nb) is Ordering.INCOMPARABLE
+    # incomparable subgroups, and the same subgroup with distinct characters
+    for x, y in [("a", "b"), ("a", "c")]:
+        for d in ("up", "down"):
+            assert not poset0.validate_chain(_link(n[x], d, n[y]))
+            assert not poset0.validate_chain(_link(n[y], d, n[x]))
 
-    # same subgroup, distinct characters
-    nc = poset0.locate(ctx.canonical(A), ctx.irr(ctx.canonical(A))[0])
-    assert poset0.related(na, nc) is Ordering.INCOMPARABLE
+
+_BAD_CHAINS = {
+    "length mismatch": lambda n: WitnessChain((n["sign"], n["two"]), ()),
+    "unknown direction": lambda n: _link(n["two"], "sideways", n["sign"]),
+    "node to itself": lambda n: _link(n["two"], "up", n["two"]),
+    "one subgroup": lambda n: _link(n["a"], "up", n["c"]),
+    "incomparable subgroups": lambda n: _link(n["a"], "up", n["b"]),
+    "constituent bit clear": lambda n: _link(n["sign"], "up", n["trivial"]),
+    "direction flipped": lambda n: _link(n["sign"], "down", n["two"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CHAINS))
+def test_validate_chain_rejects_a_bad_link(q8, case):
+    """Each chain breaks one rule of validate_chain; the valid link
+    (Z, sign) up to (Q8, two-dim) is the control."""
+    poset, n = _q8_nodes(q8)
+    assert poset.validate_chain(_link(n["sign"], "up", n["two"]))
+    assert poset.validate_chain(_BAD_CHAINS[case](n)) is False
 
 
 def _brute_component_count(G, e):
@@ -544,7 +583,7 @@ def test_central_poset_map_constant_on_comparable_pairs(q8, d8):
         Z = gr.center(ctx.whole)
         for a in poset.nodes:
             for b in poset.nodes:
-                if poset.related(a, b) is Ordering.LE:
+                if poset.validate_chain(_link(a, "up", b)):
                     ba = central_poset_map(poset.char_of(a), Z)
                     bb = central_poset_map(poset.char_of(b), Z)
                     assert ba.values == bb.values
@@ -719,6 +758,39 @@ def test_a_character_under_no_character_of_its_up_cover_exits_5(flags):
     assert proc.returncode == 0, proc.stderr
     assert "lies under no character of its up cover" in proc.stdout
     assert "internal check failed" in proc.stderr
+
+
+_COUNT_ONE_TOO_HIGH = """
+import sys
+from charposet import families
+from charposet.errors import ComponentCoverageError
+from charposet.poset import ComponentPartition, build_poset
+
+poset = build_poset(families.builtin("Quaternion(8)"), 2, 1)
+part = poset.components()
+over = ComponentPartition(part.count + 1, part.roots, part.peaks)
+try:
+    poset.component_representatives(over, poset.subgroups[-1])
+except ComponentCoverageError as err:
+    print(err)
+    sys.exit(err.exit_code)
+sys.exit("component_representatives took a count one too high")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_component_without_a_representative_exits_5(flags):
+    """A partition whose count is one too high leaves a component with no
+    node on the chosen subgroup: component_representatives raises
+    ComponentCoverageError, whose exit code is 5, under plain Python and
+    under python -O."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _COUNT_ONE_TOO_HIGH],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stdout == "only 2 of 3 components contain a node with the chosen subgroup\n"
 
 
 # sha256 of canonical_json(poset_json(...)) and of poset_dot(...) at each e,

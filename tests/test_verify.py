@@ -377,6 +377,35 @@ def test_a_central_subgroup_outside_a_poset_subgroup_exits_5(flags):
     assert "internal check failed" in proc.stderr
 
 
+_COUNT_TOO_HIGH = """
+import sys
+from charposet import cli
+from charposet.poset import CharacterPoset, ComponentPartition
+
+components = CharacterPoset.components
+
+def inflated(self):
+    part = components(self)
+    return ComponentPartition(part.count + 5, part.roots, part.peaks)
+
+CharacterPoset.components = inflated
+sys.exit(cli.main(["verify", "--group", "Dihedral(8)", "--e", "1"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_count_outside_the_bounds_exits_5(flags):
+    """A component count above |Irr(I)| raises BoundViolation, and verify
+    exits 5, under plain Python and under python -O."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _COUNT_TOO_HIGH],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr == "internal check failed: D8 e=1: |IZ|=2 count=7 |Irr(I)|=2\n"
+
+
 def test_theorem_report_leaves_the_node_list_unbuilt(monkeypatch):
     """Union-find and the central suite work on node ids; no PosetNode is
     built for a report, including one that runs the central suite."""
