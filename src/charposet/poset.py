@@ -402,12 +402,6 @@ def build_poset(
     return CharacterPoset(ctx, p if p is not None else require_p_group(G), e, strategy)
 
 
-def build_nodes(G: GroupTable, p: Optional[int], e: int) -> tuple:
-    """The subgroup list S_(p,e)(G) and the node list of the poset."""
-    poset = build_poset(G, p, e)
-    return poset.subgroups, poset.nodes
-
-
 def components(
     G: GroupTable, p: Optional[int], e: int, strategy: str = "maximal"
 ) -> ComponentPartition:

@@ -14,6 +14,7 @@ from charposet import families as fam
 from charposet import groups as gr
 from charposet.characters import ClassFunction, get_context, inner_product, irr, restrict
 from charposet.errors import (
+    ComponentCoverageError,
     InputError,
     InvalidExponent,
     NotAbelian,
@@ -24,6 +25,7 @@ from charposet.errors import (
 )
 from charposet.poset import (
     CharacterPoset,
+    ComponentPartition,
     PosetNode,
     WitnessChain,
     abelian_component_count,
@@ -115,63 +117,62 @@ def test_build_nodes_errors(q8, d8):
         build_poset(S3, None, 0)
 
 
-def _q8_nodes(q8):
-    """Nodes of Q8 at e = 0: (Z, sign) and the two-dimensional (Q8, chi)
-    over it, Q8's trivial character, two characters of <1> and one of <4>."""
-    poset = build_poset(q8, None, 0)
+def _q8_nodes(q8, e=0):
+    """Nodes of Q8 at level e: the two-dimensional (Q8, chi), Q8's trivial
+    character, two characters of <1> (the first under chi) and one of <4>,
+    and at e = 0 also (Z, sign), which lies under (Q8, chi)."""
+    poset = build_poset(q8, None, e)
     ctx = get_context(q8)
-    Z, sign = _sign_char_on_center(q8)
     A = ctx.canonical(gr.generated_subgroup(q8, [1]))
     B = ctx.canonical(gr.generated_subgroup(q8, [4]))
-    return poset, {
-        "sign": poset.locate(Z, sign),
+    n = {
         "two": poset.locate(ctx.whole, ctx.irr(ctx.whole)[-1]),
         "trivial": poset.locate(ctx.whole, ctx.irr(ctx.whole)[0]),
-        "a": poset.locate(A, ctx.irr(A)[3]),
+        "a": poset.locate(A, ctx.irr(A)[1]),
         "c": poset.locate(A, ctx.irr(A)[0]),
         "b": poset.locate(B, ctx.irr(B)[0]),
     }
+    if e == 0:
+        n["sign"] = poset.locate(*_sign_char_on_center(q8))
+    return poset, n
 
 
 def test_related_equal_and_examples(q8):
-    """One-link chains through validate_chain: a node is not a step from
-    itself, (Z, sign) lies under the two-dimensional character of Q8, and
-    nodes on incomparable subgroups or on one subgroup are incomparable."""
-    poset = _poset(q8, 1)
-    n0 = poset.nodes[0]
-    assert not poset.validate_chain(_link(n0, "up", n0))
-    assert not poset.validate_chain(_link(n0, "down", n0))
-
-    # (Z, sign) vs (Q8, two-dim) needs e=0 so Z is a node
-    poset0, n = _q8_nodes(q8)
-    assert poset0.validate_chain(_link(n["sign"], "up", n["two"]))
-    assert poset0.validate_chain(_link(n["two"], "down", n["sign"]))
-
-    # incomparable subgroups, and the same subgroup with distinct characters
-    for x, y in [("a", "b"), ("a", "c")]:
-        for d in ("up", "down"):
-            assert not poset0.validate_chain(_link(n[x], d, n[y]))
-            assert not poset0.validate_chain(_link(n[y], d, n[x]))
+    """(Z, sign) lies under the two-dimensional character of Q8: the link
+    up from it and the same link read down both verify.  The self-links,
+    incomparable pairs and pairs on one subgroup that this test also
+    checked are cases of test_validate_chain_rejects_a_bad_link."""
+    poset, n = _q8_nodes(q8)
+    assert poset.validate_chain(_link(n["sign"], "up", n["two"]))
+    assert poset.validate_chain(_link(n["two"], "down", n["sign"]))
 
 
+# the level e, and one bad chain on the nodes of _q8_nodes(q8, e)
 _BAD_CHAINS = {
-    "length mismatch": lambda n: WitnessChain((n["sign"], n["two"]), ()),
-    "unknown direction": lambda n: _link(n["two"], "sideways", n["sign"]),
-    "node to itself": lambda n: _link(n["two"], "up", n["two"]),
-    "one subgroup": lambda n: _link(n["a"], "up", n["c"]),
-    "incomparable subgroups": lambda n: _link(n["a"], "up", n["b"]),
-    "constituent bit clear": lambda n: _link(n["sign"], "up", n["trivial"]),
-    "direction flipped": lambda n: _link(n["sign"], "down", n["two"]),
+    "length mismatch": (0, lambda n: WitnessChain((n["sign"], n["two"]), ())),
+    "unknown direction": (0, lambda n: _link(n["two"], "sideways", n["sign"])),
+    "node to itself, up": (0, lambda n: _link(n["two"], "up", n["two"])),
+    "node to itself, down, e=1": (1, lambda n: _link(n["a"], "down", n["a"])),
+    "one subgroup, up": (0, lambda n: _link(n["a"], "up", n["c"])),
+    "one subgroup, down": (0, lambda n: _link(n["a"], "down", n["c"])),
+    "one subgroup, reversed": (0, lambda n: _link(n["c"], "up", n["a"])),
+    "incomparable subgroups, up": (0, lambda n: _link(n["a"], "up", n["b"])),
+    "incomparable subgroups, down": (0, lambda n: _link(n["a"], "down", n["b"])),
+    "incomparable subgroups, reversed": (0, lambda n: _link(n["b"], "up", n["a"])),
+    "constituent bit clear": (0, lambda n: _link(n["sign"], "up", n["trivial"])),
+    "direction flipped": (0, lambda n: _link(n["sign"], "down", n["two"])),
+    "direction flipped, reversed": (0, lambda n: _link(n["two"], "up", n["sign"])),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_CHAINS))
 def test_validate_chain_rejects_a_bad_link(q8, case):
-    """Each chain breaks one rule of validate_chain; the valid link
-    (Z, sign) up to (Q8, two-dim) is the control."""
-    poset, n = _q8_nodes(q8)
-    assert poset.validate_chain(_link(n["sign"], "up", n["two"]))
-    assert poset.validate_chain(_BAD_CHAINS[case](n)) is False
+    """Each chain breaks one rule of validate_chain; the valid link from
+    (Q8, chi) down to (<1>, psi), at the same level, is the control."""
+    e, make = _BAD_CHAINS[case]
+    poset, n = _q8_nodes(q8, e)
+    assert poset.validate_chain(_link(n["two"], "down", n["a"]))
+    assert poset.validate_chain(make(n)) is False
 
 
 def _brute_component_count(G, e):
@@ -760,37 +761,17 @@ def test_a_character_under_no_character_of_its_up_cover_exits_5(flags):
     assert "internal check failed" in proc.stderr
 
 
-_COUNT_ONE_TOO_HIGH = """
-import sys
-from charposet import families
-from charposet.errors import ComponentCoverageError
-from charposet.poset import ComponentPartition, build_poset
-
-poset = build_poset(families.builtin("Quaternion(8)"), 2, 1)
-part = poset.components()
-over = ComponentPartition(part.count + 1, part.roots, part.peaks)
-try:
-    poset.component_representatives(over, poset.subgroups[-1])
-except ComponentCoverageError as err:
-    print(err)
-    sys.exit(err.exit_code)
-sys.exit("component_representatives took a count one too high")
-"""
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
-def test_a_component_without_a_representative_exits_5(flags):
+def test_a_component_without_a_representative_raises(q8):
     """A partition whose count is one too high leaves a component with no
     node on the chosen subgroup: component_representatives raises
-    ComponentCoverageError, whose exit code is 5, under plain Python and
-    under python -O."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _COUNT_ONE_TOO_HIGH],
-        capture_output=True, text=True, env=env, check=False, timeout=120,
-    )
-    assert proc.returncode == 5, proc.stderr
-    assert proc.stdout == "only 2 of 3 components contain a node with the chosen subgroup\n"
+    ComponentCoverageError, an internal check that exits 5.  It raises
+    without an assert, so python -O cannot skip it."""
+    poset = build_poset(q8, 2, 1)
+    part = poset.components()
+    over = ComponentPartition(part.count + 1, part.roots, part.peaks)
+    with pytest.raises(ComponentCoverageError, match="only 2 of 3 components"):
+        poset.component_representatives(over, poset.subgroups[-1])
+    assert ComponentCoverageError.exit_code == 5
 
 
 # sha256 of canonical_json(poset_json(...)) and of poset_dot(...) at each e,
