@@ -10,7 +10,7 @@ explicit connectivity witness chains, and verifies
 of order p^(e+1).
 """
 
-from .cyclotomic import CycInt, arith, as_integer, conjugate, exact_div_int, zeta_pow
+from .cyclotomic import CycInt, as_integer, conjugate, exact_div_int, zeta_pow
 from .errors import CharposetError
 from .families import builtin, builtin_catalog
 from .groups import (
@@ -49,10 +49,8 @@ from .poset import (
     ComponentPartition,
     PosetNode,
     WitnessChain,
-    abelian_component_count,
     build_poset,
     central_poset_map,
-    components,
 )
 from .verify import TheoremReport, compute_I, sweep, theorem_report
 
@@ -71,17 +69,14 @@ __all__ = [
     "Subgroup",
     "TheoremReport",
     "WitnessChain",
-    "abelian_component_count",
     "abelian_decomposition",
     "all_subgroups",
-    "arith",
     "as_integer",
     "build_poset",
     "builtin",
     "builtin_catalog",
     "center",
     "central_poset_map",
-    "components",
     "compute_I",
     "conjugacy_classes",
     "conjugate",

@@ -139,13 +139,6 @@ class CycInt:
 
     __rmul__ = __mul__
 
-    def approx(self) -> complex:
-        """Debug printer only: floating approximation of the value."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.n)
-        return sum(c * z**i for i, c in enumerate(self.coeffs))
-
 
 def _check(a: CycInt, b: CycInt) -> None:
     if a.n != b.n:
@@ -202,17 +195,6 @@ def zeta_pow(n: int, k: int) -> CycInt:
     poly = [0] * (k + 1)
     poly[k] = 1
     return CycInt(n, reduce_coeffs(n, poly), _raw=True)
-
-
-def arith(a: CycInt, b: CycInt, op: str) -> CycInt:
-    """Ring arithmetic dispatch; op in {add, sub, mul}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def conjugate(a: CycInt) -> CycInt:

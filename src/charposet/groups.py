@@ -357,6 +357,8 @@ def require_p_group(G: GroupTable, p: Optional[int] = None) -> int:
     if G.order == 1:
         if p is None:
             raise NotPGroup("trivial group: the prime must be given explicitly")
+        if prime_of(p) != p:
+            raise NotPGroup(f"p = {p} is not a prime")
         return p
     q = prime_of(G.order)
     if q is None:

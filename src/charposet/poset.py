@@ -55,7 +55,6 @@ from .errors import (
     InternalCheckError,
     InvalidExponent,
     NoConstituent,
-    NotAbelian,
     NotMultipleOfLinear,
     PreconditionFailed,
 )
@@ -101,16 +100,22 @@ class WitnessChain:
         return len(self.nodes)
 
 
+def level_range(G: GroupTable, p: int) -> range:
+    """The levels of G, a group of order p^n for the prime p: 0 <= e < n."""
+    n, m = 0, G.order
+    while m > 1:
+        m //= p
+        n += 1
+    return range(n)
+
+
 def check_level(G: GroupTable, p: int, e: int) -> None:
-    """Raise InvalidExponent unless e >= 0 and p^(e+1) <= |G|."""
+    """Raise InvalidExponent unless e is in level_range(G, p); p^(e+1) is
+    named as text, never evaluated."""
     if e < 0:
         raise InvalidExponent(f"e = {e}: the level e must be >= 0")
-    if p ** (e + 1) > G.order:
-        raise InvalidExponent(f"p^(e+1) = {p ** (e + 1)} exceeds |G| = {G.order}")
-
-
-def _order(S: Subgroup) -> int:
-    return len(S.elems)
+    if e not in level_range(G, p):
+        raise InvalidExponent(f"p^(e+1) = {p}^{e + 1} exceeds |G| = {G.order}")
 
 
 class CharacterPoset:
@@ -130,7 +135,7 @@ class CharacterPoset:
         self.strategy = strategy
         self.min_order = p ** (e + 1)
         lattice = ctx.lattice()  # sorted by order, so the level is a suffix
-        self.subgroups = lattice[bisect_left(lattice, self.min_order, key=_order) :]
+        self.subgroups = lattice[bisect_left(lattice, self.min_order, key=len) :]
         self.offsets = list(accumulate((len(ctx.irr_rows(S)) for S in self.subgroups), initial=0))
         self.node_count = self.offsets.pop()
 
@@ -402,12 +407,6 @@ def build_poset(
     return CharacterPoset(ctx, p if p is not None else require_p_group(G), e, strategy)
 
 
-def components(
-    G: GroupTable, p: Optional[int], e: int, strategy: str = "maximal"
-) -> ComponentPartition:
-    return build_poset(G, p, e, strategy).components()
-
-
 def central_poset_map(alpha: ClassFunction, A: Subgroup) -> ClassFunction:
     """The unique linear beta on a nontrivial central A with
     alpha restricted to A equal to deg(alpha) * beta."""
@@ -443,14 +442,3 @@ def central_index(lookup: dict, rows: tuple, d: int) -> int:
             "restriction to the central subgroup is not a multiple of one linear character"
         )
     return idx
-
-
-def abelian_component_count(A: GroupTable, f: int) -> int:
-    """Component count of the poset of an abelian group of order p^(f+1) at
-    level f: a single subgroup, no cross-character relations."""
-    if not A.is_abelian():
-        raise NotAbelian(f"{A.name} is not abelian")
-    p = require_p_group(A)
-    if A.order != p ** (f + 1):
-        raise InvalidExponent(f"|A| = {A.order} is not p^(f+1) = {p ** (f + 1)}")
-    return components(A, p, f).count

@@ -8,8 +8,9 @@ order p^(e+1).  The checked facts are
 and: the poset is connected iff I is trivial.  When I n Z(G) is nontrivial
 the run also exercises the central restriction map (well-defined, constant
 on components, surjective onto Irr(I n Z(G))) plus the standalone component
-count of that central subgroup's own poset.  Failures raise: they signal an
-implementation bug, not an expected outcome.
+count of that central subgroup's own poset, which is |Irr(I n Z(G))| read on
+the parent context.  Failures raise: they signal an implementation bug, not
+an expected outcome.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .groups import (
     require_p_group,
     subgroups_of_order,
 )
-from .poset import CharacterPoset, central_index, check_level
+from .poset import CharacterPoset, central_index, check_level, level_range
 
 
 @dataclass(frozen=True)
@@ -191,13 +192,7 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
 
 
 def valid_exponents(G: GroupTable, p: Optional[int] = None) -> list:
-    p = require_p_group(G, p)
-    out = []
-    e = 0
-    while p ** (e + 1) <= G.order:
-        out.append(e)
-        e += 1
-    return out
+    return list(level_range(G, require_p_group(G, p)))
 
 
 def sweep(

@@ -16,7 +16,7 @@ from charposet import groups as gr
 from charposet.characters import get_context, inner_product, irr, restrict
 from charposet.cli import main as cli_main
 from charposet.errors import WitnessError
-from charposet.poset import abelian_component_count, build_poset, central_poset_map
+from charposet.poset import build_poset, central_poset_map
 from charposet.verify import compute_I, theorem_report, valid_exponents
 
 from conftest import bfs_components
@@ -238,7 +238,7 @@ def test_criterion_7_central_map_suite(swept):
         ("ElemAbelian(3,2)", 1, 9),
         ("Cyclic(5,1)", 0, 5),
     ]:
-        assert abelian_component_count(fam.builtin(spec), f) == expected
+        assert build_poset(fam.builtin(spec), None, f).components().count == expected
     _ok(
         f"criterion 7: central map well-defined, component-constant and surjective on "
         f"{checked} posets; abelian component counts equal group orders"
@@ -255,7 +255,7 @@ def test_central_count_matches_quotient_oracle(swept):
         ctx = get_context(G)
         IZ = gr.intersect_all([compute_I(G, p, e), ctx.center])
         table, _ = gr.quotient(IZ, gr.trivial_subgroup(G))
-        count = abelian_component_count(table, valid_exponents(table, p)[-1])
+        count = build_poset(table, p, valid_exponents(table, p)[-1]).components().count
         assert count == len(ctx.irr(IZ)) == len(IZ.elems), (spec, e)
         checked += 1
     _ok(f"central count: parent context and quotient table agree on {checked} (group, e) pairs")

@@ -170,6 +170,30 @@ def test_poset_bad_exponent(capsys):
     assert "e = -1: the level e must be >= 0" in err
 
 
+@pytest.mark.parametrize("e, code", [(2, 0), (3, 3), (20000, 3), (10**9, 3)])
+def test_verify_level_at_or_above_the_top_exits_3(capsys, e, code):
+    """A level is checked on exponents, so one far above the top is named
+    as text (p^(e+1) = 2^20001), never evaluated."""
+    got, _, err = run(capsys, "verify", "--group", "Dihedral(8)", "--e", str(e))
+    assert got == code
+    if code:
+        assert err == f"error: p^(e+1) = 2^{e + 1} exceeds |G| = 8\n"
+
+
+@pytest.mark.parametrize("flags", ["--p 0", "--p 1", "--p 4", "--p -3", "--p 1 --e 0"])
+def test_trivial_group_with_a_p_that_is_not_prime_exits_3(flags):
+    """Run in a subprocess with a timeout: a p of 0 or 1 once made the
+    level loop run without end."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "charposet.cli", "verify", "--group", "Cyclic(2,0)", *flags.split()],
+        capture_output=True, text=True, env=env, check=False, timeout=60,
+    )
+    p = flags.split()[1]
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr == f"error: p = {p} is not a prime\n"
+
+
 def _sl23_table():
     """SL(2,3): the 24 2x2 matrices over F_3 of determinant 1."""
     mats = [m for m in itertools.product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3 == 1]

@@ -20,6 +20,7 @@ from charposet.errors import (
     NotAbelian,
     NotAssociative,
     NotNormal,
+    NotPGroup,
     OrderCapExceeded,
 )
 
@@ -33,6 +34,15 @@ def _z4_table():
 def test_from_cayley_trivial():
     G = gr.from_cayley([[0]])
     assert G.order == 1 and G.exponent == 1 and G.identity == 0
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_trivial_group_needs_a_prime(p):
+    """Every prime is the prime of the trivial group; no other p is."""
+    G = gr.from_cayley([[0]])
+    with pytest.raises(NotPGroup, match=f"p = {p} is not a prime"):
+        gr.require_p_group(G, p)
+    assert gr.require_p_group(G, 2) == 2 and gr.require_p_group(G, 3) == 3
 
 
 def test_from_cayley_z4():

@@ -17,7 +17,6 @@ from charposet.errors import (
     ComponentCoverageError,
     InputError,
     InvalidExponent,
-    NotAbelian,
     NotASubgroup,
     NotPGroup,
     PreconditionFailed,
@@ -28,10 +27,8 @@ from charposet.poset import (
     ComponentPartition,
     PosetNode,
     WitnessChain,
-    abelian_component_count,
     build_poset,
     central_poset_map,
-    components,
 )
 from charposet.verify import theorem_report, valid_exponents
 
@@ -226,8 +223,8 @@ def _brute_component_count(G, e):
 def test_component_counts(spec, e, expected):
     G = fam.builtin(spec)
     assert _brute_component_count(G, e) == expected
-    assert components(G, None, e, "full").count == expected
-    assert components(G, None, e, "maximal").count == expected
+    assert build_poset(G, None, e).components().count == expected
+    assert bfs_components(build_poset(G, None, e, "full"))[1] == expected
 
 
 def test_strategy_partitions_identical(q8, d8, d16, c4xc2, e222):
@@ -238,7 +235,7 @@ def test_strategy_partitions_identical(q8, d8, d16, c4xc2, e222):
             if 2 ** (e + 1) > G.order:
                 break
             labels, count = bfs_components(_poset(G, e, "full"))
-            part = components(G, None, e, "maximal")
+            part = build_poset(G, None, e).components()
             assert part.node_to_component == labels
             assert part.count == count
 
@@ -599,14 +596,7 @@ def test_central_poset_map_constant_on_comparable_pairs(q8, d8):
     ],
 )
 def test_abelian_component_count(spec, f, expected):
-    assert abelian_component_count(fam.builtin(spec), f) == expected
-
-
-def test_abelian_component_count_errors(q8, c4):
-    with pytest.raises(NotAbelian):
-        abelian_component_count(q8, 2)
-    with pytest.raises(InvalidExponent):
-        abelian_component_count(c4, 0)
+    assert build_poset(fam.builtin(spec), None, f).components().count == expected
 
 
 def test_edge_lists_deterministic(q8):

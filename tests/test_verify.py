@@ -17,7 +17,7 @@ from charposet import groups as gr
 from charposet import verify
 from charposet.characters import get_context
 from charposet.errors import CriterionViolation, InvalidExponent, NotPGroup
-from charposet.poset import CharacterPoset, ComponentPartition, components
+from charposet.poset import CharacterPoset, ComponentPartition, build_poset
 from charposet.verify import (
     compute_I,
     sweep,
@@ -59,6 +59,7 @@ def test_compute_I_invalid_exponent(q8):
 def test_valid_exponents(q8, c16):
     assert valid_exponents(q8) == [0, 1, 2]
     assert valid_exponents(c16) == [0, 1, 2, 3]
+    assert valid_exponents(fam.builtin("Cyclic(2,0)"), 2) == []
 
 
 def test_theorem_report_d8(d8):
@@ -209,7 +210,7 @@ def _degrees(G):
 def _component_sizes(G):
     """The sorted multiset of component sizes at every e."""
     return [
-        sorted(Counter(components(G, None, e).node_to_component).values())
+        sorted(Counter(build_poset(G, None, e).components().node_to_component).values())
         for e in valid_exponents(G)
     ]
 
