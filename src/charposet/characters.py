@@ -4,15 +4,17 @@ Irr(H) takes one of four routes (_compute_irr):
 
 * a proper subgroup H of a p-group whose up cover U (its first cover in
   maximal_pairs() order, read only once the lattice is built) is abelian
-  gets singleton classes with no conjugation, and Irr(H) as the |H|
-  distinct restrictions of Irr(U), since every linear character of H
-  extends to U;
+  takes the fibres of Irr(U) on H's generating sequence (_fibre_irr):
+  every linear character of H extends to U and is fixed by its values on
+  generators, so the |H| fibres are Irr(H), one restricted row each, and
+  the same pass gives the masks of (H, U); no class array is built, and
+  classes(H), singletons, stays lazy for its readers;
 * any other abelian H (as many classes as elements: a whole group, whose
   Irr never builds the lattice, an abelian H under a nonabelian U, an
   abelian subgroup of a group that is not a p-group) gets its |H| linear
   characters as exponent maps, grown over the cosets of the trivial
   subgroup inside the ambient table; this coset walk is also the oracle of
-  the restriction route;
+  the fibre route;
 * a nonabelian subgroup of a p-group is built by Clifford theory at prime
   index over its maximal subgroups, with no search and no induction: the
   p extensions of each invariant linear character of the first maximal K
@@ -26,9 +28,10 @@ Irr(H) takes one of four routes (_compute_irr):
   the Clifford route.
 
 Completeness is asserted: the two abelian routes must give |H| distinct
-linear characters, the other two routes check the class count and the sum
-of squared degrees, and the Clifford route also the regular character.  So
-a gap in a method surfaces as an error rather than a wrong answer.
+linear characters (|H| fibres on the fibre route), the other two routes
+check the class count and the sum of squared degrees, and the Clifford
+route also the regular character.  So a gap in a method surfaces as an
+error rather than a wrong answer.
 
 All values are exact cyclotomic integers at one global conductor n, the
 exponent of the ambient group.  A ClassFunction stores them as a row of
@@ -52,8 +55,9 @@ values and value_at, the wide paths, and export, which unpacks each
 distinct value once.
 
 A per-group CharContext is the one home of each structural fact of the
-group: Z(G), the subgroup lattice with its index-p cover relation and a
-generating set of G, conjugacy classes, character sets with their row
+group: Z(G), the subgroup lattice with its index-p cover relation and, per
+subgroup, the sequence it was built from and whether it is abelian,
+conjugacy classes, character sets with their row
 index, restriction decompositions as constituent bitmasks, and the
 component partitions of the poset levels, each keyed S.mask -> fact (a
 pair K <= H: (K.mask, H.mask) -> fact); everything it stores is
@@ -76,25 +80,26 @@ entry j says that psi_i in Irr(K) is a constituent of chi_j restricted to K
 (1 << j when K = H).  Union-find, edge export and witness chains all read
 these masks (restriction_edges).
 
-A pair of index p in a p-group (every cover pair of the lattice) takes the
-Clifford route: K is normal, so each chi_K is one irreducible or the sum of
-one H-conjugation orbit, found by row lookups with no inner product; one
-orbit split (CharContext._clifford_split) serves these masks and Irr.  All
-of Irr(H) is restricted at once and looked up in char_index(K) by one map;
-when every chi_K is irreducible (always so for an abelian H) those indices
-are the masks' single bits, and only the misses go on to the orbit walk.
+A pair of index p in a p-group (every cover pair of the lattice) whose
+masks the fibre pass has not stored takes the Clifford route: K is normal,
+so each chi_K is one irreducible or the sum of one H-conjugation orbit,
+found by row lookups with no inner product; one orbit split
+(CharContext._clifford_split) serves these masks and Irr.  All of Irr(H) is
+restricted at once and looked up in char_index(K) by one map; when every
+chi_K is irreducible (always so for an abelian H) those indices are the
+masks' single bits, and only the misses go on to the orbit walk.
 Every other pair (the full strategy's non-cover pairs, witness chains,
 groups that are not p-groups) is decomposed by inner products; that route is
 kept as the general case and as the oracle of the Clifford route.
 
 Restricting all of Irr(H) to K has one form, CharContext._restricted_rows,
-which every edge route, Irr's restriction route and verify's central suite
-read.
+which the Clifford and inner-product edge routes and verify's central suite
+read; for an abelian H it reads positions in H.elems, with no class array.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cache, reduce
 from math import isqrt
 from operator import attrgetter, itemgetter, or_
@@ -266,7 +271,8 @@ class CharContext:
         self.zeta_exponent = {row: k for k, row in enumerate(self.zeta_rows)}
         self._lattice: Optional[list] = None
         self._lattice_error: Optional[str] = None  # the LatticeTooLarge message, once raised
-        self.generators: tuple = ()  # a generating set of G, read off the lattice
+        # S.mask -> (the sequence the lattice built S from, whether S is abelian)
+        self._sequences: dict = {}
         self._maximal: dict = {}  # H.mask -> H's maximal subgroups, sorted by elements
         self.up_cover: dict = {}  # K.mask -> K's first cover in maximal_pairs() order
         self._by_mask: dict = {}  # S.mask -> the lattice's own instance of S
@@ -297,15 +303,13 @@ class CharContext:
             if self._lattice_error is not None:
                 raise LatticeTooLarge(self._lattice_error)
             covers: list = []
-            gens: list = []
             try:
                 self._lattice = all_subgroups(
-                    self.group, self.order_cap, DEFAULT_LATTICE_CAP, covers, gens
+                    self.group, self.order_cap, DEFAULT_LATTICE_CAP, covers, self._sequences
                 )
             except LatticeTooLarge as err:
                 self._lattice_error = str(err)
                 raise
-            self.generators = tuple(gens)
             self._by_mask = {S.mask: S for S in self._lattice}
             maximal, up = self._maximal, self.up_cover
             for K, H in covers:
@@ -316,6 +320,12 @@ class CharContext:
             for below in maximal.values():
                 below.sort(key=attrgetter("elems"))
         return self._lattice
+
+    @property
+    def generators(self) -> tuple:
+        """A generating set of G: the lattice's sequence of G."""
+        self.lattice()
+        return self._sequences[self.whole.mask][0]
 
     def canonical(self, S: Subgroup) -> Subgroup:
         """The lattice's own instance for this element set of G."""
@@ -352,12 +362,20 @@ class CharContext:
 
     def _abelian_up(self, S: Subgroup) -> Optional[Subgroup]:
         """S's first cover up_cover[S] when the lattice is built and that
-        cover is abelian, else None.  Only reads up_cover: it never builds
+        cover is abelian (the lattice's flag), else None.  It never builds
         the lattice."""
         U = self.up_cover.get(S.mask)
-        if U is not None and self.classes(U).count == len(U.elems):
+        if U is not None and self._sequences[U.mask][1]:
             return U
         return None
+
+    def is_abelian(self, S: Subgroup) -> bool:
+        """The lattice's flag when the lattice holds S, else whether S has as
+        many classes as elements."""
+        hit = self._sequences.get(S.mask)
+        if hit is None:
+            return self.classes(S).count == len(S.elems)
+        return hit[1]
 
     def linear(self, S: Subgroup) -> tuple:
         """The degree-1 front of irr(S)."""
@@ -424,11 +442,16 @@ class CharContext:
         K.  Entry j is 1 << j when K = H.
 
         In a p-group a subgroup of index p is normal, so those pairs take the
-        Clifford route (_clifford_edges).  Every other pair takes the
-        inner-product route (_inner_product_edges), which is kept as the
-        general case and as the oracle of the Clifford route."""
+        Clifford route (_clifford_edges), unless K lies under the abelian up
+        cover H, whose masks the fibre pass over Irr(H) stores with Irr(K)
+        (_fibre_irr).  Every other pair takes the inner-product route
+        (_inner_product_edges), which is kept as the general case and as the
+        oracle of the Clifford route."""
         key = (K.mask, H.mask)
         hit = self._edges.get(key)
+        if hit is None:
+            self.irr_rows(K)  # Irr(K) by the fibre pass stores the masks under up(K)
+            hit = self._edges.get(key)
         if hit is None:
             if K.mask == H.mask:
                 hit = tuple(1 << j for j in range(len(self.irr_rows(H))))
@@ -481,20 +504,22 @@ class CharContext:
 
     def _restricted_rows(self, K: Subgroup, H: Subgroup) -> list:
         """The rows of every chi in Irr(H), in order, restricted to K <= H:
-        one itemgetter over the classes of H that hold K's class reps.  A K
+        one itemgetter over the classes of H that hold K's class reps.  In an
+        abelian H class c is the element of rank c in H.elems, and in an
+        abelian K the reps are K.elems, so neither builds a class array.  A K
         outside H raises InternalCheckError."""
         if not K.is_subset_of(H):
             raise InternalCheckError(
                 f"{self.group.name}: K of order {len(K.elems)} is not inside H of order"
                 f" {len(H.elems)}"
             )
-        ccK = self.classes(K)
-        class_of_H = self.classes(H).class_of
-        pick = itemgetter(*[class_of_H[r] for r in ccK.reps])
-        rows = list(map(pick, self.irr_rows(H)))
-        if ccK.count == 1:  # itemgetter of one index returns the bare row
-            return [(row,) for row in rows]
-        return rows
+        if self.is_abelian(H):
+            at = [c for c, x in enumerate(H.elems) if K.mask >> x & 1]
+        else:
+            class_of_H = self.classes(H).class_of
+            reps = K.elems if self.is_abelian(K) else self.classes(K).reps
+            at = [class_of_H[r] for r in reps]
+        return list(map(_picker(at), self.irr_rows(H)))
 
     def _clifford_split(self, K: Subgroup, H: Subgroup) -> tuple:
         """(x, orbits) for K normal of prime index p in H: one x in H \\ K,
@@ -630,43 +655,74 @@ def _singleton_classes(S: Subgroup) -> ConjClasses:
     )
 
 
-def _restricted_irr(ctx: CharContext, S: Subgroup, U: Subgroup) -> set:
-    """The rows of Irr(S) for S under an abelian up cover U: every linear
-    character of S extends to U, so Irr(S) is the set of restrictions of
-    Irr(U) (CharContext._restricted_rows).  There must be exactly |S|
-    distinct ones; anything else raises IncompleteIrr."""
-    cc = ctx.classes(S)
-    found = set(ctx._restricted_rows(S, U))
-    if len(found) != cc.count:
+def _picker(at: list):
+    """row -> the tuple of its entries at the positions at: one itemgetter,
+    wrapped for a single position, where itemgetter returns the bare
+    entry."""
+    if len(at) == 1:
+        (c,) = at
+        return lambda row: (row[c],)
+    return itemgetter(*at)
+
+
+def _fibre_irr(ctx: CharContext, S: Subgroup, U: Subgroup) -> tuple:
+    """The sorted rows of Irr(S) for S under an abelian up cover U, from one
+    pass over Irr(U) that also stores the masks of (S, U).
+
+    Every linear character of S extends to U, so Irr(S) is the set of
+    restrictions of Irr(U), and a linear character is fixed by its values
+    on a generating sequence.  So each chi in Irr(U) is read at 1 and at
+    S's sequence from the lattice (in an abelian U, class c is the element
+    of rank c in U.elems), and Irr(U) falls into fibres by those values, in
+    order of first appearance.  There must be exactly |S| fibres: a
+    sequence that does not generate S gives fewer, and a row of Irr(U) that
+    is not linear one more; anything else raises IncompleteIrr.  One row
+    per fibre is restricted to S.  The masks of (S, U) are chi's fibre as a
+    bit of Irr(S); the trivial subgroup, whose masks no pass reads, stores
+    none."""
+    elems = U.elems
+    seq = (S.ambient.identity, *ctx._sequences[S.mask][0])
+    if not all(map(S.contains, seq)):
+        raise InternalCheckError(f"{S.ambient.name}: a generating sequence leaves its subgroup")
+    rowsU = ctx.irr_rows(U)
+    keys = list(map(_picker([bisect_left(elems, g) for g in seq]), rowsU))
+    fibres = dict(zip(keys, rowsU))  # one row of Irr(U) per fibre
+    if len(fibres) != len(S.elems):
         raise IncompleteIrr(
-            f"{S.ambient.name}: Irr of an abelian cover of order {len(U.elems)} restricts "
-            f"to {len(found)} distinct characters of a subgroup of order {cc.count}"
+            f"{S.ambient.name}: Irr of an abelian cover of order {len(elems)} falls into "
+            f"{len(fibres)} fibres over a subgroup of order {len(S.elems)}"
         )
-    return found
+    pick = _picker([c for c, x in enumerate(elems) if S.mask >> x & 1])
+    restricted = dict(zip(map(pick, fibres.values()), fibres))  # row of Irr(S) -> its fibre
+    rows = tuple(sorted(restricted))
+    if len(rows) > 1:
+        bit = dict(zip(map(restricted.__getitem__, rows), map((1).__lshift__, range(len(rows)))))
+        ctx._edges[(S.mask, U.mask)] = tuple(map(bit.__getitem__, keys))
+    return rows
 
 
 def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
     """Irr(H) as (rows, degrees), sorted by (degree, rows), by one of four
     routes, each of which knows the degrees it gives.
 
-    An abelian proper subgroup of a p-group whose up cover U is abelian
-    restricts Irr(U) (_restricted_irr), the pair whose edges union-find reads
-    anyway.  Any other abelian H (as many classes as elements: a whole
-    group, whose Irr never builds the lattice, an abelian H under a
-    nonabelian U, an abelian subgroup of a group that is not a p-group) gets
-    its |H| linear characters by the coset walk from the trivial subgroup.
-    A nonabelian subgroup of a p-group is built from the conjugation orbits
-    of Irr of its maximal subgroups by Clifford theory (_clifford_irr), with
-    no search and no induction.  A nonabelian subgroup of any other group
-    takes the monomial search (_monomial_irr), which is also the oracle of
-    the Clifford route."""
+    A proper subgroup of a p-group whose up cover U is abelian takes the
+    fibres of Irr(U) on its generating sequence (_fibre_irr), which also
+    give the masks of (H, U) that union-find reads, and builds no classes.
+    Any other abelian H (as many classes as elements: a whole group, whose
+    Irr never builds the lattice, an abelian H under a nonabelian U, an
+    abelian subgroup of a group that is not a p-group) gets its |H| linear
+    characters by the coset walk from the trivial subgroup.  A nonabelian
+    subgroup of a p-group is built from the conjugation orbits of Irr of its
+    maximal subgroups by Clifford theory (_clifford_irr), with no search and
+    no induction.  A nonabelian subgroup of any other group takes the
+    monomial search (_monomial_irr), which is also the oracle of the
+    Clifford route."""
+    U = ctx._abelian_up(H)
+    if U is not None:
+        return _fibre_irr(ctx, H, U), _ones(len(H.elems))
     cc = ctx.classes(H)
     if cc.count == len(H.elems):
-        U = ctx._abelian_up(H)
-        if U is None:
-            rows = _linear_characters(ctx, H, (H.ambient.identity,))
-        else:
-            rows = _restricted_irr(ctx, H, U)
+        rows = _linear_characters(ctx, H, (H.ambient.identity,))
         return tuple(sorted(rows)), _ones(len(rows))
     if ctx._prime is not None:
         rows, degrees = _clifford_irr(ctx, H)
@@ -833,7 +889,7 @@ def _monomial_irr(ctx: CharContext, H: Subgroup) -> list:
 def irr(H: Subgroup) -> tuple:
     """The complete irreducible character set of H, canonically ordered
     (degree-major, then lexicographic in the rows), by the route of
-    _compute_irr: for an abelian H, restrictions of Irr of an abelian up
+    _compute_irr: for an abelian H, the fibres of Irr of an abelian up
     cover or else linear characters by the coset walk; Clifford theory over
     the maximal subgroups in a p-group, the monomial search otherwise."""
     return get_context(H.ambient).irr(H)

@@ -136,7 +136,11 @@ def char_table_dict(ctx: CharContext, S: Subgroup, shared: tuple) -> dict:
     the character dict of each row tuple (the identity value fixes the
     degree), and the characters list of each tuple of a table's rows."""
     values, chars, tables = shared
-    cc = ctx.classes(S)
+    if ctx.is_abelian(S):  # one class per element, in index order: no class array
+        reps, sizes = S.elems, [1] * len(S.elems)
+    else:
+        cc = ctx.classes(S)
+        reps, sizes = cc.reps, list(cc.sizes)
     G = ctx.group
     n, width, digits = ctx.conductor, ctx.width, ctx.digits
 
@@ -159,9 +163,9 @@ def char_table_dict(ctx: CharContext, S: Subgroup, shared: tuple) -> dict:
     return {
         "order": len(S.elems),
         "elements": list(S.elems),
-        "class_sizes": list(cc.sizes),
-        "class_rep_orders": [G.elem_order[r] for r in cc.reps],
-        "class_reps": list(cc.reps),
+        "class_sizes": sizes,
+        "class_rep_orders": [G.elem_order[r] for r in reps],
+        "class_reps": list(reps),
         "characters": characters,
     }
 

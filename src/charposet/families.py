@@ -16,7 +16,7 @@ import math
 from typing import Sequence
 
 from .errors import InternalCheckError, OrderCapExceeded, UnknownFamily
-from .groups import DEFAULT_ORDER_CAP, GroupTable, from_cayley, prime_of
+from .groups import DEFAULT_ORDER_CAP, GroupTable, from_cayley, is_prime
 
 
 def _check_cap(order: int, cap: int) -> None:
@@ -25,7 +25,7 @@ def _check_cap(order: int, cap: int) -> None:
 
 
 def _require_prime(p: int) -> None:
-    if prime_of(p) != p:
+    if not is_prime(p):
         raise UnknownFamily(f"{p} is not prime")
 
 

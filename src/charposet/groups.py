@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     ClosureTooLarge,
+    DomainError,
     EmptyInput,
     InputError,
     InternalCheckError,
@@ -352,12 +353,49 @@ def prime_of(order: int) -> Optional[int]:
     return p if order == 1 else None
 
 
+# Sorenson and Webster (2015): the least strong pseudoprime to the first
+# thirteen prime bases 2, ..., 41 is psi_13 = 3317044064679887385961981, so
+# the test to those bases is exact below it.  (The first twelve, up to 37,
+# pass psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.)
+PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin to PRIME_TEST_BASES, which is
+    proven exact below PRIME_TEST_BOUND; a larger n raises DomainError."""
+    if n >= PRIME_TEST_BOUND:
+        raise DomainError(
+            f"p = {n} is not below {PRIME_TEST_BOUND}, the bound below which primality is proven"
+        )
+    if n < 2:
+        return False
+    for q in PRIME_TEST_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in PRIME_TEST_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def require_p_group(G: GroupTable, p: Optional[int] = None) -> int:
     """Return the prime, raising NotPGroup otherwise."""
     if G.order == 1:
         if p is None:
             raise NotPGroup("trivial group: the prime must be given explicitly")
-        if prime_of(p) != p:
+        if not is_prime(p):
             raise NotPGroup(f"p = {p} is not a prime")
         return p
     q = prime_of(G.order)
@@ -468,10 +506,11 @@ def all_subgroups(
     order_cap: int = DEFAULT_ORDER_CAP,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
     covers: Optional[list] = None,
-    generators: Optional[list] = None,
+    sequences: Optional[dict] = None,
 ) -> list:
     """Every subgroup of G exactly once, sorted by (order, elements); when
-    generators is a list, a generating set of G is appended to it.
+    sequences is a dict, it maps each S.mask to (a generating sequence of S,
+    whether S is abelian).
 
     A p-group's lattice is built layer by layer by cyclic extension
     (Neubüser 1960): every subgroup K of order p^(k+1) has a normal subgroup
@@ -483,16 +522,19 @@ def all_subgroups(
     order.  Each new union of cosets K is certified to be the subgroup <H, x>
     by K x <= K (|K| table reads), and the count of each layer is checked
     against Frobenius's theorem (the number of subgroups of order p^k of a
-    p-group is 1 mod p).
+    p-group is 1 mod p).  The sequence of H<x> is the sequence of the H it
+    was first met over, plus x, so it has length log_p|H<x>|; H<x> is
+    abelian when H is and x commutes with H's sequence.
 
     Any other group takes closures of (known subgroup, one extra element) to
-    a fixpoint, starting from the cyclic subgroups, and records no covers.
+    a fixpoint, starting from the cyclic subgroups, and records no covers;
+    the sequence of each subgroup is the elements it was closed from.
     """
     if G.order > order_cap:
         raise OrderCapExceeded(f"|G| = {G.order} exceeds cap {order_cap}")
     p = prime_of(G.order)
     if p is not None:
-        return _cyclic_extension_lattice(G, p, lattice_cap, covers, generators)
+        return _cyclic_extension_lattice(G, p, lattice_cap, covers, sequences)
 
     found: dict[tuple, Subgroup] = {}
     gens_of: dict[tuple, tuple] = {}
@@ -521,13 +563,16 @@ def all_subgroups(
         for x in range(G.order):
             if not H.contains(x):
                 add(closure_from_gens(G, base_gens + (x,)), base_gens + (x,))
-    if generators is not None:
-        generators.extend(gens_of[tuple(range(G.order))])
+    if sequences is not None:
+        t = G.table
+        for elems, gens in gens_of.items():
+            abelian = all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[:i])
+            sequences[found[elems].mask] = (gens, abelian)
     return sorted(found.values(), key=lambda S: (len(S.elems), S.elems))
 
 
 def _cyclic_extension_lattice(
-    G: GroupTable, p: int, lattice_cap: int, covers: Optional[list], generators: Optional[list]
+    G: GroupTable, p: int, lattice_cap: int, covers: Optional[list], sequences: Optional[dict]
 ) -> list:
     """all_subgroups for a p-group: layer k+1 is every H<x> over layer k."""
     t = G.table
@@ -539,11 +584,14 @@ def _cyclic_extension_lattice(
         roots[G.power(x, p)] |= 1 << x
     trivial = trivial_subgroup(G)
     out = [trivial]
-    # One layer: (subgroup, the generators its normaliser test conjugates).
-    layer = [(trivial, ())]
+    # One layer: (subgroup, its sequence, which the normaliser test
+    # conjugates, whether it is abelian).
+    layer = [(trivial, (), True)]
+    if sequences is not None:
+        sequences[trivial.mask] = ((), True)
     while len(layer[0][0].elems) < n:
         found: dict[int, tuple] = {}
-        for H, gens in layer:
+        for H, gens, abelian in layer:
             hmask = H.mask
             helems = H.elems
             # The x outside H with x^p in H, less the overgroups already met.
@@ -575,7 +623,10 @@ def _cyclic_extension_lattice(
                         if len(out) + len(found) >= lattice_cap:
                             raise LatticeTooLarge(f"more than {lattice_cap} subgroups")
                         _check_extension(G, kelems, kmask, x)
-                        hit = found[kmask] = (Subgroup(G, kelems, validate=False), gens + (x,))
+                        commute = abelian and all(tx[g] == t[g][x] for g in gens)
+                        hit = found[kmask] = (
+                            Subgroup(G, kelems, validate=False), gens + (x,), commute
+                        )
                     if covers is not None:
                         covers.append((H, hit[0]))
                     candidates &= ~kmask
@@ -585,9 +636,10 @@ def _cyclic_extension_lattice(
                 f"not 1 mod {p} (Frobenius)"
             )
         layer = sorted(found.values(), key=lambda Sg: Sg[0].elems)
-        out += [S for S, _ in layer]
-    if generators is not None:
-        generators.extend(layer[0][1])  # the top layer is G alone
+        out += [S for S, _, _ in layer]
+        if sequences is not None:
+            for S, gens, abelian in layer:
+                sequences[S.mask] = (gens, abelian)
     return out
 
 

@@ -209,7 +209,8 @@ class CharacterPoset:
         Every further edge unions the peaks of its ends on the forest over
         Irr(G), and each finished layer stores its level's roots.  Peaks and
         forest do not depend on the level, so they stay on the context.  A
-        psi under no chi raises InternalCheckError."""
+        psi under no chi, or a mask bit beyond Irr(K), raises
+        InternalCheckError."""
         ctx = self.ctx
         levels, peaks, parent = ctx.partitions, ctx.peaks, ctx.forest
         if self.min_order in levels:
@@ -229,9 +230,15 @@ class CharacterPoset:
                 peaks[K.mask] = tuple(range(len(irr_rows(K))))
                 parent.extend(peaks[K.mask])
             else:
-                over = peaks[H.mask]
+                over, masks = peaks[H.mask], edges(K, H)
                 peak = [None] * len(irr_rows(K))
-                for b, m in zip(over, edges(K, H)):
+                top = max(masks).bit_length() - 1
+                if top >= len(peak):
+                    raise InternalCheckError(
+                        f"{self.group.name}: a mask of a subgroup of order {len(K.elems)} under "
+                        f"its up cover sets bit {top}, beyond its {len(peak)} characters"
+                    )
+                for b, m in zip(over, masks):
                     while m:  # the set bits i of m, increasing
                         low = m & -m
                         m ^= low

@@ -1,9 +1,13 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import weakref
 from functools import reduce
 from operator import or_
+from pathlib import Path
 
 import pytest
 
@@ -922,7 +926,7 @@ def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
     both routes derive from class_of are the brute-force conjugation orbits,
     and Irr of every abelian subgroup equals the coset walk's.  Exactly the
     subgroups under an abelian up cover take the singleton classes and the
-    restriction of Irr(U)."""
+    fibres of Irr(U) on their generating sequence."""
     def spy(seen, fn, at):
         def wrapped(*args):
             seen.append(args[at].elems)
@@ -931,7 +935,7 @@ def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
 
     singleton, restricted = [], []
     monkeypatch.setattr(characters, "_singleton_classes", spy(singleton, characters._singleton_classes, 0))
-    monkeypatch.setattr(characters, "_restricted_irr", spy(restricted, characters._restricted_irr, 1))
+    monkeypatch.setattr(characters, "_fibre_irr", spy(restricted, characters._fibre_irr, 1))
     specs = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 81) + fam.builtin_catalog(5, 125)
     groups = [fam.builtin(spec) for spec in specs]
     groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
@@ -1001,6 +1005,61 @@ def test_restricted_irr_certifies_irr_of_the_abelian_cover(capsys, monkeypatch):
     _tamper_compute_irr(monkeypatch, tampered, lambda ctx, S: len(S.elems) == ctx.group.order)
     assert main(["irr", "--group", "Cyclic(2,3)", "--subgroups"]) == 5
     assert "internal check failed" in capsys.readouterr().err
+
+
+_SHORT_SEQUENCE = """
+import sys
+from charposet import cli, families
+from charposet.characters import CharContext, get_context
+from charposet.errors import IncompleteIrr
+
+def shorten(ctx):
+    # Drop the last element of the sequence of every subgroup of order 4:
+    # it then generates a subgroup of order 2.
+    for mask, (seq, abelian) in list(ctx._sequences.items()):
+        if len(seq) == 2:
+            ctx._sequences[mask] = (seq[:-1], abelian)
+
+ctx = get_context(families.builtin("AbelianProduct(4,2)"))
+S = next(S for S in ctx.lattice() if len(S.elems) == 4)
+assert ctx.up_cover[S.mask] is ctx.lattice()[-1]
+shorten(ctx)
+try:
+    ctx.irr_rows(S)
+except IncompleteIrr as err:
+    print(err)
+else:
+    sys.exit("Irr(S) took a sequence that does not generate S")
+
+lattice = CharContext.lattice
+
+def shortened(self):
+    fresh = self._lattice is None
+    out = lattice(self)
+    if fresh:
+        shorten(self)
+    return out
+
+CharContext.lattice = shortened
+sys.exit(0 if cli.main(["verify", "--group", "AbelianProduct(4,2)"]) == 5 else "verify did not exit 5")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_sequence_that_generates_a_proper_subgroup_exits_5(flags):
+    """Under an abelian up cover, Irr(S) is the fibres of Irr(U) on S's
+    sequence.  With its last element dropped the sequence generates a
+    subgroup of order 2 of S, of order 4, so there are 2 fibres, not 4:
+    IncompleteIrr, and verify exits 5, under plain Python and under python
+    -O."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _SHORT_SEQUENCE],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "falls into 2 fibres over a subgroup of order 4" in proc.stdout
+    assert "internal check failed" in proc.stderr
 
 
 def test_stored_irr_is_rows_and_degrees_in_canonical_order():

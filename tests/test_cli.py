@@ -7,11 +7,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from charposet import cli, verify
+from charposet import characters, cli, verify
 from charposet.characters import CharContext
 from charposet.cli import main
 from charposet.errors import (
@@ -192,6 +193,23 @@ def test_trivial_group_with_a_p_that_is_not_prime_exits_3(flags):
     p = flags.split()[1]
     assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
     assert proc.stderr == f"error: p = {p} is not a prime\n"
+
+
+def test_trivial_group_tests_a_large_p_fast_and_exactly(capsys):
+    """The prime of the trivial group is tested by Miller-Rabin, not trial
+    division: the least prime above 10^16 exits 0 at once; 561 (a Carmichael
+    number) and 3215031751 (a strong pseudoprime to the bases 2, 3, 5 and 7)
+    exit 3; a p from the bound where the test is proven on exits 3 and names
+    the bound."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--group", "Cyclic(2,0)", "--p", "10000000000000061")
+    assert (code, err) == (0, "") and time.perf_counter() - start < 0.5
+    for p in (561, 3215031751):
+        code, out, err = run(capsys, "verify", "--group", "Cyclic(2,0)", "--p", str(p))
+        assert (code, out, err) == (3, "", f"error: p = {p} is not a prime\n")
+    bound = "3317044064679887385961981"
+    code, out, err = run(capsys, "verify", "--group", "Cyclic(2,0)", "--p", bound)
+    assert (code, out) == (3, "") and f"is not below {bound}" in err
 
 
 def _sl23_table():
@@ -467,12 +485,22 @@ def test_sweep_small_and_deterministic(tmp_path, capsys):
 
 def test_sweep_internal_check_failure_exits_5(monkeypatch, capsys):
     """An internal-check failure recorded by the sweep exits 5, as verify
-    does for the same failure, and the errors entries keep their kind."""
+    does for the same failure, and the errors entries keep their kind.  The
+    Clifford route raises, and the fibre pass withholds the masks it
+    computes with Irr, so every cover pair reaches the failure."""
 
     def broken(self, K, H):
         raise IncompleteIrr("restriction edges withheld")
 
+    fibre_irr = characters._fibre_irr
+
+    def withheld(ctx, S, U):
+        rows = fibre_irr(ctx, S, U)
+        ctx._edges.pop((S.mask, U.mask), None)
+        return rows
+
     monkeypatch.setattr(CharContext, "_clifford_edges", broken)
+    monkeypatch.setattr(characters, "_fibre_irr", withheld)
     code, out, _ = run(capsys, "sweep", "--p", "2", "--max-order", "8")
     assert code == 5
     doc = json.loads(out)

@@ -11,6 +11,7 @@ from charposet import families as fam
 from charposet import groups as gr
 from charposet.errors import (
     ClosureTooLarge,
+    DomainError,
     EmptyInput,
     InputError,
     InternalCheckError,
@@ -24,7 +25,7 @@ from charposet.errors import (
     OrderCapExceeded,
 )
 
-from conftest import brute_classes, brute_commuting, brute_group_check
+from conftest import brute_classes, brute_commuting, brute_group_check, relabelled
 
 
 def _z4_table():
@@ -204,6 +205,48 @@ def test_prime_of():
     assert gr.prime_of(81) == 3
     assert gr.prime_of(12) is None
     assert gr.prime_of(1) is None
+
+
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    """Miller-Rabin to the bases 2, ..., 41 agrees with trial division below
+    20,000, rejects the Carmichael number 561 and the least strong
+    pseudoprimes to the first 4, 9 and 12 prime bases, accepts the least
+    primes above 10^14 and 10^16, and refuses every n from the bound on:
+    psi_13, the least strong pseudoprime to all thirteen bases."""
+    for n in range(-5, 20_000):
+        assert gr.is_prime(n) == (gr.prime_of(n) == n), n
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not gr.is_prime(n), n
+    assert gr.is_prime(100000000000031) and gr.is_prime(10000000000000061)
+    for n in (gr.PRIME_TEST_BOUND, gr.PRIME_TEST_BOUND + 2):
+        with pytest.raises(DomainError, match=str(gr.PRIME_TEST_BOUND)):
+            gr.is_prime(n)
+
+
+def test_lattice_sequences_generate_each_subgroup_and_flag_the_abelian_ones():
+    """On the catalogs p = 2 up to 64, p = 3 up to 81, p = 5 up to 125 and
+    relabelled tables, the lattice maps every subgroup S to a sequence of
+    length log_p|S| whose closure is S, and to an abelian flag that equals
+    a brute-force commutation check over all of S."""
+    specs = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 81) + fam.builtin_catalog(5, 125)
+    groups = [fam.builtin(spec) for spec in specs]
+    groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+        ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
+    )]
+    checked = abelian = 0
+    for G in groups:
+        p = gr.require_p_group(G)
+        sequences: dict = {}
+        lattice = gr.all_subgroups(G, 256, sequences=sequences)
+        assert sorted(sequences) == sorted(S.mask for S in lattice), G.name
+        for S in lattice:
+            seq, flag = sequences[S.mask]
+            assert p ** len(seq) == len(S.elems), (G.name, S)
+            assert gr.closure_from_gens(G, seq) == S.elems, (G.name, S)
+            assert flag == (len(brute_commuting(G.table, S.elems)) == len(S.elems)), (G.name, S)
+            abelian += flag
+        checked += len(lattice)
+    assert checked > 10_000 and 0 < abelian < checked
 
 
 def test_center_abelian(c4xc2):
@@ -515,16 +558,17 @@ def test_lagrange_all_subgroups(d16):
 
 
 def test_normality_under_the_lattice_generators_matches_is_normal_in():
-    """The lattice hands out a generating set of G, and normality under it
-    agrees with conjugation by every element, on every subgroup of the
+    """The lattice hands out a generating sequence of G, and normality under
+    it agrees with conjugation by every element, on every subgroup of the
     catalogs p = 2 <= 32 and p = 3 <= 27, normal or not.  The closure route
     of a group that is not a p-group hands out generators too."""
     tally = {True: 0, False: 0}
     for spec in fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27):
         G = fam.builtin(spec)
-        gens = []
-        lattice = gr.all_subgroups(G, generators=gens)
+        sequences: dict = {}
+        lattice = gr.all_subgroups(G, sequences=sequences)
         whole = gr.whole_group(G)
+        gens = sequences[whole.mask][0]
         assert gr.closure_from_gens(G, gens) == whole.elems, spec
         for S in lattice:
             normal = gr.normalised_by(S, gens)
@@ -532,8 +576,9 @@ def test_normality_under_the_lattice_generators_matches_is_normal_in():
             tally[normal] += 1
     assert tally[True] and tally[False]
     S3 = gr.from_permutations([(1, 2, 0), (1, 0, 2)])
-    gens = []
-    lattice = gr.all_subgroups(S3, generators=gens)
-    assert gr.closure_from_gens(S3, gens) == tuple(range(6))
+    sequences = {}
+    lattice = gr.all_subgroups(S3, sequences=sequences)
     whole = gr.whole_group(S3)
+    gens = sequences[whole.mask][0]
+    assert gr.closure_from_gens(S3, gens) == tuple(range(6))
     assert [gr.normalised_by(S, gens) for S in lattice] == [gr.is_normal_in(S, whole) for S in lattice]

@@ -725,13 +725,23 @@ except InternalCheckError as err:
 else:
     sys.exit("components() took the tampered edges")
 
+# The same psi dropped on whichever route computes the pair: the Clifford
+# route, or the fibre pass that stores the masks with Irr(K).
 clifford_edges = characters.CharContext._clifford_edges
+fibre_irr = characters._fibre_irr
 
 def tampered(self, K, H):
     masks = clifford_edges(self, K, H)
     return dropped(masks) if (K.mask, H.mask) == key else masks
 
+def fibre_tampered(ctx, S, U):
+    rows = fibre_irr(ctx, S, U)
+    if (S.mask, U.mask) == key:
+        ctx._edges[key] = dropped(ctx._edges[key])
+    return rows
+
 characters.CharContext._clifford_edges = tampered
+characters._fibre_irr = fibre_tampered
 sys.exit(0 if cli.main(["verify", "--group", "Dihedral(8)"]) == 5 else "verify did not exit 5")
 """
 
@@ -748,6 +758,58 @@ def test_a_character_under_no_character_of_its_up_cover_exits_5(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert "lies under no character of its up cover" in proc.stdout
+    assert "internal check failed" in proc.stderr
+
+
+_BIT_BEYOND = """
+import sys
+from charposet import characters, cli, families
+from charposet.characters import get_context
+from charposet.errors import InternalCheckError
+from charposet.poset import CharacterPoset
+
+def beyond(masks, count):
+    return masks[:-1] + (masks[-1] | 1 << count,)
+
+ctx = get_context(families.builtin("Dihedral(8)"))
+K = next(S for S in ctx.lattice() if len(S.elems) == 2)
+key = (K.mask, ctx.up_cover[K.mask].mask)
+count = len(ctx.irr_rows(K))
+ctx._edges[key] = beyond(ctx.restriction_edges(K, ctx.up_cover[K.mask]), count)
+try:
+    CharacterPoset(ctx, 2, 0).components()
+except InternalCheckError as err:
+    print(err)
+else:
+    sys.exit("components() read a bit beyond Irr(K)")
+
+fibre_irr = characters._fibre_irr
+
+def fibre_tampered(ctx, S, U):
+    rows = fibre_irr(ctx, S, U)
+    if (S.mask, U.mask) == key:
+        ctx._edges[key] = beyond(ctx._edges[key], count)
+    return rows
+
+characters._fibre_irr = fibre_tampered
+sys.exit(0 if cli.main(["verify", "--group", "Dihedral(8)"]) == 5 else "verify did not exit 5")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_mask_bit_beyond_irr_of_the_smaller_subgroup_exits_5(flags):
+    """Masks of (K, up(K)) that name a character past the end of Irr(K),
+    as when Irr(K) no longer matches masks stored with it, make
+    components() raise InternalCheckError naming the group and |K|, not
+    IndexError, and verify exits 5, under plain Python and under python
+    -O."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _BIT_BEYOND],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "D8: a mask of a subgroup of order 2 under its up cover sets bit 2" in proc.stdout
     assert "internal check failed" in proc.stderr
 
 
