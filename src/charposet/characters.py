@@ -675,8 +675,8 @@ def _fibre_irr(ctx: CharContext, S: Subgroup, U: Subgroup) -> tuple:
     S's sequence from the lattice (in an abelian U, class c is the element
     of rank c in U.elems), and Irr(U) falls into fibres by those values, in
     order of first appearance.  There must be exactly |S| fibres: a
-    sequence that does not generate S gives fewer, and a row of Irr(U) that
-    is not linear one more; anything else raises IncompleteIrr.  One row
+    sequence that does not generate S gives fewer, and a row of Irr(U) of
+    degree above 1 one more; anything else raises IncompleteIrr.  One row
     per fibre is restricted to S.  The masks of (S, U) are chi's fibre as a
     bit of Irr(S); the trivial subgroup, whose masks no pass reads, stores
     none."""
