@@ -1,5 +1,12 @@
 """Irreducible characters of all subgroups of a fixed finite group.
 
+Whether a subgroup S is abelian is one test, CharContext.is_abelian: the
+lattice's flag once the lattice holds S (whether the generating sequence it
+built S from commutes), else whether S's elements commute.  It picks S's
+class set (singletons, with no conjugation, exactly when S is abelian) and
+the two abelian routes of Irr below, so no abelian subgroup is ever
+conjugated.
+
 Irr(H) takes one of four routes (_compute_irr):
 
 * a proper subgroup H of a p-group whose up cover U (its first cover in
@@ -9,12 +16,11 @@ Irr(H) takes one of four routes (_compute_irr):
   generators, so the |H| fibres are Irr(H), one restricted row each, and
   the same pass gives the masks of (H, U); no class array is built, and
   classes(H), singletons, stays lazy for its readers;
-* any other abelian H (as many classes as elements: a whole group, whose
-  Irr never builds the lattice, an abelian H under a nonabelian U, an
-  abelian subgroup of a group that is not a p-group) gets its |H| linear
-  characters as exponent maps, grown over the cosets of the trivial
-  subgroup inside the ambient table; this coset walk is also the oracle of
-  the fibre route;
+* any other abelian H (a whole group, whose Irr never builds the lattice,
+  an abelian H under a nonabelian U, an abelian subgroup of a group that is
+  not a p-group) gets its |H| linear characters as exponent maps, grown
+  over the cosets of the trivial subgroup inside the ambient table; this
+  coset walk is also the oracle of the fibre route;
 * a nonabelian subgroup of a p-group is built by Clifford theory at prime
   index over its maximal subgroups, with no search and no induction: the
   p extensions of each invariant linear character of the first maximal K
@@ -47,12 +53,12 @@ while row sums, scaling, hashed lookups, restriction, induction and inner
 products (one big-int accumulation, cyclotomic.packed_product_coeffs) are
 plain int operations.  Every character the package computes lies within V.
 A class function built by the public constructor, or induced, may exceed V
-up to 2^(W-1) (it is then wide): induce, inner_product and decompose take
-it through CycInt arithmetic instead, so their results do not depend on the
-packing either.  Only cyclotomic knows the digit format.  CycInt appears
-only at the boundary: the public ClassFunction constructor, the views
-values and value_at, the wide paths, and export, which unpacks each
-distinct value once.
+up to 2^(W-1) (it is then wide): induce and inner_product take it through
+CycInt arithmetic instead, and decompose checks its reconstruction on
+CycInt values, so their results do not depend on the packing either.  Only
+cyclotomic knows the digit format.  CycInt appears only at the boundary:
+the public ClassFunction constructor, the views values and value_at, the
+wide paths, and export, which unpacks each distinct value once.
 
 A per-group CharContext is the one home of each structural fact of the
 group: Z(G), the subgroup lattice with its index-p cover relation and, per
@@ -349,32 +355,22 @@ class CharContext:
     # -- classes and characters -------------------------------------------
 
     def classes(self, S: Subgroup) -> ConjClasses:
-        """S's conjugacy classes: singletons, with no conjugation, when S lies
-        under an abelian up cover; conjugacy_classes(S) otherwise."""
+        """S's conjugacy classes: singletons, with no conjugation, exactly
+        when is_abelian(S); conjugacy_classes(S) otherwise."""
         hit = self._classes.get(S.mask)
         if hit is None:
-            if self._abelian_up(S) is None:
-                hit = conjugacy_classes(S)
-            else:
-                hit = _singleton_classes(S)
-            self._classes[S.mask] = hit
+            build = _singleton_classes if self.is_abelian(S) else conjugacy_classes
+            hit = self._classes[S.mask] = build(S)
         return hit
 
-    def _abelian_up(self, S: Subgroup) -> Optional[Subgroup]:
-        """S's first cover up_cover[S] when the lattice is built and that
-        cover is abelian (the lattice's flag), else None.  It never builds
-        the lattice."""
-        U = self.up_cover.get(S.mask)
-        if U is not None and self._sequences[U.mask][1]:
-            return U
-        return None
-
     def is_abelian(self, S: Subgroup) -> bool:
-        """The lattice's flag when the lattice holds S, else whether S has as
-        many classes as elements."""
+        """The one abelian test: the lattice's flag when the lattice holds S,
+        else whether S's elements commute pairwise.  It builds no class set
+        and no lattice."""
         hit = self._sequences.get(S.mask)
         if hit is None:
-            return self.classes(S).count == len(S.elems)
+            t, elems = self.group.table, S.elems
+            return all(t[x][y] == t[y][x] for i, x in enumerate(elems) for y in elems[:i])
         return hit[1]
 
     def linear(self, S: Subgroup) -> tuple:
@@ -705,23 +701,22 @@ def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
     """Irr(H) as (rows, degrees), sorted by (degree, rows), by one of four
     routes, each of which knows the degrees it gives.
 
-    A proper subgroup of a p-group whose up cover U is abelian takes the
-    fibres of Irr(U) on its generating sequence (_fibre_irr), which also
-    give the masks of (H, U) that union-find reads, and builds no classes.
-    Any other abelian H (as many classes as elements: a whole group, whose
-    Irr never builds the lattice, an abelian H under a nonabelian U, an
-    abelian subgroup of a group that is not a p-group) gets its |H| linear
-    characters by the coset walk from the trivial subgroup.  A nonabelian
-    subgroup of a p-group is built from the conjugation orbits of Irr of its
-    maximal subgroups by Clifford theory (_clifford_irr), with no search and
-    no induction.  A nonabelian subgroup of any other group takes the
+    Both abelian tests are ctx.is_abelian.  A proper subgroup of a p-group
+    whose up cover U is abelian takes the fibres of Irr(U) on its generating
+    sequence (_fibre_irr), which also give the masks of (H, U) that
+    union-find reads, and builds no classes.  Any other abelian H (a whole
+    group, whose Irr never builds the lattice, an abelian H under a
+    nonabelian U, an abelian subgroup of a group that is not a p-group) gets
+    its |H| linear characters by the coset walk from the trivial subgroup.
+    A nonabelian subgroup of a p-group is built from the conjugation orbits
+    of Irr of its maximal subgroups by Clifford theory (_clifford_irr), with
+    no search and no induction.  A nonabelian subgroup of any other group takes the
     monomial search (_monomial_irr), which is also the oracle of the
     Clifford route."""
-    U = ctx._abelian_up(H)
-    if U is not None:
+    U = ctx.up_cover.get(H.mask)
+    if U is not None and ctx.is_abelian(U):
         return _fibre_irr(ctx, H, U), _ones(len(H.elems))
-    cc = ctx.classes(H)
-    if cc.count == len(H.elems):
+    if ctx.is_abelian(H):
         rows = _linear_characters(ctx, H, (H.ambient.identity,))
         return tuple(sorted(rows)), _ones(len(rows))
     if ctx._prime is not None:
@@ -979,17 +974,11 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> int:
 
 def decompose(theta: ClassFunction, basis: Sequence[ClassFunction]) -> tuple:
     """Multiplicities of theta against a complete irreducible basis; the
-    reconstruction is checked exactly: on the packed rows when the basis is
-    within the value bound V and the sum of |multiplicities| times V stays
-    below 2^(W-1), where packing is one to one, else on the CycInt values."""
-    ctx = get_context(theta.owner.ambient)
+    reconstruction is checked exactly, on the CycInt values."""
     mults = tuple(inner_product(theta, ch) for ch in basis)
-    reach = sum(map(abs, mults)) * ctx.value_bound
-    if reach >= 1 << (ctx.width - 1) or any(ch.wide for ch in basis):
-        target, rows, zero = theta.values, [ch.values for ch in basis], cyc.zero(ctx.conductor)
-    else:
-        target, rows, zero = theta.rows, [ch.rows for ch in basis], 0
-    for c, row in enumerate(target):
+    rows = [ch.values for ch in basis]
+    zero = cyc.zero(get_context(theta.owner.ambient).conductor)
+    for c, row in enumerate(theta.values):
         if sum((m * r[c] for m, r in zip(mults, rows) if m), zero) != row:
             raise IncompleteIrr("decomposition does not reproduce the class function")
     return mults

@@ -218,7 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _emit(export.reports_csv(result.reports), args.out)
     else:
         _emit(export.canonical_json(export.reports_json(result.reports, result.errors)), args.out)
-    if result.violations:
+    if result.internal:
         return InternalCheckError.exit_code
     if result.errors:
         return DomainError.exit_code

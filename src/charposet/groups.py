@@ -109,7 +109,8 @@ class Subgroup:
         return (self.mask >> x) & 1 == 1
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        return self.mask | other.mask == other.mask
+        """Whether self lies in other; never, for subgroups of two tables."""
+        return self.ambient is other.ambient and self.mask | other.mask == other.mask
 
     def __eq__(self, other):
         return (

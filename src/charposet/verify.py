@@ -86,10 +86,6 @@ class SweepResult:
     errors: list
     internal: list = field(default_factory=list)
 
-    @property
-    def violations(self) -> list:
-        return [r for r in self.reports if not r.ok] + self.internal
-
 
 def compute_I(G: GroupTable, p: Optional[int], e: int) -> Subgroup:
     """Intersection of all subgroups of order p^(e+1); normal in G since the

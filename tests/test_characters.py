@@ -44,6 +44,7 @@ from charposet.verify import theorem_report, valid_exponents
 
 from conftest import (
     brute_classes,
+    brute_commuting,
     closure_lattice,
     naive_induced_value,
     naive_inner_products,
@@ -925,7 +926,8 @@ def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
     ctx.classes equals conjugacy_classes field for field, the members that
     both routes derive from class_of are the brute-force conjugation orbits,
     and Irr of every abelian subgroup equals the coset walk's.  Exactly the
-    subgroups under an abelian up cover take the singleton classes and the
+    abelian subgroups (by brute-force commutation) take the singleton
+    classes, and exactly the subgroups under an abelian up cover take the
     fibres of Irr(U) on their generating sequence."""
     def spy(seen, fn, at):
         def wrapped(*args):
@@ -948,6 +950,7 @@ def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
         singleton.clear()
         restricted.clear()
         expected = {S.elems for S in lattice if _abelian_up_cover_oracle(ctx, S)}
+        abelian = {S.elems for S in lattice if brute_commuting(G.table, S.elems) == list(S.elems)}
         for S in lattice:
             cc = gr.conjugacy_classes(S)
             assert ctx.classes(S) == cc, (G.name, S)
@@ -957,10 +960,71 @@ def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
             if ctx.classes(S).count == len(S.elems):
                 walk = sorted(characters._linear_characters(ctx, S, (G.identity,)))
                 assert list(ctx.irr_rows(S)) == walk, (G.name, S)
-        assert sorted(singleton) == sorted(expected), G.name
+        assert sorted(singleton) == sorted(abelian), G.name
         assert sorted(restricted) == sorted(expected), G.name
         under_abelian += len(expected)
     assert under_abelian > 9000
+
+
+def test_no_abelian_subgroup_is_conjugated(monkeypatch):
+    """theorem_report at every level and irr_json over every subgroup, on
+    the small catalogs and two relabelled tables, conjugate no abelian
+    subgroup: conjugacy_classes takes nonabelian subgroups only."""
+    taken = []
+
+    def spy(S):
+        taken.append((S.ambient.table, S.elems))
+        return conjugacy_classes(S)
+
+    conjugacy_classes = characters.conjugacy_classes
+    monkeypatch.setattr(characters, "conjugacy_classes", spy)
+    specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27) + fam.builtin_catalog(5, 25)
+    groups = [fam.builtin(spec) for spec in specs]
+    groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+        ["DirectProduct(Dihedral(8),Cyclic(2,1))", "Extraspecial(3,+)"]
+    )]
+    for G in groups:
+        for e in valid_exponents(G):
+            theorem_report(G, None, e)
+        export.irr_json(G, True)
+    assert taken
+    for table, elems in taken:
+        assert brute_commuting(table, elems) != list(elems)
+
+
+def test_is_abelian_without_the_lattice_commutes_elements_and_builds_nothing():
+    """With no lattice, is_abelian tests whether the elements commute; it
+    builds no class set and no lattice."""
+    G = fam.builtin("DirectProduct(Dihedral(8),Cyclic(2,1))")
+    ctx = get_context(G)
+    pairs = itertools.combinations(range(G.order), 2)
+    subgroups = {gr.closure_from_gens(G, gens) for gens in pairs}
+    kinds = set()
+    for elems in sorted(subgroups):
+        S = gr.Subgroup(G, elems)
+        abelian = brute_commuting(G.table, S.elems) == list(S.elems)
+        assert ctx.is_abelian(S) == abelian, S
+        kinds.add(abelian)
+    assert kinds == {True, False}
+    assert ctx._lattice is None and ctx._classes == {}
+
+
+def test_a_subgroup_of_a_second_equal_table_is_not_a_subset():
+    """Restriction to, and induction from, a subgroup of a second table with
+    the same Cayley table raise NotASubgroup, and the context of the first
+    table keeps no class set of the second."""
+    G1 = fam.builtin("AbelianProduct(4,2)")
+    G2 = gr.from_cayley(G1.table, "twin")
+    K1, K2 = _sub(G1, [2]), _sub(G2, [2])
+    assert K1.mask == K2.mask and not K2.is_subset_of(gr.whole_group(G1))
+    ctx = get_context(G1)
+    chi = ctx.irr(ctx.whole)[1]
+    with pytest.raises(NotASubgroup):
+        restrict(chi, K2)
+    with pytest.raises(NotASubgroup):
+        induce(get_context(G2).irr(K2)[1], ctx.whole)
+    assert all(cc.owner.ambient is G1 for cc in ctx._classes.values())
+    assert all(ch.classes.owner.ambient is G1 for ch in ctx.irr(K1))
 
 
 def test_abelian_subgroup_routes_never_build_the_lattice():
