@@ -971,12 +971,12 @@ def test_no_abelian_subgroup_is_conjugated(monkeypatch):
     the small catalogs and two relabelled tables, conjugate no abelian
     subgroup: conjugacy_classes takes nonabelian subgroups only."""
     taken = []
+    conjugacy_classes = characters.conjugacy_classes
 
     def spy(S):
         taken.append((S.ambient.table, S.elems))
         return conjugacy_classes(S)
 
-    conjugacy_classes = characters.conjugacy_classes
     monkeypatch.setattr(characters, "conjugacy_classes", spy)
     specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27) + fam.builtin_catalog(5, 25)
     groups = [fam.builtin(spec) for spec in specs]
