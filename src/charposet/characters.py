@@ -86,21 +86,20 @@ entry j says that psi_i in Irr(K) is a constituent of chi_j restricted to K
 (1 << j when K = H).  Union-find, edge export and witness chains all read
 these masks (restriction_edges).
 
-A pair of index p in a p-group (every cover pair of the lattice) whose
-masks the fibre pass has not stored takes the Clifford route: K is normal,
-so each chi_K is one irreducible or the sum of one H-conjugation orbit,
-found by row lookups with no inner product; one orbit split
-(CharContext._clifford_split) serves these masks and Irr.  All of Irr(H) is
-restricted at once and looked up in char_index(K) by one map; when every
-chi_K is irreducible (always so for an abelian H) those indices are the
-masks' single bits, and only the misses go on to the orbit walk.
-Every other pair (the full strategy's non-cover pairs, witness chains,
-groups that are not p-groups) is decomposed by inner products; that route is
-kept as the general case and as the oracle of the Clifford route.
-
-Restricting all of Irr(H) to K has one form, CharContext._restricted_rows,
-which the Clifford and inner-product edge routes and verify's central suite
-read; for an abelian H it reads positions in H.elems, with no class array.
+Every pair whose masks the fibre pass has not stored is decomposed by one
+front (CharContext._restriction_masks): all of Irr(H) is restricted to K at
+once (CharContext._restricted_rows, which verify's central suite reads too;
+for an abelian H it reads positions in H.elems, with no class array) and
+looked up in char_index(K).  A hit is irreducible, so it is its chi's only
+constituent; when K = H every row hits.  Only the misses go on, to one of
+two handlers.  A pair of index p in a p-group (every cover pair of the
+lattice) takes the orbit walk: K is normal, so each missed chi_K is the sum
+of one H-conjugation orbit (CharContext._clifford_split, which serves Irr
+too), matched by row lookup with no inner product.  Every other pair (the
+full strategy's non-cover pairs, witness meets and peaks (K, G), groups that
+are not p-groups) takes inner products, kept as the general case and
+as the oracle of the front and of the orbit walk.  One check closes every
+pair: each psi in Irr(K) must lie under some chi.
 """
 
 from __future__ import annotations
@@ -437,66 +436,57 @@ class CharContext:
         is set when psi_i in Irr(K) is a constituent of chi_j restricted to
         K.  Entry j is 1 << j when K = H.
 
-        In a p-group a subgroup of index p is normal, so those pairs take the
-        Clifford route (_clifford_edges), unless K lies under the abelian up
-        cover H, whose masks the fibre pass over Irr(H) stores with Irr(K)
-        (_fibre_irr).  Every other pair takes the inner-product route
-        (_inner_product_edges), which is kept as the general case and as the
-        oracle of the Clifford route."""
+        The fibre pass stores the masks of (K, up(K)) for an abelian up(K)
+        with Irr(K) (_fibre_irr); any other pair takes _restriction_masks."""
         key = (K.mask, H.mask)
         hit = self._edges.get(key)
         if hit is None:
             self.irr_rows(K)  # Irr(K) by the fibre pass stores the masks under up(K)
             hit = self._edges.get(key)
         if hit is None:
-            if K.mask == H.mask:
-                hit = tuple(1 << j for j in range(len(self.irr_rows(H))))
-            elif self._prime is not None and len(H.elems) == self._prime * len(K.elems):
-                hit = self._clifford_edges(K, H)
-            else:
-                hit = self._inner_product_edges(K, H)
-            self._edges[key] = hit
+            hit = self._edges[key] = self._restriction_masks(K, H)
         return hit
 
-    def _clifford_edges(self, K: Subgroup, H: Subgroup) -> tuple:
-        """Constituent masks for K normal of prime index p in H, on rows
-        only.
-
-        By Clifford's theorem at prime index (Isaacs, Cor. 6.19), chi_K is
-        either irreducible or the sum of the p distinct H-conjugates of one
-        psi in Irr(K).  All of Irr(H) is restricted by one itemgetter and
-        looked up in char_index(K) at once.  When every chi_K is irreducible
-        the lookups are the masks, certified by every psi being hit.
-        Otherwise each orbit of length p (_clifford_split) must sum to exactly
-        one missed chi_K, every missed chi_K must be such a sum, and every psi
-        must lie under some chi.  Exact row equality plus the asserted
-        completeness of Irr(K) certifies the decomposition."""
-        count = len(self.irr_rows(K))
+    def _restriction_masks(self, K: Subgroup, H: Subgroup) -> tuple:
+        """The masks of restriction_edges for any K <= H, by the one front of
+        the module docstring: a restriction found in char_index(K) is
+        irreducible, the misses go to the orbit walk (_orbit_masks) at index
+        p in a p-group and to inner products (_inner_product_masks)
+        otherwise, and then every psi in Irr(K) must lie under some chi, as
+        psi is a constituent of (psi^H)_K (Frobenius reciprocity)."""
         restricted = self._restricted_rows(K, H)
         idx = list(map(self.char_index(K).get, restricted))
-        if None not in idx:
-            if len(set(idx)) != count:
-                raise IncompleteIrr(
-                    f"{count - len(set(idx))} characters of Irr(K) lie under no irreducible"
-                    " restriction"
-                )
-            return tuple(map((1).__lshift__, idx))
         masks = [0 if i is None else 1 << i for i in idx]
-        split = {rows: j for j, (rows, i) in enumerate(zip(restricted, idx)) if i is None}
+        missed = [j for j, i in enumerate(idx) if i is None]
+        if missed:
+            cover = self._prime is not None and len(H.elems) == self._prime * len(K.elems)
+            handler = self._orbit_masks if cover else self._inner_product_masks
+            for j, mask in zip(missed, handler(K, H, restricted, missed)):
+                masks[j] = mask
+        if reduce(or_, masks) != (1 << len(self.irr_rows(K))) - 1:
+            raise IncompleteIrr("a character of Irr(K) lies under no restriction")
+        return tuple(masks)
+
+    def _orbit_masks(self, K: Subgroup, H: Subgroup, restricted: list, missed) -> list:
+        """The masks of the reducible restricted[j], j in missed, for K
+        normal of prime index p in H.  By Clifford's theorem at prime index
+        (Isaacs, Cor. 6.19) each is the sum of the p distinct H-conjugates
+        of one psi in Irr(K): every orbit of length p (_clifford_split) must
+        sum to exactly one of them, and each of them must be such a sum."""
+        at = {restricted[j]: n for n, j in enumerate(missed)}
+        masks = [None] * len(missed)
         for orbit, total in self._clifford_split(K, H)[1]:
             if total is None:
                 continue
-            j = split.pop(total, None)
-            if j is None:
+            n = at.pop(total, None)
+            if n is None:
                 raise IncompleteIrr("a conjugation orbit does not sum to one restriction")
-            masks[j] = sum(1 << k for k in orbit)
-        if split:
+            masks[n] = sum(1 << k for k in orbit)
+        if None in masks:
             raise IncompleteIrr(
-                f"{len(split)} restrictions are neither irreducible nor an orbit sum"
+                f"{masks.count(None)} restrictions are neither irreducible nor an orbit sum"
             )
-        if reduce(or_, masks) != (1 << count) - 1:
-            raise IncompleteIrr("a character of Irr(K) lies under no restriction")
-        return tuple(masks)
+        return masks
 
     def _restricted_rows(self, K: Subgroup, H: Subgroup) -> list:
         """The rows of every chi in Irr(H), in order, restricted to K <= H:
@@ -558,27 +548,22 @@ class CharContext:
             orbits.append((orbit, total))
         return x, orbits
 
-    def _inner_product_edges(self, K: Subgroup, H: Subgroup) -> tuple:
-        """Constituent masks of any pair K < H, by the multiplicity of each
-        psi in chi_K; the general route and the oracle of the Clifford
-        one."""
+    def _inner_product_masks(self, K: Subgroup, H: Subgroup, restricted: list, missed) -> list:
+        """The masks of restricted[j], j in missed, for any K <= H, by the
+        multiplicity of each psi in chi_K: the general miss handler, and,
+        fed every row, the oracle of the front and of the orbit walk."""
         irrK = list(zip(self.irr_rows(K), self.degrees(K)))
         ccK = self.classes(K)
         index = len(H.elems) // len(K.elems)
-        lookup = self.char_index(K)
+        degrees = self.degrees(H)
         masks = []
-        for d, rrows in zip(self.degrees(H), self._restricted_rows(K, H)):
-            if d == 1:
-                try:
-                    masks.append(1 << lookup[rrows])
-                except KeyError:
-                    raise IncompleteIrr("a linear character restricts to no row of Irr(K)") from None
-                continue
+        for j in missed:
+            d = degrees[j]
             remaining, mask = d, 0
             for i, (rows, e) in enumerate(irrK):
                 if e > d or e * index < d:
                     continue
-                m = self.inner_raw(ccK, rrows, rows)
+                m = self.inner_raw(ccK, restricted[j], rows)
                 if m:
                     mask |= 1 << i
                     remaining -= m * e
@@ -587,7 +572,7 @@ class CharContext:
             if remaining:
                 raise IncompleteIrr(f"restriction of a degree-{d} character did not decompose")
             masks.append(mask)
-        return tuple(masks)
+        return masks
 
 
 # -- spec operations -----------------------------------------------------------

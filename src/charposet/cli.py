@@ -20,10 +20,11 @@ from .errors import (
     DomainError,
     InputError,
     InternalCheckError,
+    NotPGroup,
     WitnessError,
 )
 from .families import FAMILY_HELP, builtin, builtin_catalog
-from .groups import DEFAULT_ORDER_CAP, GroupTable, require_p_group, subgroups_of_order
+from .groups import DEFAULT_ORDER_CAP, GroupTable, is_prime, require_p_group, subgroups_of_order
 from .poset import CharacterPoset, build_poset
 from .verify import sweep as run_sweep
 from .verify import theorem_report, valid_exponents
@@ -212,6 +213,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     specs = []
     for p in dict.fromkeys(args.p or (2, 3, 5)):
+        if not is_prime(p):
+            raise NotPGroup(f"p = {p} is not a prime")
         specs.extend(builtin_catalog(p, args.max_order))
     result = run_sweep(specs, cap=args.cap)
     if args.fmt == "csv":

@@ -656,10 +656,13 @@ def _check_extension(G: GroupTable, kelems: Sequence[int], kmask: int, x: int) -
 
 
 def subgroups_of_order(G: GroupTable, m: int, lattice: Optional[Sequence[Subgroup]] = None) -> list:
+    """The subgroups of order m, by default in the lattice of G's context."""
     if m < 1 or G.order % m != 0:
         raise InputError(f"{m} does not divide |G| = {G.order}")
     if lattice is None:
-        lattice = all_subgroups(G)
+        from .characters import get_context  # characters imports this module
+
+        lattice = get_context(G).lattice()
     return [S for S in lattice if len(S.elems) == m]
 
 

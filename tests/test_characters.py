@@ -610,15 +610,23 @@ def test_restricted_rows_rejects_a_subgroup_outside_the_other(d8):
     with pytest.raises(InternalCheckError, match="is not inside H"):
         ctx._restricted_rows(K, H)
     with pytest.raises(InternalCheckError, match="is not inside H"):
-        ctx._inner_product_edges(K, H)
+        ctx._restriction_masks(K, H)
     inside = next(K for K in twos if K.is_subset_of(H))
     assert ctx._restricted_rows(inside, H) == [restrict(chi, inside).rows for chi in irr(H)]
 
 
+def _inner_product_oracle(ctx, K, H) -> tuple:
+    """The masks of (K, H) with every row of Irr(H) fed to the inner-product
+    handler, none looked up."""
+    rows = ctx._restricted_rows(K, H)
+    return tuple(ctx._inner_product_masks(K, H, rows, range(len(rows))))
+
+
 def test_clifford_edges_match_inner_product_edges():
     """On every index-p cover pair of the sweep catalog and of relabelled
-    tables, the Clifford route gives the inner-product route's mask tuple,
-    and restriction_edges returns it."""
+    tables, the front (lookup, then the orbit walk for the misses) gives the
+    masks of the inner-product handler fed every row, and restriction_edges
+    returns them."""
     specs = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 64) + fam.builtin_catalog(5, 64)
     groups = [fam.builtin(spec) for spec in specs]
     groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
@@ -628,8 +636,8 @@ def test_clifford_edges_match_inner_product_edges():
     for G in groups:
         ctx = get_context(G)
         for K, H in ctx.maximal_pairs():
-            expected = ctx._inner_product_edges(K, H)
-            assert ctx._clifford_edges(K, H) == expected, (G.name, K, H)
+            expected = _inner_product_oracle(ctx, K, H)
+            assert ctx._restriction_masks(K, H) == expected, (G.name, K, H)
             assert ctx.restriction_edges(K, H) == expected, (G.name, K, H)
             pairs += 1
     assert pairs > 54_000
@@ -637,8 +645,8 @@ def test_clifford_edges_match_inner_product_edges():
 
 def test_non_cover_masks_are_cover_masks_composed_down_a_chain():
     """Every comparable pair K < H of index at least p^2 in the catalogs p = 2
-    up to 32 and p = 3 up to 27 takes the inner-product route; its masks
-    equal the Clifford masks of the covers of one chain H > M > ... > K,
+    up to 32 and p = 3 up to 27 sends its misses to inner products; its masks
+    equal the front's masks of the covers of one chain H > M > ... > K,
     composed from the top: the constituents of chi_K are those of psi_K
     over the constituents psi of chi_M, and nothing cancels."""
     specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27)
@@ -654,7 +662,7 @@ def test_non_cover_masks_are_cover_masks_composed_down_a_chain():
                 top, composed = H, None
                 while top.elems != K.elems:
                     M = next(M for M in ctx._maximal[top.mask] if K.is_subset_of(M))
-                    cover = ctx._clifford_edges(M, top)
+                    cover = ctx._restriction_masks(M, top)
                     if composed is None:
                         composed = cover
                     else:
@@ -666,6 +674,25 @@ def test_non_cover_masks_are_cover_masks_composed_down_a_chain():
                 assert ctx.restriction_edges(K, H) == composed, (G.name, K, H)
                 pairs += 1
     assert pairs == 8063
+
+
+def test_irreducible_restrictions_of_a_non_cover_pair_need_no_inner_product(monkeypatch):
+    """In D8 x C2^2 a nonabelian K of order 8 has index 4, and every chi of G
+    restricts to one irreducible of K, degree 2 ones too.  So the front's
+    lookup hits every row: restriction_edges(K, G) makes no inner product,
+    and its masks are those of the inner-product handler fed every row."""
+    ctx = get_context(fam.builtin("DirectProduct(Dihedral(8),ElemAbelian(2,2))"))
+    K = next(S for S in ctx.lattice() if len(S.elems) == 8 and not ctx.is_abelian(S))
+    inner_raw, calls = characters.CharContext.inner_raw, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return inner_raw(self, *args)
+
+    monkeypatch.setattr(characters.CharContext, "inner_raw", counted)
+    masks = ctx.restriction_edges(K, ctx.whole)
+    assert calls == [] and 2 in ctx.degrees(ctx.whole)
+    assert masks == _inner_product_oracle(ctx, K, ctx.whole)
 
 
 def test_meet_is_the_lattice_instance_of_the_intersection():
@@ -784,19 +811,27 @@ def _tripled(ch) -> ClassFunction:
     )
 
 
-def test_inner_product_edges_certify_the_linear_rows_of_irr_of_the_smaller_subgroup():
-    """A subgroup K of order 2 in D8 has index 4, so its edges under D8 come
-    from inner products, where a linear chi_K is looked up among the rows of
-    Irr(K).  With Irr(K)'s second row tripled, that lookup misses: it must
-    raise IncompleteIrr, not KeyError."""
+def test_inner_product_edges_certify_the_linear_rows_of_irr_of_the_smaller_subgroup(monkeypatch):
+    """A subgroup K of order 2 in D8 has index 4, so the misses of the lookup
+    of (K, D8) go to the inner-product handler.  With Irr(K)'s second row
+    tripled, the linear chi_K that restrict to that row miss; the handler
+    must raise IncompleteIrr, not KeyError."""
     ctx = get_context(fam.builtin("Dihedral(8)"))
     K = next(S for S in ctx.lattice() if len(S.elems) == 2)
     chars = ctx.irr(K)
     _store(ctx, K, (chars[0], _tripled(chars[1])))
     ctx._char_index.pop(K.mask, None)
     assert (K.mask, ctx.whole.mask) not in ctx._edges
+    handler, fed = characters.CharContext._inner_product_masks, []
+
+    def spy(self, K, H, restricted, missed):
+        fed.append([restricted[j] for j in missed])
+        return handler(self, K, H, restricted, missed)
+
+    monkeypatch.setattr(characters.CharContext, "_inner_product_masks", spy)
     with pytest.raises(IncompleteIrr):
         ctx.restriction_edges(K, ctx.whole)
+    assert fed and chars[1].rows in fed[0]
 
 
 def test_clifford_irr_certifies_the_linear_rows_of_irr_of_the_first_maximal_subgroup():

@@ -483,10 +483,30 @@ def test_sweep_small_and_deterministic(tmp_path, capsys):
     assert all(r["ok"] for r in doc["reports"])
 
 
+def test_sweep_bytes_do_not_depend_on_the_hash_seed():
+    """Two sweeps in one interpreter share its string hashes, so they cannot
+    show an output that follows set or dict order of hashed keys.  Two
+    processes under PYTHONHASHSEED 0 and 1 must print the same bytes."""
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            PYTHONHASHSEED=seed,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "charposet.cli", "sweep", "--p", "2", "--max-order", "16"],
+            capture_output=True, env=env, check=False, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and json.loads(outs[0])["reports"]
+
+
 def test_sweep_internal_check_failure_exits_5(monkeypatch, capsys):
     """An internal-check failure recorded by the sweep exits 5, as verify
     does for the same failure, and the errors entries keep their kind.  The
-    Clifford route raises, and the fibre pass withholds the masks it
+    decomposition front raises, and the fibre pass withholds the masks it
     computes with Irr, so every cover pair reaches the failure."""
 
     def broken(self, K, H):
@@ -499,7 +519,7 @@ def test_sweep_internal_check_failure_exits_5(monkeypatch, capsys):
         ctx._edges.pop((S.mask, U.mask), None)
         return rows
 
-    monkeypatch.setattr(CharContext, "_clifford_edges", broken)
+    monkeypatch.setattr(CharContext, "_restriction_masks", broken)
     monkeypatch.setattr(characters, "_fibre_irr", withheld)
     code, out, _ = run(capsys, "sweep", "--p", "2", "--max-order", "8")
     assert code == 5
@@ -574,6 +594,13 @@ def test_exit_code_and_stderr_label_of_each_bucket(monkeypatch, capsys, cls, wan
 
     monkeypatch.setattr(cli, "cmd_groups", stub)
     assert run(capsys, "groups") == (want, "", f"{prefix}: stub failure\n")
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4"])
+def test_sweep_with_a_p_that_is_not_prime_exits_3(capsys, p):
+    """A --p that is not prime is a domain error in sweep, as in verify and
+    poset, not an unknown family."""
+    assert run(capsys, "sweep", "--p", p) == (3, "", f"error: p = {p} is not a prime\n")
 
 
 def test_sweep_takes_each_repeated_prime_once(capsys):

@@ -435,6 +435,28 @@ def test_subgroups_of_order(c8, q8, d8):
         gr.subgroups_of_order(q8, 3)
 
 
+def test_subgroups_of_order_reads_the_context_lattice(monkeypatch):
+    """Without a lattice, subgroups_of_order reads the lattice of G's
+    context, built at the context's cap, rather than a second lattice at
+    the default cap: at order 256 under a cap of 256 it succeeds, and the
+    subgroups are enumerated once."""
+    from charposet import characters
+
+    real, runs = gr.all_subgroups, []
+
+    def counted(*args, **kwargs):
+        runs.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gr, "all_subgroups", counted)
+    monkeypatch.setattr(characters, "all_subgroups", counted)
+    G = fam.builtin("Cyclic(2,8)", 256)
+    ctx = characters.get_context(G, order_cap=256)
+    assert len(ctx.lattice()) == 9
+    assert gr.subgroups_of_order(G, 4) == [S for S in ctx.lattice() if len(S.elems) == 4]
+    assert len(runs) == 1
+
+
 def test_intersect_all(q8, klein):
     subs4 = gr.subgroups_of_order(q8, 4)
     I = gr.intersect_all(subs4)

@@ -725,13 +725,13 @@ except InternalCheckError as err:
 else:
     sys.exit("components() took the tampered edges")
 
-# The same psi dropped on whichever route computes the pair: the Clifford
-# route, or the fibre pass that stores the masks with Irr(K).
-clifford_edges = characters.CharContext._clifford_edges
+# The same psi dropped on whichever route computes the pair: the
+# decomposition front, or the fibre pass that stores the masks with Irr(K).
+restriction_masks = characters.CharContext._restriction_masks
 fibre_irr = characters._fibre_irr
 
 def tampered(self, K, H):
-    masks = clifford_edges(self, K, H)
+    masks = restriction_masks(self, K, H)
     return dropped(masks) if (K.mask, H.mask) == key else masks
 
 def fibre_tampered(ctx, S, U):
@@ -740,7 +740,7 @@ def fibre_tampered(ctx, S, U):
         ctx._edges[key] = dropped(ctx._edges[key])
     return rows
 
-characters.CharContext._clifford_edges = tampered
+characters.CharContext._restriction_masks = tampered
 characters._fibre_irr = fibre_tampered
 sys.exit(0 if cli.main(["verify", "--group", "Dihedral(8)"]) == 5 else "verify did not exit 5")
 """
