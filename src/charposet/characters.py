@@ -84,7 +84,10 @@ The restriction data of a pair K <= H is stored once per pair, in
 CharContext._edges, as one constituent bitmask per character of H: bit i of
 entry j says that psi_i in Irr(K) is a constituent of chi_j restricted to K
 (1 << j when K = H).  Union-find, edge export and witness chains all read
-these masks (restriction_edges).
+these masks (restriction_edges).  Their transpose (restriction_columns),
+one mask per psi_i of the chi_j over it, is a derived index like char_index:
+built from restriction_edges on first read and kept, never computed apart
+from it.
 
 Every pair whose masks the fibre pass has not stored is decomposed by one
 front (CharContext._restriction_masks): all of Irr(H) is restricted to K at
@@ -258,7 +261,8 @@ class CharContext:
     restriction data, each keyed S.mask -> (a pair K <= H: (K.mask, H.mask)).
     Irr(S) is stored once, as rows and degrees (irr_rows, degrees), of which
     irr(S) is a view; the cover relation once, as _maximal; the restriction
-    data once, as constituent masks (_edges)."""
+    data once, as constituent masks (_edges), of which the column masks
+    (_columns) are a view."""
 
     def __init__(self, G: GroupTable, order_cap: int):
         self.group = G
@@ -286,6 +290,7 @@ class CharContext:
         self._irr_views: dict = {}  # S.mask -> irr(S), the ClassFunction view of _irr
         self._char_index: dict = {}  # S.mask -> rows -> index in irr(S)
         self._edges: dict = {}  # (K.mask, H.mask) -> masks, see restriction_edges
+        self._columns: dict = {}  # (K.mask, H.mask) -> the transpose of _edges' masks
         # least subgroup order of a level -> its ComponentPartition, which
         # holds one forest root per character of G (CharacterPoset.components)
         self.partitions: dict = {}
@@ -445,6 +450,25 @@ class CharContext:
             hit = self._edges.get(key)
         if hit is None:
             hit = self._edges[key] = self._restriction_masks(K, H)
+        return hit
+
+    def restriction_columns(self, K: Subgroup, H: Subgroup) -> tuple:
+        """The transpose of restriction_edges(K, H): one int bitmask per
+        psi_i in Irr(K), bit j set when psi_i is a constituent of chi_j
+        restricted to K, so (by Frobenius reciprocity) when chi_j is a
+        constituent of psi_i induced to H.  Built from restriction_edges on
+        first read and kept, as char_index is from irr_rows."""
+        key = (K.mask, H.mask)
+        hit = self._columns.get(key)
+        if hit is None:
+            cols = [0] * len(self.irr_rows(K))
+            for j, m in enumerate(self.restriction_edges(K, H)):
+                bit = 1 << j
+                while m:  # the set bits i of m
+                    low = m & -m
+                    m ^= low
+                    cols[low.bit_length() - 1] |= bit
+            hit = self._columns[key] = tuple(cols)
         return hit
 
     def _restriction_masks(self, K: Subgroup, H: Subgroup) -> tuple:

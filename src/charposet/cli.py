@@ -180,7 +180,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         chain = poset.witness_direct(alpha, beta)
     except WitnessError:
         order = poset.p ** (poset.e + 1)
-        level = subgroups_of_order(G, order, poset.ctx.lattice())
+        level = subgroups_of_order(G, order)
         chain = poset.witness_sequence([H] + level + [K], alpha, beta)
 
     verified = poset.validate_chain(chain)

@@ -36,7 +36,11 @@ restriction data: bit i of mask j of (K, H) says psi_i <= chi_j.  The pass
 and edge_list() read each mask's bits in increasing i, within increasing j.
 By Frobenius reciprocity [alpha^G, omega] = [alpha, omega_H], so an induced
 character's constituents are read off restrictions, and two restrictions
-have a nonzero inner product exactly when their masks meet.
+have a nonzero inner product exactly when their masks meet.  The witness
+choices read the transpose, CharContext.restriction_columns: mask i of
+(K, H) holds the chi_j over psi_i, the constituents of psi_i^H.  It is a
+derived index of the stored masks, like char_index of the rows, so each
+"first chi over both" pick is the lowest bit of an AND of two columns.
 """
 
 from __future__ import annotations
@@ -333,49 +337,55 @@ class CharacterPoset:
         character on L[k-1].  Consecutive chosen nodes are then joined
         through the first peak in Irr(G) over both (_peak_steps); for
         L = [H, K] that is the whole chain.  Every test is a constituent-mask
-        operation (by Frobenius reciprocity, [eta^(L[k-1]), chi] =
-        [eta, chi_A]), and each prefix intersection is read once from the
-        lattice.  alpha and beta must be irreducibles of the endpoint
-        subgroups, or InputError is raised before the precondition test."""
+        operation: eta is the lowest bit of c's mask on A ANDed with
+        gamma's column (ctx.restriction_columns), and mid runs over the set
+        bits of eta's column on L[k-1], the constituents of eta^(L[k-1]) by
+        Frobenius reciprocity, lowest first.  Each prefix intersection is
+        read once from the lattice.  alpha and beta must be irreducibles of
+        the endpoint subgroups, or InputError is raised before the
+        precondition test; the witness errors name the group and level."""
         ctx = self.ctx
+        where = f"{self.group.name} e={self.e}"
         L = [ctx.canonical(S) for S in L]
         if not L:
             raise InputError("empty subgroup sequence")
         for S in L:
             if len(S.elems) < self.min_order:
                 raise PreconditionFailed(
-                    f"sequence member of order {len(S.elems)} is not in S_(p,e)"
+                    f"{where}: sequence member of order {len(S.elems)} is not in S_(p,e)"
                 )
         if ctx.canonical(alpha.owner) is not L[0] or ctx.canonical(beta.owner) is not L[-1]:
             raise InputError("endpoint characters must live on the endpoint subgroups")
         a = self._char_id(L[0], alpha)
         b = self._char_id(L[-1], beta)
-        masks = ctx.restriction_edges
+        masks, cols = ctx.restriction_edges, ctx.restriction_columns
         prefix = list(accumulate(L, ctx.meet))  # prefix[k] = L[0] n ... n L[k]
         common = masks(prefix[-1], L[0])[a] & masks(prefix[-1], L[-1])[b]
         if not common:
             raise PreconditionFailed(
-                "restrictions to the full intersection share no constituent"
+                f"{where}: restrictions to the full intersection share no constituent"
             )
         chosen = [b]  # the character on L[k], for k from len(L) - 1 down
         for k in range(len(L) - 1, 1, -1):
             # common: the constituents on prefix[k] of alpha and of chosen[-1]
             gamma = (common & -common).bit_length() - 1
             A = ctx.meet(L[k - 1], L[k])
-            under = masks(A, L[k])[chosen[-1]]
-            eta = next(
-                (h for h, m in enumerate(masks(prefix[k], A)) if under >> h & 1 and m >> gamma & 1),
-                None,
-            )
-            if eta is None:
-                raise ChoiceExhausted("no character over gamma and under beta")
+            over = masks(A, L[k])[chosen[-1]] & cols(prefix[k], A)[gamma]
+            if not over:
+                raise ChoiceExhausted(f"{where}: no character over gamma and under beta")
+            eta = (over & -over).bit_length() - 1
             alpha_short = masks(prefix[k - 1], L[0])[a]
-            for mid, (m, s) in enumerate(zip(masks(A, L[k - 1]), masks(prefix[k - 1], L[k - 1]))):
-                if m >> eta & 1 and s & alpha_short:
-                    common = s & alpha_short
+            shorts = masks(prefix[k - 1], L[k - 1])
+            induced = cols(A, L[k - 1])[eta]
+            while induced:  # the set bits mid, increasing
+                low = induced & -induced
+                mid = low.bit_length() - 1
+                common = shorts[mid] & alpha_short
+                if common:
                     break
+                induced ^= low
             else:
-                raise ChoiceExhausted("no constituent of the induced character fits")
+                raise ChoiceExhausted(f"{where}: no constituent of the induced character fits")
             chosen.append(mid)
         chosen.append(a)
         chosen.reverse()
@@ -392,16 +402,21 @@ class CharacterPoset:
 
     def _peak_steps(self, H: Subgroup, a: int, K: Subgroup, b: int) -> list:
         """The steps up from (H, a) to the first omega in Irr(G) over it and
-        over (K, b), and down to (K, b)."""
+        over (K, b), and down to (K, b): omega is the lowest bit of column a
+        of (H, G) ANDed with column b of (K, G) (ctx.restriction_columns),
+        the constituents of a and of b induced to G."""
         whole = self.ctx.whole
-        masks = self.ctx.restriction_edges
-        for w, (mh, mk) in enumerate(zip(masks(H, whole), masks(K, whole))):
-            if mh >> a & 1 and mk >> b & 1:
-                return [
-                    ("up", PosetNode(self._sid[whole.mask], w)),
-                    ("down", PosetNode(self._sid[K.mask], b)),
-                ]
-        raise NoConstituent("no constituent of the induced character lies over beta")
+        cols = self.ctx.restriction_columns
+        both = cols(H, whole)[a] & cols(K, whole)[b]
+        if not both:
+            raise NoConstituent(
+                f"{self.group.name} e={self.e}: "
+                "no constituent of the induced character lies over beta"
+            )
+        return [
+            ("up", PosetNode(self._sid[whole.mask], (both & -both).bit_length() - 1)),
+            ("down", PosetNode(self._sid[K.mask], b)),
+        ]
 
 
 # -- spec operations ---------------------------------------------------------------

@@ -94,7 +94,7 @@ def compute_I(G: GroupTable, p: Optional[int], e: int) -> Subgroup:
     p = require_p_group(G, p)
     check_level(G, p, e)
     ctx = get_context(G)
-    subs = subgroups_of_order(G, p ** (e + 1), ctx.lattice())
+    subs = subgroups_of_order(G, p ** (e + 1))
     I = intersect_all(subs)
     if not normalised_by(I, ctx.generators):
         raise InternalCheckError(f"{G.name} e={e}: I is not normal in G")

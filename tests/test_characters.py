@@ -695,6 +695,50 @@ def test_irreducible_restrictions_of_a_non_cover_pair_need_no_inner_product(monk
     assert masks == _inner_product_oracle(ctx, K, ctx.whole)
 
 
+def test_restriction_columns_are_the_transpose_of_restriction_edges():
+    """On every containment pair K <= H of the catalogs p = 2 up to 16 and
+    p = 3 up to 27, and of a relabelled table, column i of
+    restriction_columns(K, H) holds exactly the j with bit i set in mask j
+    of restriction_edges(K, H), one column per character of K."""
+    specs = fam.builtin_catalog(2, 16) + fam.builtin_catalog(3, 27)
+    groups = [fam.builtin(spec) for spec in specs]
+    groups.append(relabelled(fam.builtin("DirectProduct(Quaternion(8),Cyclic(2,1))"), 3))
+    pairs = 0
+    for G in groups:
+        ctx = get_context(G)
+        subs = ctx.lattice()
+        for H in subs:
+            for K in subs:
+                if not K.is_subset_of(H):
+                    continue
+                masks = ctx.restriction_edges(K, H)
+                want = tuple(
+                    sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
+                    for i in range(len(ctx.irr_rows(K)))
+                )
+                assert ctx.restriction_columns(K, H) == want, (G.name, K, H)
+                pairs += 1
+    assert pairs == 1918
+
+
+def test_restriction_columns_are_kept_after_the_first_read(monkeypatch):
+    """The first read of a pair's columns reads restriction_edges; a second
+    read returns the kept tuple and decomposes nothing."""
+    ctx = get_context(relabelled(fam.builtin("Dihedral(16)"), 5))
+    K = next(S for S in ctx.lattice() if len(S.elems) == 2)
+    calls = []
+    front = characters.CharContext._restriction_masks
+
+    def counted(self, *args):
+        calls.append(args)
+        return front(self, *args)
+
+    monkeypatch.setattr(characters.CharContext, "_restriction_masks", counted)
+    cols = ctx.restriction_columns(K, ctx.whole)
+    assert len(calls) == 1 and cols is ctx._columns[(K.mask, ctx.whole.mask)]
+    assert ctx.restriction_columns(K, ctx.whole) is cols and len(calls) == 1
+
+
 def test_meet_is_the_lattice_instance_of_the_intersection():
     """For every ordered pair of subgroups of the catalogs p = 2 up to 32 and
     p = 3 up to 27, ctx.meet(A, B) is the lattice's own instance with the

@@ -315,6 +315,7 @@ def test_witness_cross_component(capsys):
         "--endpoints", "0:1,1:2",
     )
     assert code == 4
+    assert "Q8 e=1: " in err, err  # the message names the group and the level
 
 
 def test_witness_identical_endpoints(capsys):

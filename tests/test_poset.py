@@ -12,11 +12,20 @@ from charposet import cyclotomic as cyc
 from charposet import export
 from charposet import families as fam
 from charposet import groups as gr
-from charposet.characters import ClassFunction, get_context, inner_product, irr, restrict
+from charposet.characters import (
+    CharContext,
+    ClassFunction,
+    get_context,
+    inner_product,
+    irr,
+    restrict,
+)
 from charposet.errors import (
+    ChoiceExhausted,
     ComponentCoverageError,
     InputError,
     InvalidExponent,
+    NoConstituent,
     NotASubgroup,
     NotPGroup,
     PreconditionFailed,
@@ -386,6 +395,41 @@ def test_witness_sequence_three_c4s(q8):
     assert poset.validate_chain(chain)
     assert chain.nodes[0] == poset.locate(A, al)
     assert chain.nodes[-1] == poset.locate(C, be)
+
+
+def test_witness_errors_name_the_group_and_level(q8, monkeypatch):
+    """Each precondition and choice error of witness_sequence and
+    _peak_steps starts with the group's name and the level.  The two choice
+    errors are reached by blanking the columns they read: all of them for
+    the eta pick, and those of proper pairs for the mid pick."""
+    ctx = get_context(q8)
+    poset = _poset(q8, 1)
+    Z, sign = _sign_char_on_center(q8)
+    A, B, C = poset.subgroups[0], poset.subgroups[1], poset.subgroups[2]
+    al = [c for c in ctx.irr(A) if inner_product(restrict(c, Z), sign)][0]
+    be = [c for c in ctx.irr(C) if inner_product(restrict(c, Z), sign)][0]
+    triv = [c for c in ctx.irr(B) if not inner_product(restrict(c, Z), sign)][0]
+    with pytest.raises(PreconditionFailed, match=r"^Q8 e=1: restrictions to the full"):
+        poset.witness_direct(al, triv)
+    with pytest.raises(PreconditionFailed, match=r"^Q8 e=1: sequence member of order 2"):
+        poset.witness_sequence([A, Z, C], al, be)
+    a, t = poset.locate(A, al).char_id, poset.locate(B, triv).char_id
+    with pytest.raises(NoConstituent, match=r"^Q8 e=1: no constituent"):
+        poset._peak_steps(A, a, B, t)
+    columns = CharContext.restriction_columns
+
+    def blank(proper_only):
+        def read(self, K, H):
+            cols = columns(self, K, H)
+            return cols if proper_only and K is H else (0,) * len(cols)
+
+        return read
+
+    for proper_only, text in ((False, "no character over gamma"), (True, "no constituent of the")):
+        with monkeypatch.context() as m:
+            m.setattr(CharContext, "restriction_columns", blank(proper_only))
+            with pytest.raises(ChoiceExhausted, match=rf"^Q8 e=1: {text}"):
+                poset.witness_sequence([A, B, C], al, be)
 
 
 def test_witness_sequence_loop_same_subgroup(q8):
