@@ -17,18 +17,21 @@ over the ids of Irr(G); each level keeps one root per character of G, the
 edges that edge_list() lists.
 
 A node is an integer id: the characters of the poset's subgroups numbered
-consecutively, subgroup by subgroup, from offsets[sid].  A level's partition
-has one form, the roots and peaks of ComponentPartition, and the pass and
-the central-map checks never list the nodes: node_to_component is built on
+consecutively, subgroup by subgroup, from offsets[sid].  A PosetNode, the
+pair (subgroup id, char id), is a NamedTuple.  A level's partition has one
+form, the roots and peaks of ComponentPartition, and the pass and the
+central-map checks never list the nodes: node_to_component is built on
 first access from the roots and the peaks, and the PosetNode list (nodes)
 on first access, for export and witness chains.
 
 Witness chains make connectivity explicit: witness_sequence joins nodes it
 chooses on a list of subgroups whose successive intersections carry a
 common constituent, each consecutive pair through a peak in Irr(G) over
-both.  A direct witness is the two-subgroup sequence [H, K], which makes no
-choice.  Their meets are lattice instances (CharContext.meet).  The chain check
-(validate_chain) reads one mask bit per link.
+both, in one pass over the list that appends a node only when it differs
+from the last one kept.  A direct witness is the two-subgroup sequence
+[H, K], which makes no choice.  Their meets are lattice instances
+(CharContext.meet).  The chain check (validate_chain) tests that every node
+is in the poset and reads one mask bit per link.
 
 Every reader of the order works on character indices and the constituent
 bitmasks of CharContext.restriction_edges, the one stored form of the
@@ -49,7 +52,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .characters import CharContext, ClassFunction, get_context, restrict
 from .errors import (
@@ -65,8 +68,7 @@ from .errors import (
 from .groups import GroupTable, Subgroup, require_p_group
 
 
-@dataclass(frozen=True)
-class PosetNode:
+class PosetNode(NamedTuple):
     subgroup_id: int
     char_id: int
 
@@ -140,7 +142,8 @@ class CharacterPoset:
         self.min_order = p ** (e + 1)
         lattice = ctx.lattice()  # sorted by order, so the level is a suffix
         self.subgroups = lattice[bisect_left(lattice, self.min_order, key=len) :]
-        self.offsets = list(accumulate((len(ctx.irr_rows(S)) for S in self.subgroups), initial=0))
+        self._sizes = tuple(len(ctx.irr_rows(S)) for S in self.subgroups)  # |Irr(S)| by subgroup id
+        self.offsets = list(accumulate(self._sizes, initial=0))
         self.node_count = self.offsets.pop()
 
     @cached_property
@@ -151,12 +154,7 @@ class CharacterPoset:
     @cached_property
     def nodes(self) -> list:
         """One PosetNode per node id, built on first access."""
-        irr_rows = self.ctx.irr_rows
-        return [
-            PosetNode(sid, cid)
-            for sid, S in enumerate(self.subgroups)
-            for cid in range(len(irr_rows(S)))
-        ]
+        return [PosetNode(sid, cid) for sid, n in enumerate(self._sizes) for cid in range(n)]
 
     # -- node helpers -------------------------------------------------------
 
@@ -291,30 +289,26 @@ class CharacterPoset:
         """Test each link on the masks: an 'up' link (K, psi) -> (H, chi)
         needs K < H and bit psi set in mask chi of ctx.restriction_edges(K, H),
         and a 'down' link is the same test with its nodes swapped.  Any other
-        direction, or a length mismatch, gives False."""
+        direction, a length mismatch, or a node that is not in the poset
+        (a subgroup id or char id out of range) gives False."""
         nodes, subs, masks = chain.nodes, self.subgroups, self.ctx.restriction_edges
         if len(nodes) != len(chain.directions) + 1:
             return False
-        for d, a, b in zip(chain.directions, nodes, nodes[1:]):
-            if d not in ("up", "down"):
+        n, sizes = len(subs), self._sizes
+        s, c = nodes[0]
+        if not (0 <= s < n and 0 <= c < sizes[s]):
+            return False
+        for d, (s, c), (t, u) in zip(chain.directions, nodes, nodes[1:]):
+            if not (0 <= t < n and 0 <= u < sizes[t]):
                 return False
-            lo, hi = (a, b) if d == "up" else (b, a)
-            K, H = subs[lo.subgroup_id], subs[hi.subgroup_id]
-            if K is H or not K.is_subset_of(H) or not masks(K, H)[hi.char_id] >> lo.char_id & 1:
+            if d == "down":  # test it as the link up from (t, u) to (s, c)
+                s, c, t, u = t, u, s, c
+            elif d != "up":
+                return False
+            K, H = subs[s], subs[t]
+            if K is H or not K.is_subset_of(H) or not masks(K, H)[u] >> c & 1:
                 return False
         return True
-
-    def _chain(self, steps: Sequence) -> WitnessChain:
-        """Assemble a chain from (direction_from_previous, node) data,
-        merging consecutive duplicate nodes."""
-        nodes = [steps[0][1]]
-        directions = []
-        for prev_dir, node in steps[1:]:
-            if node == nodes[-1]:
-                continue
-            nodes.append(node)
-            directions.append(prev_dir)
-        return WitnessChain(nodes=tuple(nodes), directions=tuple(directions))
 
     def witness_direct(self, alpha: ClassFunction, beta: ClassFunction) -> WitnessChain:
         """Join (H, alpha) <= (G, omega) >= (K, beta), omega the first peak
@@ -334,16 +328,20 @@ class CharacterPoset:
         L[0] n ... n L[k]; eta on L[k-1] n L[k] over gamma and under c; and
         mid, the first constituent of eta induced to L[k-1] whose restriction
         to L[0] n ... n L[k-1] shares a constituent with alpha's.  mid is the
-        character on L[k-1].  Consecutive chosen nodes are then joined
-        through the first peak in Irr(G) over both (_peak_steps); for
-        L = [H, K] that is the whole chain.  Every test is a constituent-mask
-        operation: eta is the lowest bit of c's mask on A ANDed with
-        gamma's column (ctx.restriction_columns), and mid runs over the set
-        bits of eta's column on L[k-1], the constituents of eta^(L[k-1]) by
-        Frobenius reciprocity, lowest first.  Each prefix intersection is
-        read once from the lattice.  alpha and beta must be irreducibles of
-        the endpoint subgroups, or InputError is raised before the
-        precondition test; the witness errors name the group and level."""
+        character on L[k-1].  Every test is a constituent-mask operation: eta
+        is the lowest bit of c's mask on A ANDed with gamma's column
+        (ctx.restriction_columns), and mid runs over the set bits of eta's
+        column on L[k-1], the constituents of eta^(L[k-1]) by Frobenius
+        reciprocity, lowest first.  Each prefix intersection is read once
+        from the lattice.
+
+        One pass over L then joins consecutive chosen nodes up to the first
+        peak in Irr(G) over both, the lowest bit of the AND of their columns
+        on (L[k], G), and down to the next; each member's column is read
+        once, and a step to the node last kept is dropped.  For L = [H, K]
+        that is the whole chain.  alpha and beta must be irreducibles of the
+        endpoint subgroups, or InputError is raised before the precondition
+        test; the witness errors name the group and level."""
         ctx = self.ctx
         where = f"{self.group.name} e={self.e}"
         L = [ctx.canonical(S) for S in L]
@@ -389,34 +387,34 @@ class CharacterPoset:
             chosen.append(mid)
         chosen.append(a)
         chosen.reverse()
-        steps = [(None, PosetNode(self._sid[L[0].mask], a))]
+        whole, sid = ctx.whole, self._sid
+        top = sid[whole.mask]
+        last = (sid[L[0].mask], a)  # the last node kept, as (subgroup id, char id)
+        nodes, directions = [PosetNode(*last)], []
+        prev = cols(L[0], whole)[a]
         for k in range(1, len(L)):
-            steps += self._peak_steps(L[k - 1], chosen[k - 1], L[k], chosen[k])
-        return self._chain(steps)
+            col = cols(L[k], whole)[chosen[k]]  # the constituents of chosen[k] induced to G
+            both = prev & col
+            if not both:
+                raise NoConstituent(
+                    f"{where}: no constituent of the induced character lies over beta"
+                )
+            for step, node in (
+                ("up", (top, (both & -both).bit_length() - 1)),
+                ("down", (sid[L[k].mask], chosen[k])),
+            ):
+                if node != last:
+                    nodes.append(PosetNode(*node))
+                    directions.append(step)
+                    last = node
+            prev = col
+        return WitnessChain(tuple(nodes), tuple(directions))
 
     def _char_id(self, S: Subgroup, chi: ClassFunction) -> int:
         cid = self.ctx.char_index(S).get(chi.rows)
         if cid is None:
             raise InputError("character is not an irreducible of the subgroup")
         return cid
-
-    def _peak_steps(self, H: Subgroup, a: int, K: Subgroup, b: int) -> list:
-        """The steps up from (H, a) to the first omega in Irr(G) over it and
-        over (K, b), and down to (K, b): omega is the lowest bit of column a
-        of (H, G) ANDed with column b of (K, G) (ctx.restriction_columns),
-        the constituents of a and of b induced to G."""
-        whole = self.ctx.whole
-        cols = self.ctx.restriction_columns
-        both = cols(H, whole)[a] & cols(K, whole)[b]
-        if not both:
-            raise NoConstituent(
-                f"{self.group.name} e={self.e}: "
-                "no constituent of the induced character lies over beta"
-            )
-        return [
-            ("up", PosetNode(self._sid[whole.mask], (both & -both).bit_length() - 1)),
-            ("down", PosetNode(self._sid[K.mask], b)),
-        ]
 
 
 # -- spec operations ---------------------------------------------------------------

@@ -15,6 +15,7 @@ from charposet.errors import (
     PreconditionFailed,
 )
 from charposet.groups import Subgroup, closure_from_gens, from_cayley, intersect_all, prime_of
+from charposet.poset import WitnessChain
 
 
 @pytest.fixture(scope="session")
@@ -279,6 +280,19 @@ def union_find_levels(poset):
     return levels
 
 
+def merged_chain(steps):
+    """Assemble a chain from (direction_from_previous, node) data, merging
+    consecutive duplicate nodes, as witness_sequence merges its steps."""
+    nodes = [steps[0][1]]
+    directions = []
+    for prev_dir, node in steps[1:]:
+        if node == nodes[-1]:
+            continue
+        nodes.append(node)
+        directions.append(prev_dir)
+    return WitnessChain(nodes=tuple(nodes), directions=tuple(directions))
+
+
 def witness_direct_oracle(poset, alpha, beta):
     """witness_direct by induction and inner products: the first omega in
     Irr(G) with [alpha^G, omega] != 0 and [omega_K, beta] != 0.  The oracle
@@ -301,7 +315,7 @@ def witness_direct_oracle(poset, alpha, beta):
     if peak is None:
         raise NoConstituent("no constituent of the induced character lies over beta")
     top = poset.locate(whole, peak)
-    return poset._chain([(None, start), ("up", top), ("down", end)])
+    return merged_chain([(None, start), ("up", top), ("down", end)])
 
 
 def witness_sequence_oracle(poset, L, alpha, beta):
@@ -321,7 +335,7 @@ def witness_sequence_oracle(poset, L, alpha, beta):
     if inner_product(restrict(alpha, bottom), restrict(beta, bottom)) == 0:
         raise PreconditionFailed("restrictions to the full intersection share no constituent")
     if len(L) == 1:
-        return poset._chain([(None, poset.locate(L[0], alpha))])
+        return merged_chain([(None, poset.locate(L[0], alpha))])
     if len(L) == 2:
         return witness_direct_oracle(poset, alpha, beta)
 
@@ -364,4 +378,4 @@ def witness_sequence_oracle(poset, L, alpha, beta):
     steps = [(None, left.nodes[0])]
     steps += list(zip(left.directions, left.nodes[1:]))
     steps += list(zip(right.directions, right.nodes[1:]))
-    return poset._chain(steps)
+    return merged_chain(steps)

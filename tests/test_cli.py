@@ -23,9 +23,10 @@ from charposet.errors import (
     InternalCheckError,
     WitnessError,
 )
-from charposet.export import canonical_json, irr_json
+from charposet.export import canonical_json, irr_json, load_group_json
 from charposet.families import builtin
-from charposet.poset import CharacterPoset
+from charposet.groups import subgroups_of_order
+from charposet.poset import CharacterPoset, WitnessChain, build_poset
 
 from test_export import _IRR_DIGESTS
 
@@ -330,13 +331,14 @@ def test_witness_identical_endpoints(capsys):
 def test_witness_with_swapped_directions_is_not_verified(monkeypatch, capsys):
     """A chain whose links point the wrong way fails validate_chain: the
     witness command prints verified: false and exits 5."""
-    peak_steps = CharacterPoset._peak_steps
+    direct = CharacterPoset.witness_direct
 
-    def swapped(self, H, a, K, b):
+    def swapped(self, alpha, beta):
+        chain = direct(self, alpha, beta)
         flip = {"up": "down", "down": "up"}
-        return [(flip[d], node) for d, node in peak_steps(self, H, a, K, b)]
+        return WitnessChain(chain.nodes, tuple(flip[d] for d in chain.directions))
 
-    monkeypatch.setattr(CharacterPoset, "_peak_steps", swapped)
+    monkeypatch.setattr(CharacterPoset, "witness_direct", swapped)
     code, out, _ = run(
         capsys, "witness", "--group", "Quaternion(8)", "--e", "1",
         "--endpoints", "0:0,3:0",
@@ -415,6 +417,40 @@ def test_witness_artifacts_are_pinned(tmp_path, capsys):
         text = out.read_text(encoding="utf-8")
         assert text.endswith("\n")
         assert hashlib.sha256(text[:-1].encode()).hexdigest() == want, (spec, endpoints)
+
+
+_WITNESS_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "witness.json"
+
+
+def test_witness_pool_chains_are_pinned():
+    """Every endpoint pair of the benchmark's witness pool, asked as one
+    `charposet witness` query (the direct witness, else the level
+    sequence), in file order: the outcome, node ids, directions and
+    verdict of each pair hash to a pinned sha256.  A precondition pair
+    records no nodes, no directions and no verdict."""
+    digest = hashlib.sha256()
+    for case in json.loads(_WITNESS_POOL.read_text(encoding="utf-8"))["cases"]:
+        built = builtin(case["group"])
+        G = load_group_json({"name": built.name, "cayley": [list(row) for row in built.table]})
+        poset = build_poset(G, None, case["e"])
+        poset.components()
+        level = subgroups_of_order(G, poset.p ** (poset.e + 1))
+        for a, b, _ in case["pairs"]:
+            A, B = poset.nodes[a], poset.nodes[b]
+            alpha, beta = poset.char_of(A), poset.char_of(B)
+            try:
+                try:
+                    chain, outcome = poset.witness_direct(alpha, beta), "direct"
+                except WitnessError:
+                    L = [poset.subgroup_of(A)] + level + [poset.subgroup_of(B)]
+                    chain, outcome = poset.witness_sequence(L, alpha, beta), "sequence"
+            except WitnessError:
+                record = ["precondition", [], [], None]
+            else:
+                ids = [poset.node_id(n) for n in chain.nodes]
+                record = [outcome, ids, list(chain.directions), poset.validate_chain(chain)]
+            digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == "e2b71c76f13be6223d3b2509d7a739da27b03cb734b6d1250f184556be8c7ba7"
 
 
 def test_verify_single(capsys):

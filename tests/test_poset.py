@@ -168,6 +168,11 @@ _BAD_CHAINS = {
     "constituent bit clear": (0, lambda n: _link(n["sign"], "up", n["trivial"])),
     "direction flipped": (0, lambda n: _link(n["sign"], "down", n["two"])),
     "direction flipped, reversed": (0, lambda n: _link(n["two"], "up", n["sign"])),
+    "one node, subgroup id too large": (1, lambda n: WitnessChain((PosetNode(99, 0),), ())),
+    "one node, char id too large": (1, lambda n: WitnessChain((PosetNode(0, 7),), ())),
+    "negative subgroup id": (1, lambda n: _link(n["c"], "up", PosetNode(-1, 0))),
+    "subgroup id one past the last": (1, lambda n: _link(n["c"], "up", PosetNode(4, 0))),
+    "negative char id": (1, lambda n: _link(PosetNode(0, -1), "up", n["two"])),
 }
 
 
@@ -398,10 +403,11 @@ def test_witness_sequence_three_c4s(q8):
 
 
 def test_witness_errors_name_the_group_and_level(q8, monkeypatch):
-    """Each precondition and choice error of witness_sequence and
-    _peak_steps starts with the group's name and the level.  The two choice
-    errors are reached by blanking the columns they read: all of them for
-    the eta pick, and those of proper pairs for the mid pick."""
+    """Each precondition, choice and join error of witness_sequence starts
+    with the group's name and the level.  The two choice errors are reached
+    by blanking the columns they read: all of them for the eta pick, and
+    those of proper pairs for the mid pick.  The join's NoConstituent is
+    reached by blanking the columns of each (S, G), which leave no peak."""
     ctx = get_context(q8)
     poset = _poset(q8, 1)
     Z, sign = _sign_char_on_center(q8)
@@ -413,22 +419,23 @@ def test_witness_errors_name_the_group_and_level(q8, monkeypatch):
         poset.witness_direct(al, triv)
     with pytest.raises(PreconditionFailed, match=r"^Q8 e=1: sequence member of order 2"):
         poset.witness_sequence([A, Z, C], al, be)
-    a, t = poset.locate(A, al).char_id, poset.locate(B, triv).char_id
-    with pytest.raises(NoConstituent, match=r"^Q8 e=1: no constituent"):
-        poset._peak_steps(A, a, B, t)
     columns = CharContext.restriction_columns
 
-    def blank(proper_only):
+    def blank(keep):
         def read(self, K, H):
             cols = columns(self, K, H)
-            return cols if proper_only and K is H else (0,) * len(cols)
+            return cols if keep(self, K, H) else (0,) * len(cols)
 
         return read
 
-    for proper_only, text in ((False, "no character over gamma"), (True, "no constituent of the")):
+    for keep, error, text in (
+        (lambda ctx, K, H: False, ChoiceExhausted, "no character over gamma"),
+        (lambda ctx, K, H: K is H, ChoiceExhausted, "no constituent of the"),
+        (lambda ctx, K, H: H is not ctx.whole, NoConstituent, "no constituent .* over beta"),
+    ):
         with monkeypatch.context() as m:
-            m.setattr(CharContext, "restriction_columns", blank(proper_only))
-            with pytest.raises(ChoiceExhausted, match=rf"^Q8 e=1: {text}"):
+            m.setattr(CharContext, "restriction_columns", blank(keep))
+            with pytest.raises(error, match=rf"^Q8 e=1: {text}"):
                 poset.witness_sequence([A, B, C], al, be)
 
 
