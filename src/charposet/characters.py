@@ -11,16 +11,15 @@ Irr(H) takes one of four routes (_compute_irr):
 
 * a proper subgroup H of a p-group whose up cover U (its first cover in
   maximal_pairs() order, read only once the lattice is built) is abelian
-  takes the fibres of Irr(U) on H's generating sequence (_fibre_irr):
-  every linear character of H extends to U and is fixed by its values on
-  generators, so the |H| fibres are Irr(H), one restricted row each, and
-  the same pass gives the masks of (H, U); no class array is built, and
-  classes(H), singletons, stays lazy for its readers;
+  takes the set of restrictions of Irr(U) (_fibre_irr): every linear
+  character of H extends to U, so the |H| distinct restrictions are
+  Irr(H), and the same restriction gives the masks of (H, U); no class
+  array is built, and classes(H), singletons, stays lazy for its readers;
 * any other abelian H (a whole group, whose Irr never builds the lattice,
   an abelian H under a nonabelian U, an abelian subgroup of a group that is
   not a p-group) gets its |H| linear characters as exponent maps, grown
   over the cosets of the trivial subgroup inside the ambient table; this
-  coset walk is also the oracle of the fibre route;
+  coset walk is also the oracle of the restriction route;
 * a nonabelian subgroup of a p-group is built by Clifford theory at prime
   index over its maximal subgroups, with no search and no induction: the
   p extensions of each invariant linear character of the first maximal K
@@ -34,9 +33,9 @@ Irr(H) takes one of four routes (_compute_irr):
   the Clifford route.
 
 Completeness is asserted: the two abelian routes must give |H| distinct
-linear characters (|H| fibres on the fibre route), the other two routes
-check the class count and the sum of squared degrees, and the Clifford
-route also the regular character.  So a gap in a method surfaces as an
+linear characters (|H| distinct restrictions of Irr(U) on the restriction
+route), the other two routes check the class count and the sum of squared
+degrees, and the Clifford route also the regular character.  So a gap in a method surfaces as an
 error rather than a wrong answer.
 
 All values are exact cyclotomic integers at one global conductor n, the
@@ -89,8 +88,9 @@ one mask per psi_i of the chi_j over it, is a derived index like char_index:
 built from restriction_edges on first read and kept, never computed apart
 from it.
 
-Every pair whose masks the fibre pass has not stored is decomposed by one
-front (CharContext._restriction_masks): all of Irr(H) is restricted to K at
+Every pair whose masks the set of restrictions of Irr(U) has not stored
+(with Irr(S), for S under an abelian up cover U) is decomposed by one front
+(CharContext._restriction_masks): all of Irr(H) is restricted to K at
 once (CharContext._restricted_rows, which verify's central suite reads too;
 for an abelian H it reads positions in H.elems, with no class array) and
 looked up in char_index(K).  A hit is irreducible, so it is its chi's only
@@ -107,7 +107,7 @@ pair: each psi in Irr(K) must lie under some chi.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import cache, reduce
 from math import isqrt
 from operator import attrgetter, itemgetter, or_
@@ -441,12 +441,13 @@ class CharContext:
         is set when psi_i in Irr(K) is a constituent of chi_j restricted to
         K.  Entry j is 1 << j when K = H.
 
-        The fibre pass stores the masks of (K, up(K)) for an abelian up(K)
-        with Irr(K) (_fibre_irr); any other pair takes _restriction_masks."""
+        Irr(K) as the set of restrictions of Irr(up(K)), for an abelian
+        up(K), stores the masks of (K, up(K)) (_fibre_irr); any other pair
+        takes _restriction_masks."""
         key = (K.mask, H.mask)
         hit = self._edges.get(key)
         if hit is None:
-            self.irr_rows(K)  # Irr(K) by the fibre pass stores the masks under up(K)
+            self.irr_rows(K)  # Irr(K) by restriction stores the masks under up(K)
             hit = self._edges.get(key)
         if hit is None:
             hit = self._edges[key] = self._restriction_masks(K, H)
@@ -672,37 +673,26 @@ def _picker(at: list):
 
 def _fibre_irr(ctx: CharContext, S: Subgroup, U: Subgroup) -> tuple:
     """The sorted rows of Irr(S) for S under an abelian up cover U, from one
-    pass over Irr(U) that also stores the masks of (S, U).
+    restriction of Irr(U) that also gives the masks of (S, U).
 
     Every linear character of S extends to U, so Irr(S) is the set of
-    restrictions of Irr(U), and a linear character is fixed by its values
-    on a generating sequence.  So each chi in Irr(U) is read at 1 and at
-    S's sequence from the lattice (in an abelian U, class c is the element
-    of rank c in U.elems), and Irr(U) falls into fibres by those values, in
-    order of first appearance.  There must be exactly |S| fibres: a
-    sequence that does not generate S gives fewer, and a row of Irr(U) of
-    degree above 1 one more; anything else raises IncompleteIrr.  One row
-    per fibre is restricted to S.  The masks of (S, U) are chi's fibre as a
-    bit of Irr(S); the trivial subgroup, whose masks no pass reads, stores
-    none."""
-    elems = U.elems
-    seq = (S.ambient.identity, *ctx._sequences[S.mask][0])
-    if not all(map(S.contains, seq)):
-        raise InternalCheckError(f"{S.ambient.name}: a generating sequence leaves its subgroup")
-    rowsU = ctx.irr_rows(U)
-    keys = list(map(_picker([bisect_left(elems, g) for g in seq]), rowsU))
-    fibres = dict(zip(keys, rowsU))  # one row of Irr(U) per fibre
-    if len(fibres) != len(S.elems):
+    restrictions of Irr(U) (ctx._restricted_rows, which reads positions in
+    U.elems): the characters of U with one restriction form one fibre of
+    the restriction map.  There must be exactly |S| distinct restrictions:
+    a row of Irr(U) of degree above 1 adds one, and a fibre missing from
+    Irr(U) leaves one out; anything else raises IncompleteIrr.  The mask of chi in Irr(U) is the
+    bit of its restriction in Irr(S); the trivial subgroup, whose masks no
+    pass reads, stores none."""
+    restricted = ctx._restricted_rows(S, U)
+    rows = tuple(sorted(set(restricted)))
+    if len(rows) != len(S.elems):
         raise IncompleteIrr(
-            f"{S.ambient.name}: Irr of an abelian cover of order {len(elems)} falls into "
-            f"{len(fibres)} fibres over a subgroup of order {len(S.elems)}"
+            f"{S.ambient.name}: Irr of an abelian cover of order {len(U.elems)} restricts to "
+            f"{len(rows)} rows over a subgroup of order {len(S.elems)}"
         )
-    pick = _picker([c for c, x in enumerate(elems) if S.mask >> x & 1])
-    restricted = dict(zip(map(pick, fibres.values()), fibres))  # row of Irr(S) -> its fibre
-    rows = tuple(sorted(restricted))
     if len(rows) > 1:
-        bit = dict(zip(map(restricted.__getitem__, rows), map((1).__lshift__, range(len(rows)))))
-        ctx._edges[(S.mask, U.mask)] = tuple(map(bit.__getitem__, keys))
+        bit = {r: 1 << i for i, r in enumerate(rows)}
+        ctx._edges[(S.mask, U.mask)] = tuple(map(bit.__getitem__, restricted))
     return rows
 
 
@@ -711,9 +701,9 @@ def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
     routes, each of which knows the degrees it gives.
 
     Both abelian tests are ctx.is_abelian.  A proper subgroup of a p-group
-    whose up cover U is abelian takes the fibres of Irr(U) on its generating
-    sequence (_fibre_irr), which also give the masks of (H, U) that
-    union-find reads, and builds no classes.  Any other abelian H (a whole
+    whose up cover U is abelian takes the set of restrictions of Irr(U)
+    (_fibre_irr), which also gives the masks of (H, U) that union-find
+    reads, and builds no classes.  Any other abelian H (a whole
     group, whose Irr never builds the lattice, an abelian H under a
     nonabelian U, an abelian subgroup of a group that is not a p-group) gets
     its |H| linear characters by the coset walk from the trivial subgroup.
@@ -893,9 +883,10 @@ def _monomial_irr(ctx: CharContext, H: Subgroup) -> list:
 def irr(H: Subgroup) -> tuple:
     """The complete irreducible character set of H, canonically ordered
     (degree-major, then lexicographic in the rows), by the route of
-    _compute_irr: for an abelian H, the fibres of Irr of an abelian up
-    cover or else linear characters by the coset walk; Clifford theory over
-    the maximal subgroups in a p-group, the monomial search otherwise."""
+    _compute_irr: for an abelian H, the set of restrictions of Irr of an
+    abelian up cover or else linear characters by the coset walk; Clifford
+    theory over the maximal subgroups in a p-group, the monomial search
+    otherwise."""
     return get_context(H.ambient).irr(H)
 
 

@@ -290,24 +290,30 @@ class CharacterPoset:
         needs K < H and bit psi set in mask chi of ctx.restriction_edges(K, H),
         and a 'down' link is the same test with its nodes swapped.  Any other
         direction, a length mismatch, or a node that is not in the poset
-        (a subgroup id or char id out of range) gives False."""
+        (not a pair of int ids, or a subgroup id or char id out of range)
+        gives False."""
         nodes, subs, masks = chain.nodes, self.subgroups, self.ctx.restriction_edges
         if len(nodes) != len(chain.directions) + 1:
             return False
         n, sizes = len(subs), self._sizes
-        s, c = nodes[0]
-        if not (0 <= s < n and 0 <= c < sizes[s]):
-            return False
-        for d, (s, c), (t, u) in zip(chain.directions, nodes, nodes[1:]):
-            if not (0 <= t < n and 0 <= u < sizes[t]):
+        s = c = None
+        for d, node in zip((None, *chain.directions), nodes):
+            try:
+                t, u = node
+            except (TypeError, ValueError):  # not a pair
                 return False
-            if d == "down":  # test it as the link up from (t, u) to (s, c)
-                s, c, t, u = t, u, s, c
-            elif d != "up":
+            if not (type(t) is int and type(u) is int and 0 <= t < n and 0 <= u < sizes[t]):
                 return False
-            K, H = subs[s], subs[t]
-            if K is H or not K.is_subset_of(H) or not masks(K, H)[u] >> c & 1:
-                return False
+            if s is not None:  # the link from (s, c) to (t, u)
+                if d == "up":
+                    K, H, psi, chi = subs[s], subs[t], c, u
+                elif d == "down":
+                    K, H, psi, chi = subs[t], subs[s], u, c
+                else:
+                    return False
+                if K is H or not K.is_subset_of(H) or not masks(K, H)[chi] >> psi & 1:
+                    return False
+            s, c = t, u
         return True
 
     def witness_direct(self, alpha: ClassFunction, beta: ClassFunction) -> WitnessChain:

@@ -1007,7 +1007,7 @@ def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
     and Irr of every abelian subgroup equals the coset walk's.  Exactly the
     abelian subgroups (by brute-force commutation) take the singleton
     classes, and exactly the subgroups under an abelian up cover take the
-    fibres of Irr(U) on their generating sequence."""
+    set of restrictions of Irr(U)."""
     def spy(seen, fn, at):
         def wrapped(*args):
             seen.append(args[at].elems)
@@ -1150,58 +1150,52 @@ def test_restricted_irr_certifies_irr_of_the_abelian_cover(capsys, monkeypatch):
     assert "internal check failed" in capsys.readouterr().err
 
 
-_SHORT_SEQUENCE = """
+_HALVED_RESTRICTION = """
 import sys
 from charposet import cli, families
 from charposet.characters import CharContext, get_context
 from charposet.errors import IncompleteIrr
 
-def shorten(ctx):
-    # Drop the last element of the sequence of every subgroup of order 4:
-    # it then generates a subgroup of order 2.
-    for mask, (seq, abelian) in list(ctx._sequences.items()):
-        if len(seq) == 2:
-            ctx._sequences[mask] = (seq[:-1], abelian)
+restricted_rows = CharContext._restricted_rows
 
+def halved(self, K, H):
+    # For the first subgroup S of order 4, under U = G, read only the
+    # positions of a subgroup of order 2 of S: Irr(U) then restricts to 2
+    # distinct rows, not 4.
+    S = next(T for T in self.lattice() if len(T.elems) == 4)
+    if K.mask == S.mask and H.mask == self.whole.mask:
+        K = next(T for T in self.lattice() if len(T.elems) == 2 and T.is_subset_of(S))
+    return restricted_rows(self, K, H)
+
+CharContext._restricted_rows = halved
 ctx = get_context(families.builtin("AbelianProduct(4,2)"))
 S = next(S for S in ctx.lattice() if len(S.elems) == 4)
 assert ctx.up_cover[S.mask] is ctx.lattice()[-1]
-shorten(ctx)
 try:
     ctx.irr_rows(S)
 except IncompleteIrr as err:
     print(err)
 else:
-    sys.exit("Irr(S) took a sequence that does not generate S")
+    sys.exit("Irr(S) took the restrictions to a proper subgroup of S")
 
-lattice = CharContext.lattice
-
-def shortened(self):
-    fresh = self._lattice is None
-    out = lattice(self)
-    if fresh:
-        shorten(self)
-    return out
-
-CharContext.lattice = shortened
 sys.exit(0 if cli.main(["verify", "--group", "AbelianProduct(4,2)"]) == 5 else "verify did not exit 5")
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 def test_a_sequence_that_generates_a_proper_subgroup_exits_5(flags):
-    """Under an abelian up cover, Irr(S) is the fibres of Irr(U) on S's
-    sequence.  With its last element dropped the sequence generates a
-    subgroup of order 2 of S, of order 4, so there are 2 fibres, not 4:
-    IncompleteIrr, and verify exits 5, under plain Python and under python
-    -O."""
+    """Under an abelian up cover U, Irr(S) is the set of restrictions of
+    Irr(U) to S.  With the restriction to S, of order 4, reading only the
+    positions of a subgroup of order 2 of S, there are 2 distinct rows, not
+    4: IncompleteIrr, and verify exits 5, under plain Python and under
+    python -O."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", _SHORT_SEQUENCE],
+        [sys.executable, *flags, "-c", _HALVED_RESTRICTION],
         capture_output=True, text=True, env=env, check=False, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "falls into 2 fibres over a subgroup of order 4" in proc.stdout
+    assert "restricts to 2 rows over a subgroup of order 4" in proc.stdout
     assert "internal check failed" in proc.stderr
 
 

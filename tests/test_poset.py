@@ -173,6 +173,12 @@ _BAD_CHAINS = {
     "negative subgroup id": (1, lambda n: _link(n["c"], "up", PosetNode(-1, 0))),
     "subgroup id one past the last": (1, lambda n: _link(n["c"], "up", PosetNode(4, 0))),
     "negative char id": (1, lambda n: _link(PosetNode(0, -1), "up", n["two"])),
+    "one node, float subgroup id": (1, lambda n: WitnessChain((PosetNode(0.0, 0),), ())),
+    "one node, str subgroup id": (1, lambda n: WitnessChain((PosetNode("0", 0),), ())),
+    "one node, bool subgroup id": (1, lambda n: WitnessChain((PosetNode(True, 0),), ())),
+    "one node, float char id": (1, lambda n: WitnessChain((PosetNode(0, 1.0),), ())),
+    "one node, not a pair": (1, lambda n: WitnessChain((7,), ())),
+    "one node, a 1-tuple": (1, lambda n: WitnessChain(((0,),), ())),
 }
 
 
