@@ -35,8 +35,8 @@ Irr(H) takes one of four routes (_compute_irr):
 Completeness is asserted: the two abelian routes must give |H| distinct
 linear characters (|H| distinct restrictions of Irr(U) on the restriction
 route), the other two routes check the class count and the sum of squared
-degrees, and the Clifford route also the regular character.  So a gap in a method surfaces as an
-error rather than a wrong answer.
+degrees, and the Clifford route also the regular character.  So a gap in a
+method surfaces as an error rather than a wrong answer.
 
 All values are exact cyclotomic integers at one global conductor n, the
 exponent of the ambient group.  A ClassFunction stores them as a row of
@@ -680,9 +680,9 @@ def _fibre_irr(ctx: CharContext, S: Subgroup, U: Subgroup) -> tuple:
     U.elems): the characters of U with one restriction form one fibre of
     the restriction map.  There must be exactly |S| distinct restrictions:
     a row of Irr(U) of degree above 1 adds one, and a fibre missing from
-    Irr(U) leaves one out; anything else raises IncompleteIrr.  The mask of chi in Irr(U) is the
-    bit of its restriction in Irr(S); the trivial subgroup, whose masks no
-    pass reads, stores none."""
+    Irr(U) leaves one out; anything else raises IncompleteIrr.  The mask of
+    chi in Irr(U) is the bit of its restriction in Irr(S); the trivial
+    subgroup, whose masks no pass reads, stores none."""
     restricted = ctx._restricted_rows(S, U)
     rows = tuple(sorted(set(restricted)))
     if len(rows) != len(S.elems):
@@ -703,8 +703,8 @@ def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
     Both abelian tests are ctx.is_abelian.  A proper subgroup of a p-group
     whose up cover U is abelian takes the set of restrictions of Irr(U)
     (_fibre_irr), which also gives the masks of (H, U) that union-find
-    reads, and builds no classes.  Any other abelian H (a whole
-    group, whose Irr never builds the lattice, an abelian H under a
+    reads, and builds no classes.  Any other abelian H (a whole group,
+    whose Irr never builds the lattice, an abelian H under a
     nonabelian U, an abelian subgroup of a group that is not a p-group) gets
     its |H| linear characters by the coset walk from the trivial subgroup.
     A nonabelian subgroup of a p-group is built from the conjugation orbits
