@@ -360,11 +360,17 @@ class CharContext:
 
     def classes(self, S: Subgroup) -> ConjClasses:
         """S's conjugacy classes: singletons, with no conjugation, exactly
-        when is_abelian(S); conjugacy_classes(S) otherwise."""
+        when is_abelian(S); otherwise conjugacy_classes(S, gens), the orbits
+        under S's lattice sequence when the lattice holds S, else under all
+        of S."""
         hit = self._classes.get(S.mask)
         if hit is None:
-            build = _singleton_classes if self.is_abelian(S) else conjugacy_classes
-            hit = self._classes[S.mask] = build(S)
+            if self.is_abelian(S):
+                hit = _singleton_classes(S)
+            else:
+                seq = self._sequences.get(S.mask)
+                hit = conjugacy_classes(S, None if seq is None else seq[0])
+            self._classes[S.mask] = hit
         return hit
 
     def is_abelian(self, S: Subgroup) -> bool:

@@ -470,19 +470,28 @@ def class_map(class_of: list) -> array:
     return array("h" if len(class_of) < 1 << 15 else "i", class_of)
 
 
-def conjugacy_classes(H: Subgroup) -> ConjClasses:
-    """Orbits of H acting on itself by conjugation; reps are minimal indices."""
+def conjugacy_classes(H: Subgroup, gens: Optional[Sequence[int]] = None) -> ConjClasses:
+    """Orbits of H acting on itself by conjugation; reps are minimal indices.
+    Each orbit is the closure of its rep under conjugation by gens, which
+    must generate H (H.elems by default): |gens| conjugations per element,
+    so |H| log_p|H| for a p-group's lattice sequence."""
     G = H.ambient
     t, inv = G.table, G.inverse
+    conj = [(t[g], inv[g]) for g in (H.elems if gens is None else gens)]
     class_of = [-1] * G.order
     reps, sizes = [], []
     for x in H.elems:
         if class_of[x] != -1:
             continue
         cid = len(reps)
-        orbit = {t[t[h][x]][inv[h]] for h in H.elems}  # h x h^-1
-        for y in orbit:
-            class_of[y] = cid
+        class_of[x] = cid
+        orbit = [x]
+        for y in orbit:  # grows as new conjugates g y g^-1 are met
+            for row, ig in conj:
+                z = t[row[y]][ig]
+                if class_of[z] == -1:
+                    class_of[z] = cid
+                    orbit.append(z)
         reps.append(x)
         sizes.append(len(orbit))
     inverse_class = tuple(class_of[G.inverse[r]] for r in reps)
@@ -516,14 +525,15 @@ def all_subgroups(
     A p-group's lattice is built layer by layer by cyclic extension
     (Neubüser 1960): every subgroup K of order p^(k+1) has a normal subgroup
     H of order p^k, so K = H<x> for some x outside H with x^p in H that
-    normalises H, and H<x> is the union of the p cosets H x^i.  Once H<x> is
-    met, its other elements are skipped for that H: two distinct index-p
-    overgroups of H meet in H.  So when covers is a list, each pair (H, K)
-    with H of index p in K is appended to it exactly once, in discovery
-    order.  Each new union of cosets K is certified to be the subgroup <H, x>
-    by K x <= K (|K| table reads), and the count of each layer is checked
-    against Frobenius's theorem (the number of subgroups of order p^k of a
-    p-group is 1 mod p).  The sequence of H<x> is the sequence of the H it
+    normalises H, and H<x> is the union of the p cosets H x^i.  N_G(H) is
+    one mask, read off H's sequence (_normaliser), so only the x in it are
+    tried.  Once H<x> is met, its other elements are skipped for that H:
+    two distinct index-p overgroups of H meet in H.  So when covers is a
+    list, each pair (H, K) with H of index p in K is appended to it exactly
+    once, in discovery order.  Each new union of cosets K is certified to
+    be the subgroup <H, x> by K x <= K (|K| table reads), and the count of
+    each layer is checked against Frobenius's theorem (the number of
+    subgroups of order p^k of a p-group is 1 mod p).  The sequence of H<x> is the sequence of the H it
     was first met over, plus x, so it has length log_p|H<x>|; H<x> is
     abelian when H is and x commutes with H's sequence.
 
@@ -575,9 +585,10 @@ def all_subgroups(
 def _cyclic_extension_lattice(
     G: GroupTable, p: int, lattice_cap: int, covers: Optional[list], sequences: Optional[dict]
 ) -> list:
-    """all_subgroups for a p-group: layer k+1 is every H<x> over layer k."""
+    """all_subgroups for a p-group: layer k+1 is every H<x> over layer k,
+    for the x in N_G(H) outside H with x^p in H; each of them builds a
+    cover."""
     t = G.table
-    inv = G.inverse
     n = G.order
     # roots[y]: the mask of the x with x^p = y.
     roots = [0] * n
@@ -585,8 +596,8 @@ def _cyclic_extension_lattice(
         roots[G.power(x, p)] |= 1 << x
     trivial = trivial_subgroup(G)
     out = [trivial]
-    # One layer: (subgroup, its sequence, which the normaliser test
-    # conjugates, whether it is abelian).
+    conjugators: dict = {}  # g -> its pairs (y, x-mask), see _normaliser
+    # One layer: (subgroup, its sequence, whether it is abelian).
     layer = [(trivial, (), True)]
     if sequences is not None:
         sequences[trivial.mask] = ((), True)
@@ -595,42 +606,39 @@ def _cyclic_extension_lattice(
         for H, gens, abelian in layer:
             hmask = H.mask
             helems = H.elems
-            # The x outside H with x^p in H, less the overgroups already met.
+            # The x in N_G(H) outside H with x^p in H, less the overgroups
+            # already met.
             candidates = 0
             for h in helems:
                 candidates |= roots[h]
-            candidates &= ~hmask
+            candidates &= _normaliser(G, hmask, gens, conjugators) & ~hmask
             while candidates:
                 x = (candidates & -candidates).bit_length() - 1
                 candidates &= candidates - 1
-                tx, ix = t[x], inv[x]
-                for g in gens:
-                    if not (hmask >> t[tx[g]][ix]) & 1:
-                        break
-                else:
-                    # x normalises H, so H<x> is the union of the cosets x^i H.
-                    kelems = list(helems)
-                    kmask = hmask
-                    xi = x
-                    for _ in range(1, p):
-                        row = t[xi]
-                        coset = [row[h] for h in helems]
-                        for y in coset:
-                            kmask |= 1 << y
-                        kelems += coset
-                        xi = tx[xi]
-                    hit = found.get(kmask)
-                    if hit is None:
-                        if len(out) + len(found) >= lattice_cap:
-                            raise LatticeTooLarge(f"more than {lattice_cap} subgroups")
-                        _check_extension(G, kelems, kmask, x)
-                        commute = abelian and all(tx[g] == t[g][x] for g in gens)
-                        hit = found[kmask] = (
-                            Subgroup(G, kelems, validate=False), gens + (x,), commute
-                        )
-                    if covers is not None:
-                        covers.append((H, hit[0]))
-                    candidates &= ~kmask
+                tx = t[x]
+                # x normalises H, so H<x> is the union of the cosets x^i H.
+                kelems = list(helems)
+                kmask = hmask
+                xi = x
+                for _ in range(1, p):
+                    row = t[xi]
+                    coset = [row[h] for h in helems]
+                    for y in coset:
+                        kmask |= 1 << y
+                    kelems += coset
+                    xi = tx[xi]
+                hit = found.get(kmask)
+                if hit is None:
+                    if len(out) + len(found) >= lattice_cap:
+                        raise LatticeTooLarge(f"more than {lattice_cap} subgroups")
+                    _check_extension(G, kelems, kmask, x)
+                    commute = abelian and all(tx[g] == t[g][x] for g in gens)
+                    hit = found[kmask] = (
+                        Subgroup(G, kelems, validate=False), gens + (x,), commute
+                    )
+                if covers is not None:
+                    covers.append((H, hit[0]))
+                candidates &= ~kmask
         if len(found) % p != 1:
             raise InternalCheckError(
                 f"{len(found)} subgroups of order {p * len(layer[0][0].elems)} in {G.name}, "
@@ -642,6 +650,24 @@ def _cyclic_extension_lattice(
             for S, gens, abelian in layer:
                 sequences[S.mask] = (gens, abelian)
     return out
+
+
+def _normaliser(G: GroupTable, hmask: int, gens: Sequence[int], conjugators: dict) -> int:
+    """N_G(H) as a mask, for gens generating H (mask hmask): the AND over
+    gens of the x with x g x^-1 in H.  conjugators[g] holds the pairs (y,
+    mask of the x with x g x^-1 = y), built on g's first use."""
+    t, inv = G.table, G.inverse
+    norm = (1 << G.order) - 1
+    for g in gens:
+        pairs = conjugators.get(g)
+        if pairs is None:
+            pairs = conjugators[g] = {}
+            for x in range(G.order):
+                y = t[t[x][g]][inv[x]]
+                pairs[y] = pairs.get(y, 0) | 1 << x
+        # The x-masks of distinct y are disjoint, so their sum is their OR.
+        norm &= sum(xs for y, xs in pairs.items() if hmask >> y & 1)
+    return norm
 
 
 def _check_extension(G: GroupTable, kelems: Sequence[int], kmask: int, x: int) -> None:

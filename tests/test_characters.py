@@ -414,6 +414,40 @@ def test_cyclic_extension_matches_closure_oracle():
         ], G.name
 
 
+@pytest.mark.slow
+def test_lattice_normalisers_match_brute_force():
+    """On every subgroup H of the catalogs, of relabelled tables and of two
+    reach groups, the normaliser mask that the lattice reads off H's
+    sequence (groups._normaliser) is the brute-force {x : x H x^-1 = H}."""
+    specs = (
+        fam.builtin_catalog(2, 64)
+        + fam.builtin_catalog(3, 81)
+        + fam.builtin_catalog(5, 125)
+    )
+    groups = [fam.builtin(spec) for spec in specs]
+    groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+        ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
+    )]
+    groups += [
+        fam.builtin("DirectProduct(Dihedral(16),Dihedral(8))"),
+        relabelled(fam.builtin("DirectProduct(Extraspecial(3,+),ElemAbelian(3,2))", 256), 1),
+    ]
+    checked = 0
+    for G in groups:
+        t, inv = G.table, G.inverse
+        sequences: dict = {}
+        conjugators: dict = {}
+        for H in gr.all_subgroups(G, 256, sequences=sequences):
+            brute = sum(
+                1 << x for x in range(G.order)
+                if all(H.contains(t[t[x][h]][inv[x]]) for h in H.elems)
+            )
+            mask = gr._normaliser(G, H.mask, sequences[H.mask][0], conjugators)
+            assert mask == brute, (G.name, H)
+            checked += 1
+    assert checked > 10000
+
+
 def test_context_is_freed_with_its_group():
     G = fam.builtin("Dihedral(8)")
     theorem_report(G, None, 1)
@@ -1052,9 +1086,9 @@ def test_no_abelian_subgroup_is_conjugated(monkeypatch):
     taken = []
     conjugacy_classes = characters.conjugacy_classes
 
-    def spy(S):
+    def spy(S, *args):
         taken.append((S.ambient.table, S.elems))
-        return conjugacy_classes(S)
+        return conjugacy_classes(S, *args)
 
     monkeypatch.setattr(characters, "conjugacy_classes", spy)
     specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27) + fam.builtin_catalog(5, 25)
@@ -1196,6 +1230,58 @@ def test_a_sequence_that_generates_a_proper_subgroup_exits_5(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert "restricts to 2 rows over a subgroup of order 4" in proc.stdout
+    assert "internal check failed" in proc.stderr
+
+
+_TRUNCATED_SEQUENCE = """
+import sys
+from charposet import characters, cli, families, groups
+from charposet.errors import IncompleteIrr
+
+all_subgroups = characters.all_subgroups
+
+def truncated(G, *args):
+    # Drop the last element of the sequence of the first nonabelian
+    # subgroup in lattice order: the rest generates a proper subgroup.
+    lattice = all_subgroups(G, *args)
+    sequences = args[-1]
+    S = next(S for S in lattice if not sequences[S.mask][1])
+    gens, abelian = sequences[S.mask]
+    sequences[S.mask] = (gens[:-1], abelian)
+    return lattice
+
+characters.all_subgroups = truncated
+ctx = characters.get_context(families.builtin("Dihedral(16)"))
+S = next(S for S in ctx.lattice() if not ctx.is_abelian(S))
+gens = ctx._sequences[S.mask][0]
+assert len(S.elems) == 8 and len(groups.closure_from_gens(ctx.group, gens)) == 4
+if groups.conjugacy_classes(S, gens).members == groups.conjugacy_classes(S).members:
+    sys.exit("the truncated sequence gives the orbits of S")
+try:
+    ctx.irr_rows(S)
+except IncompleteIrr as err:
+    print(err)
+else:
+    sys.exit("Irr(S) passed over the orbits of a proper subgroup of S")
+
+sys.exit(0 if cli.main(["verify", "--group", "Dihedral(16)"]) == 5 else "verify did not exit 5")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_nonabelian_sequence_that_generates_a_proper_subgroup_exits_5(flags):
+    """ctx.classes of a nonabelian subgroup S are the orbits under S's
+    lattice sequence.  With the sequence of D8 in D16 cut to a generating
+    set of a subgroup of order 4, the orbits are finer than S's classes,
+    and Irr's completeness check raises IncompleteIrr; verify exits 5,
+    under plain Python and under python -O."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _TRUNCATED_SEQUENCE],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Clifford theory over the maximal subgroups gave" in proc.stdout
     assert "internal check failed" in proc.stderr
 
 

@@ -377,9 +377,10 @@ def test_all_subgroups_caps():
 
 
 def test_lattice_layer_counts_are_checked_under_python_O():
-    """C2 x C2 with every inverse set to the identity: no x outside a
-    subgroup of order 2 passes the normaliser test, so the layer of order 4
-    comes out empty, and the Frobenius count check raises even under -O."""
+    """C2 x C2 with every inverse set to the identity: the normaliser mask
+    of a subgroup of order 2 (x g x^-1 read as x g) holds no x outside it,
+    so the layer of order 4 comes out empty, and the Frobenius count check
+    raises even under -O."""
     script = (
         "from charposet import families, groups as gr\n"
         "from charposet.errors import InternalCheckError\n"
