@@ -2,10 +2,11 @@
 
 Whether a subgroup S is abelian is one test, CharContext.is_abelian: the
 lattice's flag once the lattice holds S (whether the generating sequence it
-built S from commutes), else whether S's elements commute.  It picks S's
-class set (singletons, with no conjugation, exactly when S is abelian) and
-the two abelian routes of Irr below, so no abelian subgroup is ever
-conjugated.
+built S from commutes), else whether S's elements commute.  It picks the
+sequence S's class set is built under (groups.conjugacy_classes, the one
+builder of class sets: the empty sequence exactly when S is abelian, so no
+abelian subgroup is ever conjugated) and the two abelian routes of Irr
+below.
 
 Irr(H) takes one of four routes (_compute_irr):
 
@@ -14,7 +15,7 @@ Irr(H) takes one of four routes (_compute_irr):
   takes the set of restrictions of Irr(U) (_fibre_irr): every linear
   character of H extends to U, so the |H| distinct restrictions are
   Irr(H), and the same restriction gives the masks of (H, U); no class
-  array is built, and classes(H), singletons, stays lazy for its readers;
+  array is built, and classes(H) stays lazy for its readers;
 * any other abelian H (a whole group, whose Irr never builds the lattice,
   an abelian H under a nonabelian U, an abelian subgroup of a group that is
   not a p-group) gets its |H| linear characters as exponent maps, grown
@@ -60,14 +61,15 @@ the public ClassFunction constructor, the views values and value_at, the
 wide paths, and export, which unpacks each distinct value once.
 
 A per-group CharContext is the one home of each structural fact of the
-group: Z(G), the subgroup lattice with its index-p cover relation and, per
-subgroup, the sequence it was built from and whether it is abelian,
-conjugacy classes, character sets with their row
-index, restriction decompositions as constituent bitmasks, and the
-component partitions of the poset levels, each keyed S.mask -> fact (a
-pair K <= H: (K.mask, H.mask) -> fact); everything it stores is
-immutable, except the state of the component pass (the peaks so far and
-the merge forest over Irr(G)), which the next lower level resumes.
+group: Z(G) (G's classes of size 1, read on first use), the subgroup
+lattice with its index-p cover relation and, per subgroup, the sequence it
+was built from and whether it is abelian, conjugacy classes (each built by
+groups.conjugacy_classes), character sets with their row index,
+restriction decompositions as constituent bitmasks, and the component
+partitions of the poset levels, each keyed S.mask -> fact (a pair K <= H:
+(K.mask, H.mask) -> fact); everything it stores is immutable, except the
+state of the component pass (the peaks so far and the merge forest over
+Irr(G)), which the next lower level resumes.
 
 Irr(S) is stored once, as a tuple of rows and a tuple of degrees sorted by
 (degree, rows).  Each route sets the degrees it knows (1 on the two
@@ -108,9 +110,9 @@ pair: each psi in Irr(K) must lie under some chi.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from math import isqrt
-from operator import attrgetter, itemgetter, or_
+from operator import itemgetter, or_
 from typing import Optional, Sequence
 
 from . import cyclotomic as cyc
@@ -132,8 +134,6 @@ from .groups import (
     GroupTable,
     Subgroup,
     all_subgroups,
-    center,
-    class_map,
     conjugacy_classes,
     conjugate_subgroup,
     derived_subgroup,
@@ -241,7 +241,7 @@ class ClassFunction:
 @cache
 def _ones(n: int) -> tuple:
     """(1,) * n, one shared instance per n: the degrees of n linear
-    characters, and the class sizes of an abelian subgroup of order n."""
+    characters."""
     return (1,) * n
 
 
@@ -259,10 +259,11 @@ def get_context(G: GroupTable, order_cap: Optional[int] = None) -> "CharContext"
 class CharContext:
     """Per-group memo of Z(G), lattice and covers, classes, characters and
     restriction data, each keyed S.mask -> (a pair K <= H: (K.mask, H.mask)).
-    Irr(S) is stored once, as rows and degrees (irr_rows, degrees), of which
-    irr(S) is a view; the cover relation once, as _maximal; the restriction
-    data once, as constituent masks (_edges), of which the column masks
-    (_columns) are a view."""
+    Z(G) is read off classes(whole) on first use, so a bare context builds
+    no class set.  Irr(S) is stored once, as rows and degrees (irr_rows,
+    degrees), of which irr(S) is a view; the cover relation once, as
+    _maximal; the restriction data once, as constituent masks (_edges), of
+    which the column masks (_columns) are a view."""
 
     def __init__(self, G: GroupTable, order_cap: int):
         self.group = G
@@ -273,7 +274,6 @@ class CharContext:
         self.value_bound, self.width = cyc.packing_bounds(n, G.order)
         self.digits = cyc.euler_phi(n)
         self.whole = whole_group(G)
-        self.center = center(self.whole)
         # The prime of a p-group, else None: its index-p pairs are normal.
         self._prime = prime_of(G.order)
         self.zeta_rows = tuple(cyc.pack(z.coeffs, self.width) for z in cyc.zeta_table(n))
@@ -322,14 +322,22 @@ class CharContext:
                 raise
             self._by_mask = {S.mask: S for S in self._lattice}
             maximal, up = self._maximal, self.up_cover
+            # Covers come in the order of the smaller subgroup's layer, which
+            # is sorted by elements, so each list of maximal subgroups is too.
             for K, H in covers:
                 maximal.setdefault(H.mask, []).append(K)
                 U = up.get(K.mask)
                 if U is None or H.elems < U.elems:  # element order, not mask order
                     up[K.mask] = H
-            for below in maximal.values():
-                below.sort(key=attrgetter("elems"))
         return self._lattice
+
+    @cached_property
+    def center(self) -> Subgroup:
+        """Z(G): the reps of G's classes of size 1, read on first use off
+        classes(whole), the class set Irr(G) reads."""
+        cc = self.classes(self.whole)
+        central = [r for r, k in zip(cc.reps, cc.sizes) if k == 1]
+        return Subgroup(self.group, central, validate=False)
 
     @property
     def generators(self) -> tuple:
@@ -359,14 +367,14 @@ class CharContext:
     # -- classes and characters -------------------------------------------
 
     def classes(self, S: Subgroup) -> ConjClasses:
-        """S's conjugacy classes: singletons, with no conjugation, exactly
-        when is_abelian(S); otherwise conjugacy_classes(S, gens), the orbits
-        under S's lattice sequence when the lattice holds S, else under all
-        of S."""
+        """S's conjugacy classes, conjugacy_classes(S, gens): the orbits under
+        the empty sequence, one per element with no conjugation, exactly when
+        is_abelian(S); otherwise under S's lattice sequence when the lattice
+        holds S, else under conjugacy_classes' own sequence of S."""
         hit = self._classes.get(S.mask)
         if hit is None:
             if self.is_abelian(S):
-                hit = _singleton_classes(S)
+                hit = conjugacy_classes(S, ())
             else:
                 seq = self._sequences.get(S.mask)
                 hit = conjugacy_classes(S, None if seq is None else seq[0])
@@ -648,23 +656,6 @@ def _linear_characters(ctx: CharContext, H: Subgroup, kernel: Sequence[int]) -> 
 
 def linear_characters(H: Subgroup) -> tuple:
     return get_context(H.ambient).linear(H)
-
-
-def _singleton_classes(S: Subgroup) -> ConjClasses:
-    """The classes of an abelian S, one per element in index order: field for
-    field what conjugacy_classes(S) gives, in O(|S|)."""
-    G = S.ambient
-    class_of = [-1] * G.order
-    for c, x in enumerate(S.elems):
-        class_of[x] = c
-    return ConjClasses(
-        owner=S,
-        class_of=class_map(class_of),
-        reps=S.elems,
-        sizes=_ones(len(S.elems)),
-        inverse_class=tuple(class_of[G.inverse[x]] for x in S.elems),
-        identity_class=class_of[G.identity],
-    )
 
 
 def _picker(at: list):

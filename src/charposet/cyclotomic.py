@@ -186,15 +186,7 @@ def zeta_pow(n: int, k: int) -> CycInt:
     """Canonical representative of zeta_n^k."""
     if n < 1:
         raise ValueError(f"conductor must be positive, got {n}")
-    k %= n
-    deg = euler_phi(n)
-    if k < deg:
-        coeffs = [0] * deg
-        coeffs[k] = 1
-        return CycInt(n, coeffs, _raw=True)
-    poly = [0] * (k + 1)
-    poly[k] = 1
-    return CycInt(n, reduce_coeffs(n, poly), _raw=True)
+    return CycInt(n, [0] * (k % n) + [1])
 
 
 def conjugate(a: CycInt) -> CycInt:

@@ -254,13 +254,7 @@ def _light_associativity(t, identity) -> None:
     identity and are closed under the product, so they fill the table once
     they contain a set whose right-multiplication closure is the table."""
     n = len(t)
-    gens: list[int] = []
-    reached = {identity}
-    for x in range(n):
-        if x not in reached:
-            gens.append(x)
-            reached = set(_closure(t, identity, gens))
-    for a in gens:
+    for a in _generating_sequence(t, identity, range(n)):
         ta = t[a]
         for x in range(n):
             txa = t[t[x][a]]
@@ -268,6 +262,19 @@ def _light_associativity(t, identity) -> None:
             for y in range(n):
                 if txa[y] != tx[ta[y]]:
                     raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+
+
+def _generating_sequence(t, identity, elems) -> list:
+    """Each element of elems outside the closure of the ones before it: a
+    generating sequence of the group elems forms, each element at least
+    doubling the closure, so of length at most log_2 of its order."""
+    gens: list[int] = []
+    reached = {identity}
+    for x in elems:
+        if x not in reached:
+            gens.append(x)
+            reached = set(_closure(t, identity, gens))
+    return gens
 
 
 def _closure(t, identity, gens) -> list:
@@ -428,10 +435,9 @@ def generated_subgroup(G: GroupTable, gens: Iterable[int]) -> Subgroup:
 
 
 def center(H: Subgroup) -> Subgroup:
-    G = H.ambient
-    t = G.table
-    zs = [z for z in H.elems if all(t[z][h] == t[h][z] for h in H.elems)]
-    return Subgroup(G, zs, validate=False)
+    """Z(H): the elements whose class in conjugacy_classes(H) has size 1."""
+    cc = conjugacy_classes(H)
+    return Subgroup(H.ambient, [r for r, k in zip(cc.reps, cc.sizes) if k == 1], validate=False)
 
 
 def derived_subgroup(H: Subgroup) -> Subgroup:
@@ -452,14 +458,16 @@ def conjugate_subgroup(H: Subgroup, x: int) -> Subgroup:
 
 
 def is_normal_in(N: Subgroup, H: Subgroup) -> bool:
+    """Whether N is normal in H: normalised_by a generating sequence of H."""
     G = N.ambient
-    return all(N.contains(G.conj(n, h)) for h in H.elems for n in N.elems)
+    return normalised_by(N, _generating_sequence(G.table, G.identity, H.elems))
 
 
 def normalised_by(N: Subgroup, gens: Iterable[int]) -> bool:
     """Whether x N x^-1 lies in N for every x in gens, so N is normal in the
     group they generate (conjugation maps the finite N into itself one to
-    one).  |gens|*|N| table reads, where is_normal_in(N, H) takes |H|*|N|."""
+    one).  |gens|*|N| table reads: |N| log_p|H| for a generating sequence
+    of a p-group H, against |H|*|N| for all of H."""
     G = N.ambient
     t, inv, mask = G.table, G.inverse, N.mask
     return all(mask >> t[t[x][n]][inv[x]] & 1 for x in gens for n in N.elems)
@@ -473,11 +481,16 @@ def class_map(class_of: list) -> array:
 def conjugacy_classes(H: Subgroup, gens: Optional[Sequence[int]] = None) -> ConjClasses:
     """Orbits of H acting on itself by conjugation; reps are minimal indices.
     Each orbit is the closure of its rep under conjugation by gens, which
-    must generate H (H.elems by default): |gens| conjugations per element,
-    so |H| log_p|H| for a p-group's lattice sequence."""
+    must normalise H and generate it modulo Z(H): the empty sequence for an
+    abelian H, whose every element is then its own orbit with no
+    conjugation, and by default a generating sequence of H
+    (_generating_sequence).  |gens| conjugations per element, so at most
+    |H| log_p|H| for a p-group.  This is the one builder of a ConjClasses."""
     G = H.ambient
     t, inv = G.table, G.inverse
-    conj = [(t[g], inv[g]) for g in (H.elems if gens is None else gens)]
+    if gens is None:
+        gens = _generating_sequence(t, G.identity, H.elems)
+    conj = [(t[g], inv[g]) for g in gens]
     class_of = [-1] * G.order
     reps, sizes = [], []
     for x in H.elems:

@@ -361,6 +361,8 @@ def test_maximal_pairs_match_rescan():
     for G in groups:
         ctx = get_context(G)
         assert ctx.maximal_pairs() == _rescan_covers(ctx), G.name
+        for below in ctx._maximal.values():
+            assert [K.elems for K in below] == sorted(K.elems for K in below), G.name
 
 
 def test_up_cover_is_the_first_cover_in_maximal_pairs():
@@ -446,6 +448,65 @@ def test_lattice_normalisers_match_brute_force():
             assert mask == brute, (G.name, H)
             checked += 1
     assert checked > 10000
+
+
+def _singleton_oracle(S):
+    """The classes of an abelian S, one per element in index order, as
+    (class_of, reps, sizes, inverse_class, identity_class)."""
+    G = S.ambient
+    class_of = [-1] * G.order
+    for c, x in enumerate(S.elems):
+        class_of[x] = c
+    return (
+        class_of,
+        S.elems,
+        (1,) * len(S.elems),
+        tuple(class_of[G.inverse[x]] for x in S.elems),
+        class_of[G.identity],
+    )
+
+
+def test_class_sets_and_centres_match_their_oracles():
+    """On every subgroup S of the small catalogs, of two relabelled tables
+    and of reach's four groups: conjugacy_classes(S, ()) of an abelian S is,
+    field by field, one class per element in index order; the default
+    sequence gives what conjugacy_classes(S, S.elems) gives; that sequence
+    closes to S in at most log_2|S| elements; and ctx.center and
+    groups.center are the brute-force centre."""
+    specs = fam.builtin_catalog(2, 32) + fam.builtin_catalog(3, 27) + fam.builtin_catalog(5, 25)
+    groups = [fam.builtin(spec) for spec in specs]
+    groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
+        ["DirectProduct(Dihedral(8),Cyclic(2,1))", "Extraspecial(3,+)"]
+    )]
+    groups += [fam.builtin(spec, 256) for spec in (
+        "Dihedral(128)",
+        "DirectProduct(Dihedral(16),Dihedral(8))",
+        "Modular(3,5)",
+        "DirectProduct(Extraspecial(3,+),ElemAbelian(3,2))",
+    )]
+    abelian = nonabelian = 0
+    for G in groups:
+        ctx = get_context(G, 256)
+        for S in ctx.lattice():
+            seq = gr._generating_sequence(G.table, G.identity, S.elems)
+            assert gr.closure_from_gens(G, seq) == S.elems, (G.name, S)
+            assert 1 << len(seq) <= len(S.elems), (G.name, S)
+            cc = gr.conjugacy_classes(S)
+            assert cc == gr.conjugacy_classes(S, S.elems), (G.name, S)
+            assert gr.center(S).elems == tuple(brute_commuting(G.table, S.elems)), (G.name, S)
+            if ctx.is_abelian(S):
+                empty = gr.conjugacy_classes(S, ())
+                fields = (
+                    list(empty.class_of), empty.reps, empty.sizes,
+                    empty.inverse_class, empty.identity_class,
+                )
+                assert fields == _singleton_oracle(S), (G.name, S)
+                assert empty == cc, (G.name, S)
+                abelian += 1
+            else:
+                nonabelian += 1
+        assert ctx.center.elems == tuple(brute_commuting(G.table, ctx.whole.elems)), G.name
+    assert abelian > 1000 and nonabelian > 500
 
 
 def test_context_is_freed_with_its_group():
@@ -1039,9 +1100,9 @@ def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
     ctx.classes equals conjugacy_classes field for field, the members that
     both routes derive from class_of are the brute-force conjugation orbits,
     and Irr of every abelian subgroup equals the coset walk's.  Exactly the
-    abelian subgroups (by brute-force commutation) take the singleton
-    classes, and exactly the subgroups under an abelian up cover take the
-    set of restrictions of Irr(U)."""
+    abelian subgroups (by brute-force commutation) take their classes under
+    the empty sequence, and exactly the subgroups under an abelian up cover
+    take the set of restrictions of Irr(U)."""
     def spy(seen, fn, at):
         def wrapped(*args):
             seen.append(args[at].elems)
@@ -1049,7 +1110,14 @@ def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
         return wrapped
 
     singleton, restricted = [], []
-    monkeypatch.setattr(characters, "_singleton_classes", spy(singleton, characters._singleton_classes, 0))
+    conjugacy_classes = characters.conjugacy_classes
+
+    def empty_sequence(S, *args):
+        if args == ((),):
+            singleton.append(S.elems)
+        return conjugacy_classes(S, *args)
+
+    monkeypatch.setattr(characters, "conjugacy_classes", empty_sequence)
     monkeypatch.setattr(characters, "_fibre_irr", spy(restricted, characters._fibre_irr, 1))
     specs = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 81) + fam.builtin_catalog(5, 125)
     groups = [fam.builtin(spec) for spec in specs]
@@ -1082,12 +1150,13 @@ def test_abelian_up_cover_route_matches_conjugation_and_coset_walk(monkeypatch):
 def test_no_abelian_subgroup_is_conjugated(monkeypatch):
     """theorem_report at every level and irr_json over every subgroup, on
     the small catalogs and two relabelled tables, conjugate no abelian
-    subgroup: conjugacy_classes takes nonabelian subgroups only."""
+    subgroup: conjugacy_classes takes every abelian subgroup with the empty
+    sequence, and only nonabelian subgroups with any other."""
     taken = []
     conjugacy_classes = characters.conjugacy_classes
 
     def spy(S, *args):
-        taken.append((S.ambient.table, S.elems))
+        taken.append((S.ambient.table, S.elems, args))
         return conjugacy_classes(S, *args)
 
     monkeypatch.setattr(characters, "conjugacy_classes", spy)
@@ -1100,9 +1169,12 @@ def test_no_abelian_subgroup_is_conjugated(monkeypatch):
         for e in valid_exponents(G):
             theorem_report(G, None, e)
         export.irr_json(G, True)
-    assert taken
-    for table, elems in taken:
-        assert brute_commuting(table, elems) != list(elems)
+    kinds = set()
+    for table, elems, args in taken:
+        abelian = brute_commuting(table, elems) == list(elems)
+        assert abelian == (args == ((),)), elems
+        kinds.add(abelian)
+    assert kinds == {True, False}
 
 
 def test_is_abelian_without_the_lattice_commutes_elements_and_builds_nothing():
@@ -1282,6 +1354,61 @@ def test_a_nonabelian_sequence_that_generates_a_proper_subgroup_exits_5(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Clifford theory over the maximal subgroups gave" in proc.stdout
+    assert "internal check failed" in proc.stderr
+
+
+_ESCAPING_SEQUENCE = """
+import sys
+from charposet import characters, cli, families, groups
+from charposet.errors import InternalCheckError
+
+all_subgroups = characters.all_subgroups
+
+def escaping(G, *args):
+    # Append to the sequence of the first nonabelian subgroup in lattice
+    # order that is not normal an element outside its normaliser: some
+    # conjugate of an element of S then lies outside S.
+    lattice = all_subgroups(G, *args)
+    sequences = args[-1]
+    for S in lattice:
+        gens, abelian = sequences[S.mask]
+        outside = [x for x in range(G.order) if not groups.normalised_by(S, (x,))]
+        if not abelian and outside:
+            sequences[S.mask] = (gens + (outside[0],), abelian)
+            break
+    return lattice
+
+characters.all_subgroups = escaping
+ctx = characters.get_context(families.builtin("Dihedral(32)"))
+S = next(S for S in ctx.lattice() if not ctx.is_abelian(S))
+gens = ctx._sequences[S.mask][0]
+assert len(S.elems) == 8 and not groups.normalised_by(S, gens)
+try:
+    ctx.irr_rows(S)
+except InternalCheckError as err:
+    print(err)
+else:
+    sys.exit("Irr(S) passed over orbits that leave S")
+
+sys.exit(0 if cli.main(["verify", "--group", "Dihedral(32)"]) == 5 else "verify did not exit 5")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_sequence_outside_the_normaliser_exits_5(flags):
+    """ctx.classes of a nonabelian subgroup S are the orbits under S's
+    lattice sequence, which must normalise S.  With an element outside
+    N_G(S) appended to the sequence of D8 in D32, an orbit leaves S, the
+    class sizes do not sum to |S| and conjugacy_classes raises
+    InternalCheckError; verify exits 5, under plain Python and under
+    python -O."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _ESCAPING_SEQUENCE],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "class sizes do not sum to the subgroup order" in proc.stdout
     assert "internal check failed" in proc.stderr
 
 
