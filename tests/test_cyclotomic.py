@@ -3,7 +3,7 @@ import random
 import pytest
 
 from charposet import cyclotomic as cyc
-from charposet.errors import ConductorMismatch, NotDivisible, NotRationalInteger
+from charposet.errors import ConductorMismatch, InternalCheckError, NotDivisible, NotRationalInteger
 
 CONDUCTORS = (2, 4, 8, 16, 3, 9, 27, 5, 25)
 
@@ -164,3 +164,8 @@ def test_zeta_table():
     assert len(tab) == 8
     assert tab[0] == cyc.one(8)
     assert tab[4] == cyc.integer(8, -1)
+
+
+def test_poly_divmod_refuses_a_divisor_that_is_not_monic():
+    with pytest.raises(InternalCheckError, match="divisor polynomial is not monic"):
+        cyc._poly_divmod([1, 0, 1], [1, 2])

@@ -5,7 +5,7 @@ import pytest
 
 from charposet import families as fam
 from charposet import groups as gr
-from charposet.errors import OrderCapExceeded, UnknownFamily
+from charposet.errors import InternalCheckError, OrderCapExceeded, UnknownFamily
 
 
 def test_cyclic_c8():
@@ -144,3 +144,10 @@ def test_catalog_tables_are_pinned():
     assert digest.hexdigest() == (
         "67307ed6e7715513ce8a7daea758152705c0e1247974743ce8d61e6f5a5cd6a8"
     )
+
+
+def test_a_twist_of_the_wrong_order_is_checked():
+    """<r, s | r^4, s^2, s r s^-1 = r^2>: 2 is no unit mod 4, so no power
+    of it is 1 and the twist check of the metacyclic builder raises."""
+    with pytest.raises(InternalCheckError, match="twist 2 has no order dividing 2 mod 4"):
+        fam._two_generator_metacyclic(4, 2, 2, 0, "bad", 128)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -26,6 +27,7 @@ from charposet.errors import (
 )
 
 from conftest import brute_classes, brute_commuting, brute_group_check, relabelled
+from test_cli import _sl23_table
 
 
 def _z4_table():
@@ -224,24 +226,26 @@ def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
 
 
 def test_lattice_sequences_generate_each_subgroup_and_flag_the_abelian_ones():
-    """On the catalogs p = 2 up to 64, p = 3 up to 81, p = 5 up to 125 and
-    relabelled tables, the lattice maps every subgroup S to a sequence of
-    length log_p|S| whose closure is S, and to an abelian flag that equals
-    a brute-force commutation check over all of S."""
+    """On the catalogs p = 2 up to 64, p = 3 up to 81, p = 5 up to 125,
+    relabelled tables and S3, A4 and S4, the lattice maps every subgroup S
+    to a sequence whose closure is S, of length log_p|S| in a p-group, and
+    to an abelian flag that equals a brute-force commutation check over all
+    of S."""
     specs = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 81) + fam.builtin_catalog(5, 125)
     groups = [fam.builtin(spec) for spec in specs]
     groups += [relabelled(fam.builtin(spec), seed) for seed, spec in enumerate(
         ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
     )]
+    groups += [_s3(), _a4(), _s4()]
     checked = abelian = 0
     for G in groups:
-        p = gr.require_p_group(G)
+        p = gr.prime_of(G.order)
         sequences: dict = {}
         lattice = gr.all_subgroups(G, 256, sequences=sequences)
         assert sorted(sequences) == sorted(S.mask for S in lattice), G.name
         for S in lattice:
             seq, flag = sequences[S.mask]
-            assert p ** len(seq) == len(S.elems), (G.name, S)
+            assert p is None or p ** len(seq) == len(S.elems), (G.name, S)
             assert gr.closure_from_gens(G, seq) == S.elems, (G.name, S)
             assert flag == (len(brute_commuting(G.table, S.elems)) == len(S.elems)), (G.name, S)
             abelian += flag
@@ -322,6 +326,33 @@ def _a4():
     return gr.from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
 
 
+def _s4():
+    return gr.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
+
+
+# sha256 of repr([(S.elems, sequences[S.mask]) for S in all_subgroups(G)]):
+# the closure route's lattice, its sequences and its abelian flags.
+_CLOSURE_LATTICE_DIGESTS = {
+    "S3": "b0977cc0d5158f270e5c7e0e8aebe0ae998083c3c6cc4f81faecd8f3981588a5",
+    "A4": "a811ee44900d2223e26e756f4264f1fbc05b5603dff3553a686083b4296d1d10",
+    "S4": "df99764d9c0544aba38e56564cfff2c0b707fb9faf1fc83ae7095103a50dc213",
+    "SL(2,3)": "741778976f720e4471304642b398e671e6d8b941498268f38ca9c26b77e1bfe3",
+}
+
+
+def test_closure_route_lattices_are_pinned():
+    """The lattices of S3, A4, S4 and SL(2,3), which are not p-groups, with
+    each subgroup's sequence and abelian flag, are the pinned ones: 6, 10,
+    30 and 15 subgroups."""
+    groups = [_s3(), _a4(), _s4(), gr.from_cayley(_sl23_table(), name="SL(2,3)")]
+    for G, count in zip(groups, (6, 10, 30, 15)):
+        sequences: dict = {}
+        lattice = gr.all_subgroups(G, sequences=sequences)
+        assert len(lattice) == count == len(sequences), G.name
+        records = repr([(S.elems, sequences[S.mask]) for S in lattice])
+        assert hashlib.sha256(records.encode()).hexdigest() == _CLOSURE_LATTICE_DIGESTS[G.name]
+
+
 def test_all_subgroups_q8_brute(q8):
     assert [len(S) for S in gr.all_subgroups(q8)] == [1, 2, 4, 4, 4, 8]
     # S3 and A4 are not p-groups: they take the closure route.
@@ -400,6 +431,57 @@ def test_lattice_layer_counts_are_checked_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 subgroups of order 4 in bad, not 1 mod 2 (Frobenius)"
+
+
+def _raised_internal_check(flags, body):
+    """Run body in a fresh interpreter with flags; return the message of the
+    InternalCheckError it raises, or fail if it raises none."""
+    script = (
+        "from charposet import families, groups as gr\n"
+        "from charposet.errors import InternalCheckError\n"
+        "try:\n"
+        + "".join(f"    {line}\n" for line in body.splitlines())
+        + "except InternalCheckError as err:\n"
+        "    print(err)\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no InternalCheckError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_subgroup_order_that_does_not_divide_the_group_order_is_checked(flags):
+    """A table of S3 that claims order 5: {1, an involution} is closed under
+    the product and inverses, but 2 does not divide 5, and the subgroup
+    check raises under plain Python and under python -O."""
+    body = (
+        "S3 = gr.from_permutations([(1, 0, 2), (1, 2, 0)])\n"
+        "bad = gr.GroupTable(5, S3.table, S3.identity, S3.inverse, S3.elem_order, 6, 'bad')\n"
+        "s = S3.elem_order.index(2)\n"
+        "gr.Subgroup(bad, [S3.identity, s])"
+    )
+    assert _raised_internal_check(flags, body) == "subgroup order 2 does not divide 5"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_double_cosets_that_do_not_cover_the_group_are_checked(flags):
+    """With S = {r} for r of order 4 in D8, taken unvalidated, each
+    "double coset" of x is the one element r x r, and x itself is marked only
+    when it is r y r for an earlier y; the cover check raises under plain
+    Python and under python -O."""
+    body = (
+        "D8 = families.dihedral(8)\n"
+        "r = D8.elem_order.index(4)\n"
+        "S = gr.Subgroup(D8, [r], validate=False)\n"
+        "gr.double_cosets(D8, S, S)"
+    )
+    assert _raised_internal_check(flags, body) == "the double cosets do not cover G"
 
 
 def test_coset_union_certificate_rejects_a_non_normalising_x(d8):
