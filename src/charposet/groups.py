@@ -335,7 +335,6 @@ def from_permutations(
                 elems.append(y)
                 queue.append(y)
 
-    n = len(elems)
     table = tuple(
         tuple(index[tuple(a[b[i]] for i in range(m))] for b in elems) for a in elems
     )
@@ -533,7 +532,9 @@ def all_subgroups(
 ) -> list:
     """Every subgroup of G exactly once, sorted by (order, elements); when
     sequences is a dict, it maps each S.mask to (a generating sequence of S,
-    whether S is abelian).
+    whether S is abelian).  Both builders below return one record (S, its
+    sequence, whether S is abelian) per subgroup, in that order; the
+    sequences are read off the records here.
 
     A p-group's lattice is built layer by layer by cyclic extension
     (Neubüser 1960): every subgroup K of order p^(k+1) has a normal subgroup
@@ -546,74 +547,67 @@ def all_subgroups(
     once, in discovery order.  Each new union of cosets K is certified to
     be the subgroup <H, x> by K x <= K (|K| table reads), and the count of
     each layer is checked against Frobenius's theorem (the number of
-    subgroups of order p^k of a p-group is 1 mod p).  The sequence of H<x> is the sequence of the H it
-    was first met over, plus x, so it has length log_p|H<x>|; H<x> is
-    abelian when H is and x commutes with H's sequence.
+    subgroups of order p^k of a p-group is 1 mod p).  The sequence of H<x>
+    is the sequence of the H it was first met over, plus x, so it has
+    length log_p|H<x>|; H<x> is abelian when H is and x commutes with H's
+    sequence.
 
     Any other group takes closures of (known subgroup, one extra element) to
-    a fixpoint, starting from the cyclic subgroups, and records no covers;
+    a fixpoint, starting from the trivial subgroup, and records no covers;
     the sequence of each subgroup is the elements it was closed from.
     """
     if G.order > order_cap:
         raise OrderCapExceeded(f"|G| = {G.order} exceeds cap {order_cap}")
     p = prime_of(G.order)
-    if p is not None:
-        return _cyclic_extension_lattice(G, p, lattice_cap, covers, sequences)
-
-    found: dict[tuple, Subgroup] = {}
-    gens_of: dict[tuple, tuple] = {}
-    worklist: list[tuple] = []
-
-    def add(elems: tuple, gens: tuple) -> None:
-        if elems not in found:
-            if len(found) >= lattice_cap:
-                raise LatticeTooLarge(f"more than {lattice_cap} subgroups")
-            found[elems] = Subgroup(G, elems, validate=False)
-            gens_of[elems] = gens
-            worklist.append(elems)
-
-    add((G.identity,), ())
-    for g in range(G.order):
-        add(closure_from_gens(G, (g,)), (g,))
-
-    i = 0
-    while i < len(worklist):
-        elems = worklist[i]
-        i += 1
-        if len(elems) == G.order:
-            continue
-        H = found[elems]
-        base_gens = gens_of[elems]
-        for x in range(G.order):
-            if not H.contains(x):
-                add(closure_from_gens(G, base_gens + (x,)), base_gens + (x,))
+    if p is None:
+        records = _closure_lattice(G, lattice_cap)
+    else:
+        records = _cyclic_extension_lattice(G, p, lattice_cap, covers)
     if sequences is not None:
-        t = G.table
-        for elems, gens in gens_of.items():
-            abelian = all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[:i])
-            sequences[found[elems].mask] = (gens, abelian)
-    return sorted(found.values(), key=lambda S: (len(S.elems), S.elems))
+        for S, gens, abelian in records:
+            sequences[S.mask] = (gens, abelian)
+    return [S for S, _, _ in records]
+
+
+def _closure_lattice(G: GroupTable, lattice_cap: int) -> list:
+    """all_subgroups' records for a group that is not a p-group: the
+    closure of each subgroup's sequence plus one element outside it, to a
+    fixpoint.  The trivial subgroup's step meets every cyclic subgroup."""
+    t = G.table
+    trivial = trivial_subgroup(G)
+    worklist = [(trivial, (), True)]
+    found = {trivial.mask: worklist[0]}  # S.mask -> its record
+    for H, base_gens, _ in worklist:  # grows as new subgroups are met
+        for x in range(G.order):
+            if H.contains(x):
+                continue
+            gens = base_gens + (x,)
+            S = generated_subgroup(G, gens)
+            if S.mask not in found:
+                if len(found) >= lattice_cap:
+                    raise LatticeTooLarge(f"more than {lattice_cap} subgroups")
+                abelian = all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[:i])
+                found[S.mask] = record = (S, gens, abelian)
+                worklist.append(record)
+    return sorted(worklist, key=lambda rec: (len(rec[0].elems), rec[0].elems))
 
 
 def _cyclic_extension_lattice(
-    G: GroupTable, p: int, lattice_cap: int, covers: Optional[list], sequences: Optional[dict]
+    G: GroupTable, p: int, lattice_cap: int, covers: Optional[list]
 ) -> list:
-    """all_subgroups for a p-group: layer k+1 is every H<x> over layer k,
-    for the x in N_G(H) outside H with x^p in H; each of them builds a
-    cover."""
+    """all_subgroups' records for a p-group: layer k+1 is every H<x> over
+    layer k, for the x in N_G(H) outside H with x^p in H; each of them
+    builds a cover."""
     t = G.table
     n = G.order
     # roots[y]: the mask of the x with x^p = y.
     roots = [0] * n
     for x in range(n):
         roots[G.power(x, p)] |= 1 << x
-    trivial = trivial_subgroup(G)
-    out = [trivial]
     conjugators: dict = {}  # g -> its pairs (y, x-mask), see _normaliser
-    # One layer: (subgroup, its sequence, whether it is abelian).
-    layer = [(trivial, (), True)]
-    if sequences is not None:
-        sequences[trivial.mask] = ((), True)
+    # One layer of records: (subgroup, its sequence, whether it is abelian).
+    layer = [(trivial_subgroup(G), (), True)]
+    out = list(layer)
     while len(layer[0][0].elems) < n:
         found: dict[int, tuple] = {}
         for H, gens, abelian in layer:
@@ -658,10 +652,7 @@ def _cyclic_extension_lattice(
                 f"not 1 mod {p} (Frobenius)"
             )
         layer = sorted(found.values(), key=lambda Sg: Sg[0].elems)
-        out += [S for S, _, _ in layer]
-        if sequences is not None:
-            for S, gens, abelian in layer:
-                sequences[S.mask] = (gens, abelian)
+        out += layer
     return out
 
 

@@ -128,7 +128,7 @@ class CharacterPoset:
     """Node set of the poset for one (G, p, e), with its edges (held by
     ctx.restriction_edges), components, and witness machinery."""
 
-    def __init__(self, ctx: CharContext, p: int, e: int, strategy: str = "maximal"):
+    def __init__(self, ctx: CharContext, p: Optional[int], e: int, strategy: str = "maximal"):
         if strategy not in ("maximal", "full"):
             raise InputError(f"unknown edge strategy {strategy!r}")
         G = ctx.group
@@ -429,8 +429,7 @@ class CharacterPoset:
 def build_poset(
     G: GroupTable, p: Optional[int], e: int, strategy: str = "maximal"
 ) -> CharacterPoset:
-    ctx = get_context(G)
-    return CharacterPoset(ctx, p if p is not None else require_p_group(G), e, strategy)
+    return CharacterPoset(get_context(G), p, e, strategy)
 
 
 def central_poset_map(alpha: ClassFunction, A: Subgroup) -> ClassFunction:
