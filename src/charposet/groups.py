@@ -533,8 +533,8 @@ def all_subgroups(
     """Every subgroup of G exactly once, sorted by (order, elements); when
     sequences is a dict, it maps each S.mask to (a generating sequence of S,
     whether S is abelian).  Both builders below return one record (S, its
-    sequence, whether S is abelian) per subgroup, in that order; the
-    sequences are read off the records here.
+    sequence, whether S is abelian) per subgroup, in the returned order;
+    sequences is filled from the records here and nowhere else.
 
     A p-group's lattice is built layer by layer by cyclic extension
     (Neubüser 1960): every subgroup K of order p^(k+1) has a normal subgroup

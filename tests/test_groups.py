@@ -407,32 +407,6 @@ def test_all_subgroups_caps():
         gr.all_subgroups(fam.elem_abelian(2, 7))
 
 
-def test_lattice_layer_counts_are_checked_under_python_O():
-    """C2 x C2 with every inverse set to the identity: the normaliser mask
-    of a subgroup of order 2 (x g x^-1 read as x g) holds no x outside it,
-    so the layer of order 4 comes out empty, and the Frobenius count check
-    raises even under -O."""
-    script = (
-        "from charposet import families, groups as gr\n"
-        "from charposet.errors import InternalCheckError\n"
-        "G = families.elem_abelian(2, 2)\n"
-        "bad = gr.GroupTable(4, G.table, G.identity, (G.identity,) * 4, G.elem_order, 2, 'bad')\n"
-        "try:\n"
-        "    gr.all_subgroups(bad)\n"
-        "except InternalCheckError as err:\n"
-        "    print(err)\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('no InternalCheckError')\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, check=False, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 subgroups of order 4 in bad, not 1 mod 2 (Frobenius)"
-
-
 def _raised_internal_check(flags, body):
     """Run body in a fresh interpreter with flags; return the message of the
     InternalCheckError it raises, or fail if it raises none."""
@@ -455,6 +429,20 @@ def _raised_internal_check(flags, body):
     return proc.stdout.strip()
 
 
+def test_lattice_layer_counts_are_checked_under_python_O():
+    """C2 x C2 with every inverse set to the identity: the normaliser mask
+    of a subgroup of order 2 (x g x^-1 read as x g) holds no x outside it,
+    so the layer of order 4 comes out empty, and the Frobenius count check
+    raises even under -O."""
+    body = (
+        "G = families.elem_abelian(2, 2)\n"
+        "bad = gr.GroupTable(4, G.table, G.identity, (G.identity,) * 4, G.elem_order, 2, 'bad')\n"
+        "gr.all_subgroups(bad)"
+    )
+    message = _raised_internal_check(["-O"], body)
+    assert message == "0 subgroups of order 4 in bad, not 1 mod 2 (Frobenius)"
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 def test_a_subgroup_order_that_does_not_divide_the_group_order_is_checked(flags):
     """A table of S3 that claims order 5: {1, an involution} is closed under
@@ -471,10 +459,10 @@ def test_a_subgroup_order_that_does_not_divide_the_group_order_is_checked(flags)
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 def test_double_cosets_that_do_not_cover_the_group_are_checked(flags):
-    """With S = {r} for r of order 4 in D8, taken unvalidated, each
-    "double coset" of x is the one element r x r, and x itself is marked only
-    when it is r y r for an earlier y; the cover check raises under plain
-    Python and under python -O."""
+    """With S = {r} for r of order 4 in D8, taken unvalidated, each rep x
+    marks only the one element r x r as covered, and some rep is left
+    unmarked; the cover check raises under plain Python and under
+    python -O."""
     body = (
         "D8 = families.dihedral(8)\n"
         "r = D8.elem_order.index(4)\n"
