@@ -530,11 +530,10 @@ def all_subgroups(
     covers: Optional[list] = None,
     sequences: Optional[dict] = None,
 ) -> list:
-    """Every subgroup of G exactly once, sorted by (order, elements); when
-    sequences is a dict, it maps each S.mask to (a generating sequence of S,
-    whether S is abelian).  Both builders below return one record (S, its
-    sequence, whether S is abelian) per subgroup, in the returned order;
-    sequences is filled from the records here and nowhere else.
+    """Every subgroup of G exactly once, sorted by (order, elements).  Both
+    builders below return one record (S, a generating sequence of S, whether
+    S is abelian) per subgroup, in that order; when sequences is a dict, it
+    maps each S.mask to the last two fields of S's record.
 
     A p-group's lattice is built layer by layer by cyclic extension
     (Neubüser 1960): every subgroup K of order p^(k+1) has a normal subgroup
@@ -582,12 +581,13 @@ def _closure_lattice(G: GroupTable, lattice_cap: int) -> list:
             if H.contains(x):
                 continue
             gens = base_gens + (x,)
-            S = generated_subgroup(G, gens)
-            if S.mask not in found:
+            elems = _closure(t, G.identity, gens)
+            mask = sum(1 << y for y in elems)  # keyed before any Subgroup is built
+            if mask not in found:
                 if len(found) >= lattice_cap:
                     raise LatticeTooLarge(f"more than {lattice_cap} subgroups")
                 abelian = all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[:i])
-                found[S.mask] = record = (S, gens, abelian)
+                found[mask] = record = (Subgroup(G, elems, validate=False), gens, abelian)
                 worklist.append(record)
     return sorted(worklist, key=lambda rec: (len(rec[0].elems), rec[0].elems))
 
