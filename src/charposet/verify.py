@@ -161,6 +161,7 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
     ctx.central_images under (IZ.mask, S.mask).  Each node is keyed by
     roots[peak], read off the partition subgroup by subgroup.  Constancy and
     surjectivity are read off one set of (root, image) pairs."""
+    where = f"{poset.group.name} e={poset.e}"
     lookup = ctx.char_index(IZ)
     kept = ctx.central_images
     roots = partition.roots
@@ -175,15 +176,17 @@ def _central_suite(ctx, poset: CharacterPoset, partition, IZ: Subgroup) -> None:
             )
         images.update(zip(map(roots.__getitem__, peaks), central))
     if len({c for c, _ in images}) != len(images):
-        raise CriterionViolation("central map is not constant on a connected component")
+        raise CriterionViolation(f"{where}: central map is not constant on a connected component")
     hit = len({idx for _, idx in images})
     if hit != len(IZ.elems):
-        raise CriterionViolation(f"central map hits {hit} of {len(IZ.elems)} linear characters")
+        raise CriterionViolation(
+            f"{where}: central map hits {hit} of {len(IZ.elems)} linear characters"
+        )
     # At its top level the poset of IZ is the one subgroup IZ with no edges,
     # so its components are the characters of IZ.
     if len(ctx.irr_rows(IZ)) != len(IZ.elems):
         raise CriterionViolation(
-            "standalone central poset does not have one component per character"
+            f"{where}: standalone central poset does not have one component per character"
         )
 
 

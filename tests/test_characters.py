@@ -710,6 +710,19 @@ def test_restricted_rows_rejects_a_subgroup_outside_the_other(d8):
     assert ctx._restricted_rows(inside, H) == [restrict(chi, inside).rows for chi in irr(H)]
 
 
+def test_clifford_split_rejects_a_subgroup_that_is_not_normal(d8):
+    """_clifford_split(K, H) permutes K's classes by conjugation with an x in
+    H outside K; for a K not normal in H some conjugate leaves K, and the
+    split raises InternalCheckError rather than reading its class as -1.
+    Each of D8's four non-normal subgroups of order 2 under D8 does."""
+    ctx = get_context(d8)
+    twos = [K for K in ctx.lattice() if len(K.elems) == 2 and not gr.is_normal_in(K, ctx.whole)]
+    assert len(twos) == 4
+    for K in twos:
+        with pytest.raises(InternalCheckError, match="K is not normal in H"):
+            ctx._clifford_split(K, ctx.whole)
+
+
 def _inner_product_oracle(ctx, K, H) -> tuple:
     """The masks of (K, H) with every row of Irr(H) fed to the inner-product
     handler, none looked up."""
