@@ -6,6 +6,10 @@ basis is an integral basis, so equality is coordinate-wise and division by a
 rational integer is coordinate-wise when it is exact.  All character values in
 this package live here; nothing is ever rounded.
 
+Reduction mod Phi_n is one cached table per conductor, the coordinates of
+zeta^t for t < n (_power_terms).  reduce_coeffs, the one reducer, adds each
+term's multiple of row t mod n; polynomial division only builds Phi_n.
+
 On the hot paths of the character code a value is packed into one Python
 int (pack, unpack): the coordinates are balanced signed digits of width W,
 coordinate 0 the most significant, so x = sum of c_i * 2^(W*(d-1-i)) for
@@ -29,6 +33,7 @@ InternalCheckError.
 from __future__ import annotations
 
 from functools import cache
+from itertools import cycle
 from typing import Sequence
 
 from .errors import ConductorMismatch, InternalCheckError, NotDivisible, NotRationalInteger
@@ -76,17 +81,27 @@ def euler_phi(n: int) -> int:
 
 
 def reduce_coeffs(n: int, poly: Sequence[int]) -> tuple[int, ...]:
-    """Reduce an integer polynomial in zeta_n to power-basis coordinates."""
+    """Power-basis coordinates of the sum of poly[t] * zeta_n^t: each term
+    adds its multiple of the coordinates of zeta_n^(t mod n)."""
+    out = [0] * euler_phi(n)
+    for c, terms in zip(poly, cycle(_power_terms(n))):
+        if c:
+            for k, v in terms:
+                out[k] += c * v
+    return tuple(out)
+
+
+@cache
+def _power_terms(n: int) -> tuple:
+    """For 0 <= t < n, the nonzero coordinates (k, c_k) of zeta_n^t: zeta
+    times the row before, with zeta^phi(n) replaced by
+    zeta^phi(n) - Phi_n(zeta)."""
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    if len(poly) > n:
-        folded = [0] * n
-        for i, c in enumerate(poly):
-            folded[i % n] += c
-        poly = folded
-    _, rem = _poly_divmod(list(poly), phi)
-    rem.extend([0] * (deg - len(rem)))
-    return tuple(rem)
+    row, rows = [1] + [0] * (len(phi) - 2), []
+    for _ in range(n):
+        rows.append(tuple((k, c) for k, c in enumerate(row) if c))
+        row = [c - row[-1] * f for c, f in zip([0] + row[:-1], phi)]
+    return tuple(rows)
 
 
 class CycInt:
@@ -95,17 +110,8 @@ class CycInt:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Sequence[int], *, _raw: bool = False):
-        if _raw:
-            self.n = n
-            self.coeffs = tuple(coeffs)
-        else:
-            deg = euler_phi(n)
-            if len(coeffs) > deg:
-                coeffs = reduce_coeffs(n, coeffs)
-            else:
-                coeffs = tuple(coeffs) + (0,) * (deg - len(coeffs))
-            self.n = n
-            self.coeffs = coeffs
+        self.n = n
+        self.coeffs = tuple(coeffs) if _raw else reduce_coeffs(n, coeffs)
 
     def __eq__(self, other):
         return (
@@ -146,24 +152,13 @@ def _check(a: CycInt, b: CycInt) -> None:
 
 
 def mul_coeffs(n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product in power-basis coordinates; exponents fold mod n before the
-    division by Phi_n."""
-    if not any(a[1:]):  # scalar fast path
-        s = a[0]
-        return tuple(s * x for x in b)
-    if not any(b[1:]):
-        s = b[0]
-        return tuple(s * x for x in a)
-    acc = [0] * n if len(a) + len(b) - 1 > n else [0] * (len(a) + len(b) - 1)
-    m = len(acc)
+    """Product in power-basis coordinates: the polynomial product, reduced."""
+    acc = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
-                    k = i + j
-                    if k >= m:
-                        k -= n
-                    acc[k] += ai * bj
+                    acc[i + j] += ai * bj
     return reduce_coeffs(n, acc)
 
 
@@ -184,19 +179,15 @@ def one(n: int) -> CycInt:
 
 def zeta_pow(n: int, k: int) -> CycInt:
     """Canonical representative of zeta_n^k."""
-    if n < 1:
-        raise ValueError(f"conductor must be positive, got {n}")
-    return CycInt(n, [0] * (k % n) + [1])
+    return zeta_table(n)[k % n]
 
 
 def conjugate(a: CycInt) -> CycInt:
     """Image under zeta -> zeta^(n-1), i.e. complex conjugation."""
-    n = a.n
-    poly = [0] * n
+    poly = [0] * a.n
     for i, c in enumerate(a.coeffs):
-        if c:
-            poly[(n - i) % n] += c
-    return CycInt(n, reduce_coeffs(n, poly), _raw=True)
+        poly[-i] += c
+    return CycInt(a.n, poly)
 
 
 def coeffs_as_integer(coeffs: Sequence[int]) -> int:
@@ -224,8 +215,12 @@ def exact_div_int(a: CycInt, m: int) -> CycInt:
 
 @cache
 def zeta_table(n: int) -> tuple[CycInt, ...]:
-    """All powers zeta_n^0 .. zeta_n^(n-1), for bulk character construction."""
-    return tuple(zeta_pow(n, k) for k in range(n))
+    """All powers zeta_n^0 .. zeta_n^(n-1), for bulk character construction:
+    the rows of _power_terms(n) as values."""
+    d = euler_phi(n)
+    return tuple(
+        CycInt(n, [dict(row).get(k, 0) for k in range(d)], _raw=True) for row in _power_terms(n)
+    )
 
 
 # -- packed values ---------------------------------------------------------------
@@ -297,20 +292,5 @@ def packed_div(x: int, m: int, width: int, count: int) -> tuple[int, int]:
 
 def packed_product_coeffs(n: int, x: int, width: int, count: int) -> tuple[int, ...]:
     """Power-basis coordinates of a sum of products of packed values: its
-    2*count - 1 digits are the coefficients of zeta_n^0 .. zeta_n^(2*count-2),
-    and each adds its multiple of that power's coordinates."""
-    out = [0] * count
-    for c, terms in zip(unpack(x, width, 2 * count - 1), _power_terms(n, count)):
-        if c:
-            for k, v in terms:
-                out[k] += c * v
-    return tuple(out)
-
-
-@cache
-def _power_terms(n: int, count: int) -> tuple:
-    """For t < 2*count - 1, the nonzero coordinates (k, c_k) of zeta_n^t."""
-    return tuple(
-        tuple((k, c) for k, c in enumerate(zeta_pow(n, t).coeffs) if c)
-        for t in range(2 * count - 1)
-    )
+    2*count - 1 digits are the coefficients of zeta_n^0 .. zeta_n^(2*count-2)."""
+    return reduce_coeffs(n, unpack(x, width, 2 * count - 1))

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,15 @@ def closure_lattice(G, covers):
                 for y in kelems:
                     skip |= 1 << y
     return sorted(found.values(), key=lambda S: (len(S.elems), S.elems))
+
+
+def run_script(flags, script):
+    """Run script in a fresh interpreter with flags and charposet on the path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
+    )
 
 
 def cyc_to_json(z):

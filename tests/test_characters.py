@@ -1,13 +1,9 @@
 import gc
 import itertools
-import os
 import random
-import subprocess
-import sys
 import weakref
 from functools import reduce
 from operator import or_
-from pathlib import Path
 
 import pytest
 
@@ -49,6 +45,7 @@ from conftest import (
     naive_induced_value,
     naive_inner_products,
     relabelled,
+    run_script,
 )
 
 
@@ -1308,11 +1305,7 @@ def test_a_sequence_that_generates_a_proper_subgroup_exits_5(flags):
     positions of a subgroup of order 2 of S, there are 2 distinct rows, not
     4: IncompleteIrr, and verify exits 5, under plain Python and under
     python -O."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _HALVED_RESTRICTION],
-        capture_output=True, text=True, env=env, check=False, timeout=120,
-    )
+    proc = run_script(flags, _HALVED_RESTRICTION)
     assert proc.returncode == 0, proc.stderr
     assert "restricts to 2 rows over a subgroup of order 4" in proc.stdout
     assert "internal check failed" in proc.stderr
@@ -1360,11 +1353,7 @@ def test_a_nonabelian_sequence_that_generates_a_proper_subgroup_exits_5(flags):
     set of a subgroup of order 4, the orbits are finer than S's classes,
     and Irr's completeness check raises IncompleteIrr; verify exits 5,
     under plain Python and under python -O."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _TRUNCATED_SEQUENCE],
-        capture_output=True, text=True, env=env, check=False, timeout=120,
-    )
+    proc = run_script(flags, _TRUNCATED_SEQUENCE)
     assert proc.returncode == 0, proc.stderr
     assert "Clifford theory over the maximal subgroups gave" in proc.stdout
     assert "internal check failed" in proc.stderr
@@ -1415,11 +1404,7 @@ def test_a_sequence_outside_the_normaliser_exits_5(flags):
     class sizes do not sum to |S| and conjugacy_classes raises
     InternalCheckError; verify exits 5, under plain Python and under
     python -O."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _ESCAPING_SEQUENCE],
-        capture_output=True, text=True, env=env, check=False, timeout=120,
-    )
+    proc = run_script(flags, _ESCAPING_SEQUENCE)
     assert proc.returncode == 0, proc.stderr
     assert "class sizes do not sum to the subgroup order" in proc.stdout
     assert "internal check failed" in proc.stderr

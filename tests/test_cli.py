@@ -28,6 +28,7 @@ from charposet.families import builtin
 from charposet.groups import subgroups_of_order
 from charposet.poset import CharacterPoset, WitnessChain, build_poset
 
+from conftest import run_script
 from test_export import _IRR_DIGESTS
 
 
@@ -773,9 +774,5 @@ def test_class_function_input_checks_under_python_O():
         "        continue\n"
         "    raise SystemExit('no InputError')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, check=False, timeout=120,
-    )
+    proc = run_script(["-O"], script)
     assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import pytest
 
 from charposet import cyclotomic as cyc
 from charposet.errors import ConductorMismatch, InternalCheckError, NotDivisible, NotRationalInteger
+from conftest import run_script
 
 CONDUCTORS = (2, 4, 8, 16, 3, 9, 27, 5, 25)
 
@@ -26,6 +27,7 @@ def test_zeta_pow_basics():
     assert cyc.zeta_pow(4, 0) == cyc.integer(4, 1)
     assert cyc.zeta_pow(4, 2) == cyc.integer(4, -1)
     assert cyc.zeta_pow(4, 5) == cyc.zeta_pow(4, 1)
+    assert cyc.CycInt(8, [0] * 9 + [1]) == cyc.zeta_pow(8, 1)  # more than n coordinates
 
 
 def test_zeta8_fourth_power():
@@ -81,7 +83,7 @@ def test_mul_cross_check_redundant_basis():
 
 def test_random_mul_cross_check_redundant_basis():
     rng = random.Random(13)
-    for n in (8, 9, 16, 25):
+    for n in (8, 9, 16, 25, 32, 64, 81, 125):
         deg = cyc.euler_phi(n)
         phi = list(cyc.cyclotomic_polynomial(n))
         for _ in range(25):
@@ -164,6 +166,44 @@ def test_zeta_table():
     assert len(tab) == 8
     assert tab[0] == cyc.one(8)
     assert tab[4] == cyc.integer(8, -1)
+
+
+def test_every_row_of_the_zeta_table_is_the_power_reduced_mod_phi():
+    """Row t of zeta_table(n) is x^t mod Phi_n by the test-local division,
+    for the powers of 2 up to 128, of 3 up to 243 and of 5 up to 125, and
+    for 6, 12 and 60."""
+    conductors = [2**k for k in range(1, 8)] + [3**k for k in range(1, 6)]
+    for n in conductors + [5, 25, 125, 6, 12, 60]:
+        phi = list(cyc.cyclotomic_polynomial(n))
+        deg = len(phi) - 1
+        table = cyc.zeta_table(n)
+        assert len(table) == n
+        for t, z in enumerate(table):
+            oracle = _poly_mod([0] * t + [1], phi)
+            assert list(z.coeffs) == oracle + [0] * (deg - len(oracle)), (n, t)
+
+
+_PHI_D_REMAINDER = """
+import sys
+from charposet import cli, cyclotomic
+
+divmod_ = cyclotomic._poly_divmod
+cyclotomic._poly_divmod = lambda num, den: (divmod_(num, den)[0], [1])
+sys.exit(cli.main(["irr", "--group", "Cyclic(2,2)"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_cyclotomic_factor_that_leaves_a_remainder_exits_5(flags):
+    """With every division leaving the remainder 1, Phi_4 is built from
+    x^4 - 1 and Phi_1 first, and the cofactor check raises
+    InternalCheckError; irr exits 5, under plain Python and under
+    python -O."""
+    proc = run_script(flags, _PHI_D_REMAINDER)
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr == (
+        "internal check failed: Phi_1 does not divide the cofactor of x^4 - 1\n"
+    )
 
 
 def test_poly_divmod_refuses_a_divisor_that_is_not_monic():

@@ -1,10 +1,6 @@
 import hashlib
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -26,7 +22,7 @@ from charposet.errors import (
     OrderCapExceeded,
 )
 
-from conftest import brute_classes, brute_commuting, brute_group_check, relabelled
+from conftest import brute_classes, brute_commuting, brute_group_check, relabelled, run_script
 from test_cli import _sl23_table
 
 
@@ -54,6 +50,8 @@ def test_from_cayley_z4():
     assert G.exponent == 4
     assert G.elem_order == (1, 4, 2, 4)
     assert G.inverse == (0, 3, 2, 1)
+    assert [G.power(g, -1) for g in range(4)] == [0, 3, 2, 1]
+    assert [G.power(g, -3) for g in range(4)] == [0, 1, 2, 3]  # g^-3 = g in Z4
 
 
 def test_from_cayley_not_associative():
@@ -420,11 +418,7 @@ def _raised_internal_check(flags, body):
         "    raise SystemExit(0)\n"
         "raise SystemExit('no InternalCheckError')\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        capture_output=True, text=True, env=env, check=False, timeout=120,
-    )
+    proc = run_script(flags, script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 

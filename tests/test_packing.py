@@ -1,11 +1,6 @@
 """Packed class values: the digit format of cyclotomic.pack against the
 power-basis coordinates it stands for."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +26,7 @@ from charposet.errors import (
     NotRationalInteger,
 )
 from charposet.poset import central_index, central_poset_map
-from conftest import naive_induced_value, naive_inner_products
+from conftest import naive_induced_value, naive_inner_products, run_script
 
 
 def _digits(width):
@@ -168,6 +163,27 @@ def test_wide_class_functions_keep_exact_results(c4, d8):
     assert mackey_check(K, K, small, restrict(irr[0], K)) == (expected, expected)
 
 
+def test_an_inner_product_that_is_not_an_integer_raises_not_divisible(c4):
+    """On C4, the class function f that is 1 at the identity and 0 elsewhere
+    has [f, f] = 1/4: the packed sum 1 is not divisible by |C4| = 4, nor is
+    the CycInt sum 5 against f of the wide one with the identity value
+    V + 1 = 5; each raises NotDivisible."""
+    ctx = get_context(c4)
+    W, cc = ctx.whole, ctx.classes(ctx.whole)
+
+    def at_identity(v):
+        return ClassFunction(
+            W, cc, [cyc.integer(4, v if c == cc.identity_class else 0) for c in range(cc.count)]
+        )
+
+    f = at_identity(1)
+    with pytest.raises(NotDivisible, match="inner product sum 1 not divisible by 4"):
+        inner_product(f, f)
+    wide = at_identity(ctx.value_bound + 1)
+    assert wide.wide and ctx.value_bound == 4
+    with pytest.raises(NotDivisible, match="inner product sum 5 not divisible by 4"):
+        inner_product(wide, f)
+
 def test_central_division_by_the_degree_on_packed_rows(q8):
     """central_index divides packed rows by the degree: an int that the
     degree does not divide fails the first NotMultipleOfLinear condition,
@@ -207,10 +223,6 @@ def test_a_coordinate_beyond_the_packing_bound_exits_5(flags):
     value 8 of its regular character (the Clifford route's completeness
     check) raises InternalCheckError, and verify exits 5, under plain Python
     and under python -O."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _NARROW],
-        capture_output=True, text=True, env=env, check=False, timeout=120,
-    )
+    proc = run_script(flags, _NARROW)
     assert proc.returncode == 0, proc.stderr
     assert "internal check failed: coordinate 8 is beyond the packing bound 2^3" in proc.stderr

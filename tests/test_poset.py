@@ -1,10 +1,6 @@
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -44,6 +40,7 @@ from charposet.verify import theorem_report, valid_exponents
 from conftest import (
     bfs_components,
     relabelled,
+    run_script,
     union_find_levels,
     witness_direct_oracle,
     witness_sequence_oracle,
@@ -808,11 +805,7 @@ def test_a_character_under_no_character_of_its_up_cover_exits_5(flags):
     """Edges of (K, up(K)) with one psi of K dropped leave psi without a
     peak: components() raises InternalCheckError and verify exits 5, under
     plain Python and under python -O."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _DROP_PSI],
-        capture_output=True, text=True, env=env, check=False, timeout=120,
-    )
+    proc = run_script(flags, _DROP_PSI)
     assert proc.returncode == 0, proc.stderr
     assert "lies under no character of its up cover" in proc.stdout
     assert "internal check failed" in proc.stderr
@@ -860,11 +853,7 @@ def test_a_mask_bit_beyond_irr_of_the_smaller_subgroup_exits_5(flags):
     components() raise InternalCheckError naming the group and |K|, not
     IndexError, and verify exits 5, under plain Python and under python
     -O."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", _BIT_BEYOND],
-        capture_output=True, text=True, env=env, check=False, timeout=120,
-    )
+    proc = run_script(flags, _BIT_BEYOND)
     assert proc.returncode == 0, proc.stderr
     assert "D8: a mask of a subgroup of order 2 under its up cover sets bit 2" in proc.stdout
     assert "internal check failed" in proc.stderr

@@ -1,11 +1,7 @@
 import gc
-import os
-import subprocess
-import sys
 import weakref
 from collections import Counter
 from functools import cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +21,7 @@ from charposet.verify import (
     valid_exponents,
 )
 
-from conftest import relabelled, relabelling
+from conftest import relabelled, relabelling, run_script
 
 
 def test_compute_I_cyclic(c16):
@@ -295,15 +291,6 @@ def test_central_suite_rejects_a_partition_merging_two_central_images(c4):
         verify._central_suite(ctx, poset, merged, IZ)
 
 
-def _run_script(flags, script):
-    """Run script in a fresh interpreter with flags and charposet on the path."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    return subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        capture_output=True, text=True, env=env, check=False, timeout=120,
-    )
-
-
 _NOT_NORMAL_I = """
 import sys
 from charposet import cli, families, verify
@@ -331,7 +318,7 @@ def test_compute_I_rejects_an_intersection_that_is_not_normal(flags):
     """An intersection replaced by a non-normal subgroup of D8 fails the
     normality certificate under G's generators: InternalCheckError, and
     verify exits 5, under plain Python and under python -O."""
-    proc = _run_script(flags, _NOT_NORMAL_I)
+    proc = run_script(flags, _NOT_NORMAL_I)
     assert proc.returncode == 0, proc.stderr
     assert "I is not normal in G" in proc.stdout
     assert "internal check failed" in proc.stderr
@@ -373,7 +360,7 @@ def test_a_central_subgroup_outside_a_poset_subgroup_exits_5(flags):
     containment: with I n Z(G) swapped for a subgroup outside a member of
     the poset, it raises InternalCheckError, and verify exits 5, under plain
     Python and under python -O."""
-    proc = _run_script(flags, _CENTRAL_ELSEWHERE)
+    proc = run_script(flags, _CENTRAL_ELSEWHERE)
     assert proc.returncode == 0, proc.stderr
     assert "K of order 2 is not inside H of order 4" in proc.stdout
     assert "internal check failed" in proc.stderr
@@ -399,7 +386,7 @@ sys.exit(cli.main(["verify", "--group", "Dihedral(8)", "--e", "1"]))
 def test_a_count_outside_the_bounds_exits_5(flags):
     """A component count above |Irr(I)| raises BoundViolation, and verify
     exits 5, under plain Python and under python -O."""
-    proc = _run_script(flags, _COUNT_TOO_HIGH)
+    proc = run_script(flags, _COUNT_TOO_HIGH)
     assert proc.returncode == 5, proc.stderr
     assert proc.stderr == "internal check failed: D8 e=1: |IZ|=2 count=7 |Irr(I)|=2\n"
 
@@ -420,7 +407,7 @@ def test_a_central_map_that_misses_a_linear_character_exits_5(flags):
     components but hits 1 of the 2, so the suite's surjectivity check
     raises CriterionViolation, and verify exits 5, under plain Python and
     under python -O."""
-    proc = _run_script(flags, _CENTRAL_MAP_MISSES)
+    proc = run_script(flags, _CENTRAL_MAP_MISSES)
     assert proc.returncode == 5, proc.stderr
     assert proc.stderr == (
         "internal check failed: Q8 e=0: central map hits 1 of 2 linear characters\n"
