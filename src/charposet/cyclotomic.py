@@ -186,7 +186,7 @@ def conjugate(a: CycInt) -> CycInt:
     """Image under zeta -> zeta^(n-1), i.e. complex conjugation."""
     poly = [0] * a.n
     for i, c in enumerate(a.coeffs):
-        poly[-i] += c
+        poly[-i] += c  # zeta^i -> zeta^(n-i)
     return CycInt(a.n, poly)
 
 
