@@ -229,22 +229,27 @@ def _sl23_table():
 
 
 # sha256 of `irr --group @file [--subgroups]` stdout for groups that are not
-# p-groups, taken before Irr of p-groups moved to Clifford theory.
+# p-groups: S3 and A4 taken before Irr of p-groups moved to Clifford theory,
+# S4 (whose subgroups include S3, D8 and A4) before the monomial search
+# returned rows through the shared completeness check.
 _NON_P_IRR_DIGESTS = {
     ("S3", ""): "ca5c3b28b6240eb82c4773471c065d3aa12ecbfc012632fb20cfa45a7b6246fd",
     ("S3", "--subgroups"): "392106f73189db5b7328a2516e85dbc4ac3141ae988b9ba5d428d39d591ed187",
     ("A4", ""): "0bd2ea68280ed393ee10aedc4262a060224fdbcb00d3d82f31ca947315b07e67",
     ("A4", "--subgroups"): "7fbc00a1091136574ed245b93a156f9d5d85837cb65bfb96a5ecdd305d6665c9",
+    ("S4", ""): "c3df042e5d1c997b25a745f9aaefd6a892360dd746c8cb2b22be75394ad7244a",
+    ("S4", "--subgroups"): "efab329ec03ba34c974165354830412ab6bdacb4a9441e6b97677a84ce554dbc",
 }
 
 
 def test_irr_of_groups_that_are_not_p_groups(tmp_path, capsys):
-    """S3 and A4 are M-groups: the monomial search completes them.  SL(2,3)
+    """S3, A4 and S4 are M-groups: the monomial search completes them.  SL(2,3)
     is not: its degree-2 characters are induced from no linear character,
     which is a limit of the method (exit 3), not a failed invariant."""
     files = {
         "S3": {"name": "S3", "degree": 3, "perm_gens": [[1, 0, 2], [1, 2, 0]]},
         "A4": {"name": "A4", "degree": 4, "perm_gens": [[1, 2, 0, 3], [1, 0, 3, 2]]},
+        "S4": {"name": "S4", "degree": 4, "perm_gens": [[1, 2, 3, 0], [1, 0, 2, 3]]},
         "SL23": {"name": "SL(2,3)", "cayley": _sl23_table()},
     }
     for name, doc in files.items():
