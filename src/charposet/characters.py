@@ -35,8 +35,8 @@ Irr(H) takes one of four routes (_compute_irr):
 
 Completeness is asserted: the two abelian routes must give |H| distinct
 linear characters (|H| distinct restrictions of Irr(U) on the restriction
-route), the other two routes check the class count and the sum of squared
-degrees, and the Clifford route also the regular character.  So a gap in a
+route), and both nonabelian routes end in one certificate, _check_complete:
+class count, sum of squared degrees and regular character.  So a gap in a
 method surfaces as an error rather than a wrong answer.
 
 All values are exact cyclotomic integers at one global conductor n, the
@@ -706,21 +706,18 @@ def _compute_irr(ctx: CharContext, H: Subgroup) -> tuple:
     its |H| linear characters by the coset walk from the trivial subgroup.
     A nonabelian subgroup of a p-group is built from the conjugation orbits
     of Irr of its maximal subgroups by Clifford theory (_clifford_irr), with
-    no search and no induction.  A nonabelian subgroup of any other group takes the
-    monomial search (_monomial_irr), which is also the oracle of the
-    Clifford route."""
+    no search and no induction.  A nonabelian subgroup of any other group
+    takes the monomial search (_monomial_irr), the Clifford route's oracle.
+    Both return (rows, degrees) from _check_complete, sorted here."""
     U = ctx.up_cover.get(H.mask)
     if U is not None and ctx.is_abelian(U):
         return _fibre_irr(ctx, H, U), _ones(len(H.elems))
     if ctx.is_abelian(H):
         rows = _linear_characters(ctx, H, (H.ambient.identity,))
         return tuple(sorted(rows)), _ones(len(rows))
-    if ctx._prime is not None:
-        rows, degrees = _clifford_irr(ctx, H)
-        pairs = zip(degrees, rows)
-    else:
-        pairs = ((ch.degree, ch.rows) for ch in _monomial_irr(ctx, H))
-    degrees, rows = zip(*sorted(pairs))
+    route = _clifford_irr if ctx._prime is not None else _monomial_irr
+    rows, degrees = route(ctx, H)
+    degrees, rows = zip(*sorted(zip(degrees, rows)))
     return rows, degrees
 
 
@@ -747,9 +744,8 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> tuple:
     maximal subgroup it is induced from.  No subgroup search and no
     induction is needed.
 
-    The result is checked complete: as many characters as classes, sum of
-    squared degrees |H|, and sum of chi(1) * chi the regular character (|H|
-    at 1, 0 elsewhere); a shortfall raises IncompleteIrr."""
+    The rows end in _check_complete, the certificate both nonabelian routes
+    share."""
     G, p, n = ctx.group, ctx._prime, ctx.conductor
     t = G.table
     ctx.lattice()
@@ -793,24 +789,23 @@ def _clifford_irr(ctx: CharContext, H: Subgroup) -> tuple:
         for _, total in orbits:
             if total is not None:
                 found[tuple(0 if c < 0 else total[c] for c in at)] = None
+    return _check_complete(ccH, found, "Clifford theory over the maximal subgroups")
+
+
+def _check_complete(cc: ConjClasses, found, route: str) -> tuple:
+    """(rows, degrees) of the distinct rows found by route, which must be
+    all of Irr of cc's owner H: as many as classes, sum of squared degrees
+    |H|, and sum of chi(1) * chi the regular character (|H| at 1, 0
+    elsewhere); else raise IncompleteIrr.  The last sum is taken per degree
+    d, as d times the column sums of the rows of that degree."""
     out = list(found)
-    return out, _check_complete(ccH, out)
-
-
-def _check_complete(cc: ConjClasses, out: list) -> list:
-    """The degrees of the distinct rows out, which must be all of Irr of
-    cc's owner H: as many as classes, sum of squared degrees |H|, and sum of
-    chi(1) * chi the regular character (|H| at 1, 0 elsewhere); else raise
-    IncompleteIrr.  The last sum is taken per degree d, as d times the
-    column sums of the rows of that degree."""
     H = cc.owner
     order = len(H.elems)
     ctx = H.ambient.context
     degrees = [cyc.unpack_integer(rows[cc.identity_class], ctx.width, ctx.digits) for rows in out]
     if len(out) != cc.count or sum(d * d for d in degrees) != order:
         raise IncompleteIrr(
-            f"{H.ambient.name}: Clifford theory over the maximal subgroups gave {len(out)} "
-            f"distinct characters with sum(deg^2) = "
+            f"{H.ambient.name}: {route} gave {len(out)} distinct characters with sum(deg^2) = "
             f"{sum(d * d for d in degrees)} for |H| = {order} with {cc.count} classes"
         )
     by_degree = [
@@ -825,56 +820,46 @@ def _check_complete(cc: ConjClasses, out: list) -> list:
             f"{H.ambient.name}: sum of chi(1) * chi is not the regular character of "
             f"|H| = {order}"
         )
-    return degrees
+    return out, degrees
 
 
-def _monomial_irr(ctx: CharContext, H: Subgroup) -> list:
-    """Irr(H) by the monomial search: H's own linear characters, grown over
-    the cosets of H', plus the norm-1 characters induced from the linear
-    characters of proper subgroups of index at most sqrt(|H|).  Every
-    character of an M-group is induced from a linear one of a subgroup of
-    index chi(1) <= sqrt(|H|), so the search is complete for M-groups and in
-    particular for p-groups.  An incomplete search raises NotMonomial when H
-    is not a p-group (it is then not an M-group) and IncompleteIrr when it
-    is."""
+def _monomial_irr(ctx: CharContext, H: Subgroup) -> tuple:
+    """(rows, degrees) of Irr(H) by the monomial search: H's own linear
+    characters, grown over the cosets of H', plus the norm-1 characters
+    induced from the linear characters of proper subgroups of index at most
+    sqrt(|H|), keyed by rows in a dict.  Every character of an M-group is
+    induced from a linear one of a subgroup of index chi(1) <= sqrt(|H|), so
+    the search is complete for M-groups and in particular for p-groups.  A
+    search short of the class count raises NotMonomial when H is not a
+    p-group (it is then not an M-group); all else ends in _check_complete,
+    the certificate both nonabelian routes share."""
     cc = ctx.classes(H)
     order = len(H.elems)
-    found = {
-        rows: ClassFunction._from_rows(H, cc, rows, degree=1)
-        for rows in _linear_characters(ctx, H, derived_subgroup(H).elems)
-    }
+    found = dict.fromkeys(_linear_characters(ctx, H, derived_subgroup(H).elems))
     total = len(found)
-    if len(found) < cc.count:
-        bound = isqrt(order)
-        cands = [
-            K
-            for K in ctx.lattice()
-            if K.mask | H.mask == H.mask and 2 <= order // len(K.elems) <= bound
-        ]
-        cands.sort(key=lambda K: -len(K.elems))
-        seen = set()
-        for K in cands:
-            for lam in ctx.linear(K):
-                theta = induce(lam, H)
-                if theta.rows in seen:
-                    continue
-                seen.add(theta.rows)
-                if inner_product(theta, theta) == 1:
-                    found[theta.rows] = theta
-                    total += theta.degree**2
-            if total == order and len(found) == cc.count:
-                break
-    if total != order or len(found) != cc.count:
-        summary = (
-            f"monomial search found {len(found)} characters with "
-            f"sum(deg^2) = {total} for |H| = {order}"
+    cands = [
+        K
+        for K in ctx.lattice()
+        if K.mask | H.mask == H.mask and 2 <= order // len(K.elems) <= isqrt(order)
+    ]
+    seen = set()
+    for K in sorted(cands, key=lambda K: -len(K.elems)):
+        if len(found) == cc.count:
+            break
+        for lam in ctx.linear(K):
+            theta = induce(lam, H)
+            if theta.rows in seen:
+                continue
+            seen.add(theta.rows)
+            if inner_product(theta, theta) == 1:
+                found[theta.rows] = None
+                total += theta.degree**2
+    if len(found) < cc.count and prime_of(order) is None:
+        raise NotMonomial(
+            f"a subgroup of order {order} of {H.ambient.name} is not an M-group: monomial search"
+            f" found {len(found)} characters with sum(deg^2) = {total} for |H| = {order}"
         )
-        if prime_of(order) is None:
-            raise NotMonomial(
-                f"a subgroup of order {order} of {H.ambient.name} is not an M-group: {summary}"
-            )
-        raise IncompleteIrr(summary)
-    return list(found.values())
+    return _check_complete(cc, found, "the monomial search")
 
 
 def irr(H: Subgroup) -> tuple:

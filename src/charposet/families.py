@@ -13,15 +13,28 @@ and FAMILY_HELP is read off it.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from typing import Sequence
 
 from .errors import InternalCheckError, OrderCapExceeded, UnknownFamily
 from .groups import DEFAULT_ORDER_CAP, GroupTable, from_cayley, is_prime
 
 
-def _check_cap(order: int, cap: int) -> None:
-    if order > cap:
-        raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
+def _check_cap(powers: Sequence[tuple], cap: int) -> int:
+    """The order prod(b^e for (b, e) in powers), checked against cap as each
+    factor b joins it, so an order far over the cap is never formed; past
+    str's limit of 4300 digits the error shows it as the product of b^e."""
+    order = 1
+    for b, e in powers:
+        for _ in range(e):
+            order *= b
+            if order > cap:
+                shown = "*".join(f"{b}^{e}" if e > 1 else f"{b}" for b, e in powers)
+                if sum(e * math.log10(b) for b, e in powers) < 4300:
+                    with suppress(ValueError):  # past a lowered int-to-str limit
+                        shown = str(math.prod(b**e for b, e in powers))
+                raise OrderCapExceeded(f"order {shown} exceeds cap {cap}")
+    return order
 
 
 def _require_prime(p: int) -> None:
@@ -45,7 +58,7 @@ def abelian_product(orders: Sequence[int], cap: int = DEFAULT_ORDER_CAP, name: s
     orders = [int(d) for d in orders]
     if not orders or any(d < 1 for d in orders):
         raise UnknownFamily(f"bad cyclic orders {orders}")
-    _check_cap(math.prod(orders), cap)
+    _check_cap([(d, 1) for d in orders], cap)
     table = [[0]]
     for d in orders:
         table = _product_table(table, [[(i + j) % d for j in range(d)] for i in range(d)])
@@ -58,13 +71,15 @@ def cyclic(p: int, n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     _require_prime(p)
     if n < 0:
         raise UnknownFamily(f"bad exponent {n}")
-    return abelian_product([p**n], cap=cap, name=f"C{p ** n}")
+    order = _check_cap([(p, n)], cap)
+    return abelian_product([order], cap=cap, name=f"C{order}")
 
 
 def elem_abelian(p: int, n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     _require_prime(p)
     if n < 1:
         raise UnknownFamily(f"bad rank {n}")
+    _check_cap([(p, n)], cap)
     return abelian_product([p] * n, cap=cap, name=f"C{p}^{n}")
 
 
@@ -74,8 +89,7 @@ def _two_generator_metacyclic(m: int, twist: int, s_order: int, s_power_in_r: in
     Elements are pairs (i, j) = r^i s^j with 0 <= i < m, 0 <= j < s_order,
     encoded as i + m*j.  Requires twist^s_order = 1 mod m for consistency.
     """
-    order = m * s_order
-    _check_cap(order, cap)
+    order = _check_cap([(m, 1), (s_order, 1)], cap)
     if pow(twist, s_order, m) != 1 % m:
         raise InternalCheckError(f"twist {twist} has no order dividing {s_order} mod {m}")
 
@@ -121,8 +135,8 @@ def modular(p: int, n: int, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     _require_prime(p)
     if n < 3:
         raise UnknownFamily(f"modular family needs exponent >= 3, got {n}")
-    m = p ** (n - 1)
-    return _two_generator_metacyclic(m, p ** (n - 2) + 1, p, 0, f"M{p ** n}", cap)
+    order = _check_cap([(p, n)], cap)
+    return _two_generator_metacyclic(order // p, order // p**2 + 1, p, 0, f"M{order}", cap)
 
 
 def extraspecial(p: int, sign: str, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -134,15 +148,13 @@ def extraspecial(p: int, sign: str, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     _require_prime(p)
     if sign not in ("+", "-"):
         raise UnknownFamily(f"extraspecial sign must be '+' or '-', got {sign!r}")
-    _check_cap(p**3, cap)
-    if p == 2:
-        G = dihedral(8, cap) if sign == "+" else quaternion(8, cap)
-        return from_cayley(G.table, f"ES2{sign}")
-    if sign == "-":
-        return from_cayley(modular(p, 3, cap).table, f"ES{p}-")
+    n = _check_cap([(p, 3)], cap)
+    if p == 2:  # D8 or Q8
+        return _two_generator_metacyclic(4, 3, 2, 0 if sign == "+" else 2, f"ES2{sign}", cap)
+    if sign == "-":  # Modular(p,3)
+        return _two_generator_metacyclic(p * p, p + 1, p, 0, f"ES{p}-", cap)
 
     # Heisenberg: triples (a, b, c), (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2)
-    n = p**3
 
     def mul(x, y):
         a1, r1 = divmod(x, p * p)
@@ -156,7 +168,7 @@ def extraspecial(p: int, sign: str, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 
 
 def direct_product(G1: GroupTable, G2: GroupTable, cap: int = DEFAULT_ORDER_CAP, name: str | None = None) -> GroupTable:
-    _check_cap(G1.order * G2.order, cap)
+    _check_cap([(G1.order, 1), (G2.order, 1)], cap)
     if name is None:
         name = f"{G1.name}x{G2.name}"
     return from_cayley(_product_table(G1.table, G2.table), name)

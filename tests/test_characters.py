@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import random
 import weakref
 from functools import reduce
@@ -727,6 +728,7 @@ def _inner_product_oracle(ctx, K, H) -> tuple:
     return tuple(ctx._inner_product_masks(K, H, rows, range(len(rows))))
 
 
+@pytest.mark.slow
 def test_clifford_edges_match_inner_product_edges():
     """On every index-p cover pair of the sweep catalog and of relabelled
     tables, the front (lookup, then the orbit walk for the misses) gives the
@@ -1024,8 +1026,9 @@ def test_clifford_irr_matches_monomial_oracle():
         for S in ctx.lattice():
             if ctx.classes(S).count == len(S.elems):
                 continue
-            expected = sorted(_monomial_irr(ctx, S), key=ClassFunction.sort_key)
-            assert [ch.rows for ch in ctx.irr(S)] == [ch.rows for ch in expected], (G.name, S)
+            rows, degrees = _monomial_irr(ctx, S)
+            expected = [r for _, r in sorted(zip(degrees, rows))]
+            assert [ch.rows for ch in ctx.irr(S)] == expected, (G.name, S)
             compared += 1
             K = first_below[S.elems]
             x = next(h for h in S.elems if not K.contains(h))
@@ -1491,11 +1494,152 @@ def test_regular_character_check_catches_one_changed_value(spec):
     cc = ctx.classes(ctx.whole)
     chars = ctx.irr(ctx.whole)
     rows = [ch.rows for ch in chars]
-    characters._check_complete(cc, rows)
+    characters._check_complete(cc, rows, "Clifford theory over the maximal subgroups")
     c = next(c for c in range(cc.count) if c != cc.identity_class)
     changed = list(chars[0].values)
     changed[c] = -changed[c]
     bad = [ClassFunction(ctx.whole, cc, changed).rows] + rows[1:]
     assert bad[0] != rows[0] and len(set(bad)) == cc.count
     with pytest.raises(IncompleteIrr, match="regular character"):
-        characters._check_complete(cc, bad)
+        characters._check_complete(cc, bad, "Clifford theory over the maximal subgroups")
+
+
+_S4_GENS = [(1, 2, 3, 0), (1, 0, 2, 3)]
+
+
+def test_the_monomial_search_ends_in_the_shared_certificate(monkeypatch):
+    """With the induced candidates withheld (CharContext.linear empty on
+    proper subgroups), the monomial search on D8 inside S4 finds only the
+    four linear characters of D8.  D8 is a p-group, so the search does not
+    raise NotMonomial: the rows reach _check_complete, which raises
+    IncompleteIrr naming the route."""
+    ctx = get_context(gr.from_permutations(_S4_GENS, name="S4"))
+    (D8, *_) = (S for S in ctx.lattice() if len(S.elems) == 8)
+    linear = characters.CharContext.linear
+    monkeypatch.setattr(
+        characters.CharContext,
+        "linear",
+        lambda self, S: linear(self, S) if S.mask == self.whole.mask else (),
+    )
+    with pytest.raises(IncompleteIrr) as info:
+        ctx.irr_rows(D8)
+    assert str(info.value) == (
+        "S4: the monomial search gave 4 distinct characters with sum(deg^2) = 4"
+        " for |H| = 8 with 5 classes"
+    )
+    assert info.traceback[-1].name == "_check_complete"
+
+
+_WITHHELD_CANDIDATES = """
+import sys
+from charposet import characters, cli
+
+linear = characters.CharContext.linear
+characters.CharContext.linear = (
+    lambda self, S: linear(self, S) if S.mask == self.whole.mask else ()
+)
+sys.exit(cli.main(["irr", "--group", "@" + GROUP_FILE]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_withheld_candidates_leave_s4_not_monomial(flags, tmp_path):
+    """The same tamper on S4, which is not a p-group, ends the search at its
+    two linear characters: irr exits 3 with NotMonomial, a limit of the
+    method, under plain Python and under python -O."""
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps({"name": "S4", "degree": 4, "perm_gens": _S4_GENS}))
+    proc = run_script(flags, _WITHHELD_CANDIDATES.replace("GROUP_FILE", repr(str(path))))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        "error: a subgroup of order 24 of S4 is not an M-group: monomial search found 2"
+        " characters with sum(deg^2) = 2 for |H| = 24\n"
+    )
+
+
+_CONJUGATE_DROPPED = """
+import sys
+from charposet import characters, cli, families
+from charposet.characters import get_context
+
+# Drop the second member of an orbit of length 2 from Irr(K), K the first
+# maximal subgroup of D8: the conjugate of the first member is then missing.
+ctx = get_context(families.builtin("Dihedral(8)"))
+ctx.lattice()
+K = ctx._maximal[ctx.whole.mask][0]
+j = next(o for o, total in ctx._clifford_split(K, ctx.whole)[1] if total is not None)[-1]
+compute_irr = characters._compute_irr
+
+def dropped(ctx, S):
+    rows, degrees = compute_irr(ctx, S)
+    if S.mask == K.mask:
+        return rows[:j] + rows[j + 1:], degrees[:j] + degrees[j + 1:]
+    return rows, degrees
+
+characters._compute_irr = dropped
+sys.exit(cli.main(["irr", "--group", "Dihedral(8)"]))
+"""
+
+_SHARED_ZETA_ROWS = """
+import sys
+from charposet import characters, cli
+
+init = characters.CharContext.__init__
+
+def tampered(self, *args):
+    # zeta^(n-1) stored as the row of zeta: the characters of C4 that send
+    # a generator to zeta and to zeta^3 get the same values.
+    init(self, *args)
+    self.zeta_rows = self.zeta_rows[:-1] + self.zeta_rows[1:2]
+
+characters.CharContext.__init__ = tampered
+sys.exit(cli.main(["irr", "--group", "Cyclic(2,2)"]))
+"""
+
+_ODD_EXPONENT_AT_XP = """
+import sys
+from charposet import characters, cli, families
+from charposet.characters import get_context
+
+# The trivial character of K, the first maximal subgroup of Q8, stored with
+# the value zeta at x^2, the central involution: the row stays invariant
+# under x, but its exponent at x^2 is odd.
+ctx = get_context(families.builtin("Quaternion(8)"))
+ctx.lattice()
+K = ctx._maximal[ctx.whole.mask][0]
+x = next(h for h in ctx.whole.elems if not K.contains(h))
+xp = ctx.group.power(x, 2)
+compute_irr = characters._compute_irr
+
+def tampered(ctx, S):
+    rows, degrees = compute_irr(ctx, S)
+    if S.mask == K.mask:
+        first = list(rows[0])
+        first[ctx.classes(S).class_of[xp]] = ctx.zeta_rows[1]
+        rows = (tuple(first),) + rows[1:]
+    return rows, degrees
+
+characters._compute_irr = tampered
+sys.exit(cli.main(["irr", "--group", "Quaternion(8)"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize(
+    "script,message",
+    [
+        (_CONJUGATE_DROPPED, "a conjugate of an irreducible is not in Irr(K)"),
+        (_SHARED_ZETA_ROWS, "two linear characters share their values"),
+        (_ODD_EXPONENT_AT_XP, "the exponent of x^2 is not divisible by 2"),
+    ],
+    ids=["conjugate", "shared", "exponent"],
+)
+def test_a_tampered_input_of_irr_exits_5(script, message, flags):
+    """Irr(K) with one member of a conjugation orbit dropped, roots of unity
+    with two equal rows, and an invariant linear character of K with an odd
+    exponent at x^p each fail their check in Irr of the whole group
+    (_clifford_split, _linear_characters, _clifford_irr), and irr exits 5,
+    under plain Python and under python -O."""
+    proc = run_script(flags, script)
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr == f"internal check failed: {message}\n"

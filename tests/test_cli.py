@@ -665,6 +665,51 @@ def test_input_errors_exit_3_in_a_sweep_and_2_in_verify(capsys):
     assert (code, out, err) == (2, "", "error: order 16 exceeds cap 8\n")
 
 
+_TWO_3000_DIGIT_ORDERS = ("1" + "0" * 2999, "3" * 3000)
+
+
+@pytest.mark.parametrize(
+    "spec,shown",
+    [
+        ("Cyclic(2,14300)", "2^14300"),
+        ("Cyclic(3,100000)", "3^100000"),
+        ("Modular(3,100000)", "3^100000"),
+        ("ElemAbelian(2,1000000)", "2^1000000"),
+        ("ElemAbelian(2,50000000)", "2^50000000"),
+        ("AbelianProduct(%s,%s)" % _TWO_3000_DIGIT_ORDERS, "%s*%s" % _TWO_3000_DIGIT_ORDERS),
+    ],
+)
+def test_a_spec_far_over_the_cap_exits_2_at_once(spec, shown, capsys):
+    """The order of a family spec is checked against the cap before it, its
+    table, a list of its factors or its name is formed.  One past Python's
+    4300-digit int-to-str limit is shown as the product of its factors."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "irr", "--group", spec, "--cap", "128")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: order {shown} exceeds cap 128\n")
+
+
+def test_an_order_over_the_cap_prints_while_it_can(capsys):
+    """2^n with 4300 digits prints in full, as it did; 2^(n+1) has 4301
+    digits and prints as 2^(n+1).  Under a lowered int-to-str limit the
+    formula shows too."""
+    n = (10**4300).bit_length() - 1
+    code, _, err = run(capsys, "irr", "--group", f"Cyclic(2,{n})", "--cap", "128")
+    assert (code, err) == (2, f"error: order {2**n} exceeds cap 128\n")
+    code, _, err = run(capsys, "irr", "--group", f"Cyclic(2,{n + 1})", "--cap", "128")
+    assert (code, err) == (2, f"error: order 2^{n + 1} exceeds cap 128\n")
+    code, _, err = run(capsys, "irr", "--group", "Cyclic(2,14000)", "--cap", "128")
+    assert (code, err) == (2, f"error: order {2**14000} exceeds cap 128\n")
+    assert len(str(2**14000)) == 4215
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        code, _, err = run(capsys, "irr", "--group", "Cyclic(2,4000)", "--cap", "128")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (2, "error: order 2^4000 exceeds cap 128\n")
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run(capsys, "sweep", "--p", "5", "--max-order", "25", "--format", "csv")
     assert code == 0

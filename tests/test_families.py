@@ -65,6 +65,24 @@ def test_extraspecial_two_groups():
     assert fam.extraspecial(2, "-").table == fam.quaternion(8).table
 
 
+def test_each_extraspecial_table_is_validated_once(monkeypatch):
+    """Extraspecial(2,+-) and Extraspecial(p,-) are built under their ES
+    names by the metacyclic builder, so from_cayley (with Light's test) runs
+    once per group, not once more to rename a D8, Q8 or Modular(p,3)."""
+    names = []
+    from_cayley = fam.from_cayley
+
+    def spy(table, name):
+        names.append(name)
+        return from_cayley(table, name)
+
+    monkeypatch.setattr(fam, "from_cayley", spy)
+    for p in (2, 3, 5):
+        for sign in "+-":
+            assert fam.extraspecial(p, sign).name == f"ES{p}{sign}"
+    assert names == ["ES2+", "ES2-", "ES3+", "ES3-", "ES5+", "ES5-"]
+
+
 def test_abelian_product_names_and_orders():
     G = fam.builtin("AbelianProduct(4,2)")
     assert G.order == 8 and G.exponent == 4 and G.name == "C4xC2"

@@ -168,6 +168,7 @@ def _latin_square_with_identity(n, rng):
     return t
 
 
+@pytest.mark.slow
 def test_from_cayley_matches_brute_force_oracle():
     """Light's test on a generating set rejects exactly the tables the full
     triple loop rejects, with the same error class."""

@@ -43,6 +43,7 @@ def _packable(draw):
     return width, count, draw(row), draw(row)
 
 
+@pytest.mark.slow
 @settings(max_examples=400, deadline=None)
 @given(_packable())
 def test_pack_round_trips_and_keeps_lexicographic_order(case):

@@ -690,6 +690,7 @@ _SWEEP_SPECS = fam.builtin_catalog(2, 64) + fam.builtin_catalog(3, 64) + fam.bui
 _RELABELLED = ["Dihedral(16)", "Quaternion(16)", "Extraspecial(3,+)", "ElemAbelian(3,2)", "Cyclic(5,2)"]
 
 
+@pytest.mark.slow
 def test_components_match_the_union_find_oracle_at_every_level():
     """On the sweep catalog ((C2)^6 and D8xD8 included) and five relabelled
     tables, the merge of peaks over Irr(G) gives every level exactly the
